@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from . import capacitance as cap
 from .mechanics import DeviceGeometry, ModeThresholds
@@ -41,6 +40,10 @@ class MeasuredSeries:
         object.__setattr__(self, "capacitance", c)
         if len(x) != len(c):
             raise ValueError("abscissa and capacitance lengths differ")
+        for name, values in (("abscissa", x), ("capacitance", c)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if len(bad):
+                raise ValueError(f"{name}[{bad[0]}] must be finite, got {values[bad[0]]}")
         if len(x) >= 2 and np.any(np.diff(x) <= 0):
             raise ValueError("abscissa must be strictly increasing")
         if self.kind not in ("pressure", "time"):
@@ -115,24 +118,34 @@ def apply_params(geom: DeviceGeometry, params: dict[str, float]) -> tuple[Device
     return replace(geom, **fields), offset
 
 
-def model_capacitances(geom: DeviceGeometry, pressures: np.ndarray,
-                       rel_tol: float = 1e-10) -> np.ndarray:
-    return np.array([cap.capacitance_at(geom, float(p), rel_tol=rel_tol)
-                     for p in pressures])
+def model_capacitances(geom: DeviceGeometry, pressures: np.ndarray) -> np.ndarray:
+    """Forward-model capacitance at each pressure, in one array evaluation.
+
+    Raises ValueError for a negative or non-finite pressure, and the
+    point's own ValueError (TouchStateError for the wrong contact regime)
+    where the model has no value.
+    """
+    try:
+        return cap.capacitances(geom, pressures)
+    except cap.SweepPointError as exc:
+        raise exc.cause from None
 
 
 def fit_model(data: MeasuredSeries, geom0: DeviceGeometry,
               free_params: list[str],
               bounds: dict[str, tuple[float, float]],
-              max_iterations: int = 2000,
-              relative_loss: bool = False) -> FitResult:
+              max_iterations: int = 2000) -> FitResult:
     """Fit geometry parameters to measured C-P data.
 
     Minimizes the RMS capacitance error of the forward model by
     Nelder-Mead simplex with bound clamping.  The initial simplex is built
     deterministically from the starting geometry and the bounds, so
-    identical inputs give identical results.
+    identical inputs give identical results.  A trial point where the
+    model has no value (a ValueError, e.g. contact without a dielectric)
+    scores infinity; any other error propagates.
     """
+    from scipy import optimize
+
     if data.kind != "pressure":
         raise ValueError("fit_model needs pressure-capacitance data")
     if len(data) < 4:
@@ -167,13 +180,10 @@ def fit_model(data: MeasuredSeries, geom0: DeviceGeometry,
         params = dict(zip(free_params, x))
         geom, offset = apply_params(geom0, params)
         try:
-            model = model_capacitances(geom, data.abscissa, rel_tol=1e-9) + offset
-        except Exception:
+            model = model_capacitances(geom, data.abscissa) + offset
+        except ValueError:
             return np.inf
-        resid = model - measured
-        if relative_loss:
-            resid = resid / measured
-        return float(np.sqrt(np.mean(resid**2)))
+        return float(np.sqrt(np.mean((model - measured)**2)))
 
     # Deterministic initial simplex: start point plus 5% of each bound span.
     simplex = [x0]
@@ -192,7 +202,7 @@ def fit_model(data: MeasuredSeries, geom0: DeviceGeometry,
     best = np.clip(result.x, lo, hi)
     params = {name: float(v) for name, v in zip(free_params, best)}
     geom, offset = apply_params(geom0, params)
-    resid = model_capacitances(geom, data.abscissa, rel_tol=1e-9) + offset - measured
+    resid = model_capacitances(geom, data.abscissa) + offset - measured
     return FitResult(params=params,
                      residual_norm=float(np.sqrt(np.mean(resid**2))),
                      iterations=int(result.nit),

@@ -1,23 +1,24 @@
 """Capacitance of the sensor across all four operating modes.
 
-Normal mode integrates the deflected-gap parallel-plate density over the
-disk; a closed form exists for the clamped-plate profile and is checked
-against adaptive quadrature.  Touch mode splits the disk at the contact
-radius: the touched part is a parallel plate through the dielectric, the
-annulus is integrated numerically.  A literal evaluation of the published
-touch-mode closed form is kept as a diagnostic.
+One closed form covers every mode.  Before touch the clamped-plate
+profile turns the deflected-gap integral into an atanh expression; after
+touch the touched disk is a parallel plate through the dielectric and the
+free annulus has the same atanh form with its argument scaled by the
+contact edge (Ko & Wang, "Touch mode capacitive pressure sensors",
+Sens. Actuators A 75, 1999).  The expression is array-valued, so a sweep,
+a fit objective or a servo table is one numpy evaluation.  Adaptive
+quadrature of the integrals is kept as the test oracle for both forms.
 """
 
 from __future__ import annotations
 
 import csv
-import enum
 import io
 import json
 import math
 from dataclasses import dataclass
 
-from scipy import integrate
+import numpy as np
 
 from . import mechanics
 from .mechanics import (DeviceGeometry, DeflectionState, ModeThresholds,
@@ -25,16 +26,9 @@ from .mechanics import (DeviceGeometry, DeflectionState, ModeThresholds,
 
 EPSILON_0 = 8.8541878128e-12  # F/m
 
-# Adaptive quadrature settings: the normal-mode integrand steepens sharply
-# as W0 approaches the electrical gap.
+# Oracle quadrature tolerance: the integrand steepens sharply as W0
+# approaches the electrical gap.
 QUAD_REL_TOL = 1e-10
-QUAD_LIMIT = 2**20
-
-
-class CapacitanceMethod(enum.Enum):
-    CLOSED_FORM = "closed_form"
-    QUADRATURE = "quadrature"
-    PUBLISHED_LITERAL = "published_literal"
 
 
 class TouchStateError(ValueError):
@@ -48,7 +42,6 @@ class CapacitanceBreakdown:
     total: float
     touched_part: float
     untouched_part: float
-    method: CapacitanceMethod
 
 
 @dataclass(frozen=True)
@@ -129,6 +122,72 @@ def base_capacitance(geom: DeviceGeometry) -> float:
     return EPSILON_0 * math.pi * geom.radius**2 / electrical_gap(geom)
 
 
+_AT_GAP = "center deflection reaches the electrical gap"
+_NO_DIELECTRIC = ("touched regime with zero dielectric thickness: "
+                  "capacitance diverges; configure dielectric_thickness > 0")
+
+
+def _parts(geom: DeviceGeometry, w0, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Touched-disk and free-annulus capacitance: the one closed form.
+
+    For unconstrained center deflections W0 and contact edges
+    u = 1 - (a/R)^2 (1 before contact), with x = sqrt(W0 / (eps_r d_e)):
+
+        C = pi eps0 R^2 [eps_t1 (1 - u) / t1 + atanh(u x) / (x d_e)]
+
+    and the annulus term's x -> 0 limit u/d_e on a flat diaphragm.  With
+    u = 1 the annulus term is the clamped-plate profile W0 (1 - (r/R)^2)^2
+    integrated over the whole disk.  After contact the free annulus
+    W = g ((1 - (r/R)^2) / u)^2 gives the same integral with curvature
+    g / (eps_r u^2) = W0 / eps_r, its argument scaled by u.
+
+    Returns (disk, annulus, outside).  ``outside`` marks points where the
+    expression diverges (W0 at the electrical gap, or contact without a
+    dielectric); their disk and annulus values are meaningless.
+    """
+    t1 = geom.dielectric_thickness
+    d_e = electrical_gap(geom)
+    x = np.sqrt(w0 / (geom.medium_rel_permittivity * d_e))
+    outside = u * x >= 1.0
+    if t1 == 0.0:
+        outside = outside | (u < 1.0)
+        disk = np.zeros_like(x)
+    else:
+        disk = (EPSILON_0 * geom.dielectric_rel_permittivity * math.pi
+                * geom.radius**2 / t1) * (1.0 - u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shape = np.where(x > 0.0, np.arctanh(u * x) / x, u)
+    return disk, base_capacitance(geom) * shape, outside
+
+
+def _evaluate(geom: DeviceGeometry, pressures) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unconstrained W0, touched-disk and annulus capacitance at each pressure.
+
+    Raises ValueError for a negative or non-finite pressure and
+    SweepPointError for the first pressure outside the model's domain.
+    """
+    w0 = mechanics.large_deflection_center(geom, pressures)
+    u = mechanics.contact_edge_u(geom, w0)
+    disk, annulus, outside = _parts(geom, w0, u)
+    if np.any(outside):
+        i = int(np.argmax(outside))
+        touched = bool(np.ravel(u)[i] < 1.0)
+        cause = (ValueError(_NO_DIELECTRIC)
+                 if touched and geom.dielectric_thickness == 0.0
+                 else TouchStateError(_AT_GAP))
+        raise SweepPointError(i, float(np.ravel(pressures)[i]), cause)
+    return w0, disk, annulus
+
+
+def _at(geom: DeviceGeometry, pressure: float) -> tuple[float, float]:
+    """(disk, annulus) at one pressure, raising that point's own error."""
+    try:
+        _, disk, annulus = _evaluate(geom, pressure)
+    except SweepPointError as exc:
+        raise exc.cause from None
+    return float(disk), float(annulus)
+
+
 def _gap_density(geom: DeviceGeometry, deflection: float) -> float:
     """Local electrical separation under a diaphragm deflected by ``deflection``."""
     t1 = geom.dielectric_thickness
@@ -149,34 +208,31 @@ def normal_mode_capacitance(geom: DeviceGeometry, state: DeflectionState) -> flo
 
 
 def _normal_mode_closed_form(geom: DeviceGeometry, w0: float) -> float:
-    d_e = electrical_gap(geom)
-    wt = w0 / geom.medium_rel_permittivity
-    if wt >= d_e:
-        raise TouchStateError("center deflection reaches the electrical gap")
+    if w0 / geom.medium_rel_permittivity >= electrical_gap(geom):
+        raise TouchStateError(_AT_GAP)
     if w0 < 0:
         raise ValueError("center deflection must be >= 0")
-    if wt == 0.0:
-        return base_capacitance(geom)
-    area = math.pi * geom.radius**2
-    x = math.sqrt(wt / d_e)
-    return EPSILON_0 * area * math.atanh(x) / math.sqrt(wt * d_e)
+    _, annulus, _ = _parts(geom, w0, 1.0)
+    return float(annulus)
 
 
-def normal_mode_capacitance_quadrature(geom: DeviceGeometry, w0: float,
-                                       rel_tol: float = QUAD_REL_TOL) -> float:
-    """Adaptive-quadrature oracle for the pre-touch capacitance integral."""
-    d_e = electrical_gap(geom)
-    if w0 / geom.medium_rel_permittivity >= d_e:
-        raise TouchStateError("center deflection reaches the electrical gap")
-    R = geom.radius
+def _quadrature(geom: DeviceGeometry, profile, r_min: float) -> float:
+    """Adaptive quadrature of 2 pi eps0 r dr / gap(r) over r_min <= r <= R."""
+    from scipy import integrate
 
     def integrand(r: float) -> float:
-        w = w0 * (1.0 - (r / R) ** 2) ** 2
-        return 2.0 * math.pi * EPSILON_0 * r / _gap_density(geom, w)
+        return 2.0 * math.pi * EPSILON_0 * r / _gap_density(geom, profile(r))
 
-    value, _ = integrate.quad(integrand, 0.0, R, epsrel=rel_tol, epsabs=0.0,
-                              limit=200)
+    value, _ = integrate.quad(integrand, r_min, geom.radius, epsrel=QUAD_REL_TOL,
+                              epsabs=0.0, limit=200)
     return value
+
+
+def normal_mode_capacitance_quadrature(geom: DeviceGeometry, w0: float) -> float:
+    """Test oracle: adaptive quadrature of the pre-touch capacitance integral."""
+    if w0 / geom.medium_rel_permittivity >= electrical_gap(geom):
+        raise TouchStateError(_AT_GAP)
+    return _quadrature(geom, lambda r: w0 * (1.0 - (r / geom.radius) ** 2) ** 2, 0.0)
 
 
 def post_touch_profile(geom: DeviceGeometry, a: float, r: float) -> float:
@@ -191,74 +247,48 @@ def post_touch_profile(geom: DeviceGeometry, a: float, r: float) -> float:
     return geom.travel * ((1.0 - rho2) / (1.0 - alpha2)) ** 2
 
 
-def touch_mode_capacitance(geom: DeviceGeometry, pressure: float,
-                           method: CapacitanceMethod = CapacitanceMethod.QUADRATURE,
-                           rel_tol: float = QUAD_REL_TOL) -> CapacitanceBreakdown:
+def touch_mode_capacitance(geom: DeviceGeometry, pressure: float) -> CapacitanceBreakdown:
     """Touch-mode capacitance split into touched disk and free annulus.
 
-    The canonical result integrates the series-stack density over the
-    annulus (adaptive quadrature); the touched disk is a parallel plate
-    through the dielectric.  ``PUBLISHED_LITERAL`` evaluates the published
-    closed form verbatim for traceability, it is never asserted against
-    the quadrature result.
+    The touched disk is a parallel plate through the dielectric; the
+    annulus is the closed form of the post-touch profile's integral.
     """
+    if mechanics.contact_radius(geom, pressure) <= 0.0:
+        raise TouchStateError("touch-mode capacitance requires a touched state")
+    disk, annulus = _at(geom, pressure)
+    return CapacitanceBreakdown(total=disk + annulus, touched_part=disk,
+                                untouched_part=annulus)
+
+
+def touch_mode_capacitance_quadrature(geom: DeviceGeometry,
+                                      pressure: float) -> CapacitanceBreakdown:
+    """Test oracle: the touch-mode annulus integrated by adaptive quadrature in r."""
     a = mechanics.contact_radius(geom, pressure)
     if a <= 0.0:
         raise TouchStateError("touch-mode capacitance requires a touched state")
     if geom.dielectric_thickness == 0.0:
-        raise ValueError("touched regime with zero dielectric thickness: "
-                         "capacitance diverges; configure dielectric_thickness > 0")
-    if method is CapacitanceMethod.PUBLISHED_LITERAL:
-        return _touch_mode_literal(geom, pressure, a)
-
-    t1 = geom.dielectric_thickness
-    eps_t1 = geom.dielectric_rel_permittivity
-    touched = EPSILON_0 * eps_t1 * math.pi * a**2 / t1
-
-    R = geom.radius
-
-    def integrand(r: float) -> float:
-        w = post_touch_profile(geom, a, r)
-        return 2.0 * math.pi * EPSILON_0 * r / _gap_density(geom, w)
-
-    annulus, _ = integrate.quad(integrand, a, R, epsrel=rel_tol, epsabs=0.0,
-                                limit=200)
+        raise ValueError(_NO_DIELECTRIC)
+    touched = (EPSILON_0 * geom.dielectric_rel_permittivity * math.pi * a**2
+               / geom.dielectric_thickness)
+    annulus = _quadrature(geom, lambda r: post_touch_profile(geom, a, r), a)
     return CapacitanceBreakdown(total=touched + annulus, touched_part=touched,
-                                untouched_part=annulus,
-                                method=CapacitanceMethod.QUADRATURE)
+                                untouched_part=annulus)
 
 
-def _touch_mode_literal(geom: DeviceGeometry, pressure: float,
-                        a: float) -> CapacitanceBreakdown:
-    """Literal published touch-mode closed form (diagnostic only).
+def capacitance_at(geom: DeviceGeometry, pressure: float) -> float:
+    """Capacitance at one pressure, in any mode."""
+    disk, annulus = _at(geom, pressure)
+    return disk + annulus
 
-    Interprets a as the contact radius and b as the diaphragm radius; the
-    delta parameter is dimensionally suspect as printed, so the output is
-    logged and compared, never trusted.
+
+def capacitances(geom: DeviceGeometry, pressures) -> np.ndarray:
+    """Capacitance at each pressure, in one array evaluation.
+
+    Raises ValueError for a negative or non-finite pressure and
+    SweepPointError for the first pressure outside the model's domain.
     """
-    t1 = geom.dielectric_thickness
-    eps_t1 = geom.dielectric_rel_permittivity
-    b = geom.radius
-    w0 = mechanics.large_deflection_center(geom, pressure)
-    delta = EPSILON_0 * w0 / (t1 + geom.gap * eps_t1)
-    sqrt_d = math.sqrt(delta)
-    a1 = math.log(abs((1.0 + sqrt_d) / (1.0 - sqrt_d)))
-    a2 = (1.0 / (1.0 - delta) - 2.0 * delta / (3.0 * (1.0 - delta))
-          - delta * (3.0 * delta + 1.0) / (5.0 * (delta - 1.0) ** 3))
-    touched = EPSILON_0 * eps_t1 * math.pi * a**2 / t1
-    annulus = 2.0 * math.pi * delta * eps_t1 / w0 * (b**2 * a1 + a * b * a2)
-    return CapacitanceBreakdown(total=touched + annulus, touched_part=touched,
-                                untouched_part=annulus,
-                                method=CapacitanceMethod.PUBLISHED_LITERAL)
-
-
-def capacitance_at(geom: DeviceGeometry, pressure: float,
-                   rel_tol: float = QUAD_REL_TOL) -> float:
-    """Capacitance at one pressure, selecting the path by contact state."""
-    state = mechanics.solve_state(geom, pressure)
-    if state.touched:
-        return touch_mode_capacitance(geom, pressure, rel_tol=rel_tol).total
-    return normal_mode_capacitance(geom, state)
+    _, disk, annulus = _evaluate(geom, pressures)
+    return disk + annulus
 
 
 class SweepPointError(RuntimeError):
@@ -273,19 +303,20 @@ class SweepPointError(RuntimeError):
 
 def sweep_cp_curve(geom: DeviceGeometry, pressures: list[float],
                    thresholds: ModeThresholds = ModeThresholds(),
-                   geometry_id: str = "",
-                   rel_tol: float = QUAD_REL_TOL) -> CPCurve:
-    """Capacitance-pressure curve with per-point mode labels."""
-    if any(p < 0 for p in pressures):
-        raise ValueError("pressures must be >= 0")
-    if any(b <= a for a, b in zip(pressures, pressures[1:])):
+                   geometry_id: str = "") -> CPCurve:
+    """Capacitance-pressure curve with per-point mode labels.
+
+    Capacitance and modes come from one array evaluation of the same W0.
+    Raises ValueError for non-finite, negative or non-increasing
+    pressures and SweepPointError for the first point outside the
+    model's domain.
+    """
+    p = mechanics.checked_pressures(pressures)
+    if np.any(np.diff(p) <= 0):
         raise ValueError("pressures must be strictly increasing")
-    points = []
-    for i, p in enumerate(pressures):
-        try:
-            c = capacitance_at(geom, p, rel_tol=rel_tol)
-            mode = mechanics.classify_mode(geom, p, thresholds)
-        except Exception as exc:  # attach the point index for diagnosis
-            raise SweepPointError(i, p, exc) from exc
-        points.append(CPPoint(pressure=p, capacitance=c, mode=mode))
-    return CPCurve(points=tuple(points), geometry_id=geometry_id)
+    w0, disk, annulus = _evaluate(geom, p)
+    points = tuple(
+        CPPoint(pressure=pi, capacitance=ci, mode=OperatingMode(m))
+        for pi, ci, m in zip(p.tolist(), (disk + annulus).tolist(),
+                             mechanics.mode_labels(geom, w0, thresholds).tolist()))
+    return CPCurve(points=points, geometry_id=geometry_id)

@@ -10,6 +10,7 @@ error, 3 IO or parse error.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -110,6 +111,9 @@ def sweep(ctx: click.Context, p_start: float, p_end: float, steps: int,
     """
     if steps < 2:
         raise click.UsageError("--steps must be >= 2")
+    for flag, value in (("--p-start", p_start), ("--p-end", p_end)):
+        if not math.isfinite(value):
+            raise click.UsageError(f"{flag} must be finite, got {value}")
     if not p_start < p_end:
         raise click.UsageError("need --p-start < --p-end")
     if p_start < 0:
@@ -123,8 +127,7 @@ def sweep(ctx: click.Context, p_start: float, p_end: float, steps: int,
                  for i in range(steps)]
     try:
         curve = capacitance.sweep_cp_curve(
-            geom, pressures, thresholds=cfg.thresholds, geometry_id=profile,
-            rel_tol=cfg.solver.quadrature_rel_tol)
+            geom, pressures, thresholds=cfg.thresholds, geometry_id=profile)
     except (ValueError, capacitance.SweepPointError) as exc:
         raise CheckFailure(f"sweep failed: {exc}") from exc
 
@@ -290,16 +293,18 @@ def servo(ctx: click.Context, pressures: tuple[float, ...],
         p_list = _pressure_column(_read_text(data_path), data_path)
     else:
         p_list = list(pressures)
+        bad = next((p for p in p_list if not math.isfinite(p)), None)
+        if bad is not None:
+            raise click.UsageError(f"pressures must be finite, got {bad}")
     if any(p < 0 for p in p_list):
         raise click.UsageError("pressures must be >= 0")
 
+    try:
+        caps = capacitance.capacitances(geom, p_list)
+    except capacitance.SweepPointError as exc:
+        raise CheckFailure(f"P = {exc.pressure} Pa: {exc.cause}") from exc
     lines = ["pressure_pa,capacitance_f,angle_deg"]
-    for p in p_list:
-        try:
-            c = capacitance.capacitance_at(geom, p,
-                                           rel_tol=cfg.solver.quadrature_rel_tol)
-        except ValueError as exc:
-            raise CheckFailure(f"P = {p} Pa: {exc}") from exc
+    for p, c in zip(p_list, caps.tolist()):
         angle = servo_angle(cfg.servo, p)
         lines.append(f"{float(p)!r},{float(c)!r},{float(angle)!r}")
     _atomic_write(output, "\n".join(lines) + "\n")
@@ -319,9 +324,13 @@ def _pressure_column(text: str, where: str) -> list[float]:
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
         try:
-            out.append(float(fields[col]))
+            value = float(fields[col])
         except (IndexError, ValueError) as exc:
             raise ParseFailure(f"{where}: line {lineno}: {exc}") from None
+        if not math.isfinite(value):
+            raise ParseFailure(
+                f"{where}: line {lineno}: pressure must be finite, got {value}")
+        out.append(value)
     return out
 
 

@@ -16,12 +16,17 @@ rounded down to 4 digits:
 
 The paper gives the ranges but no physical definition of transition, so
 these values are a calibration to them, not a derivation.
+
+A config without a ``thresholds`` block (or without one of its keys)
+falls back to the generic ``ModeThresholds`` defaults.  They are not
+calibrated to any geometry: on the default profile they put normal ->
+transition at 5.03 kPa and touch at 8.49 kPa, not the paper's 8/10 kPa.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -39,14 +44,11 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class SolverSettings:
     grid_nodes: int = 201
-    quadrature_rel_tol: float = 1e-10
     fit_bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.grid_nodes < 16:
             raise ConfigError("solver.grid_nodes must be >= 16")
-        if not 0.0 < self.quadrature_rel_tol <= 1e-6:
-            raise ConfigError("solver.quadrature_rel_tol must be in (0, 1e-6]")
 
 
 @dataclass(frozen=True)
@@ -106,13 +108,11 @@ def parse_config(doc: dict) -> DeviceConfig:
     if "default" not in profiles:
         raise ConfigError("config must define a 'default' profile")
 
+    # Missing keys take the uncalibrated ModeThresholds defaults (module docstring).
     th = doc.get("thresholds", {})
     try:
-        thresholds = ModeThresholds(
-            transition_fraction=float(th.get("transition_fraction", 2.0 / 3.0)),
-            touch_onset_fraction=float(th.get("touch_onset_fraction", 0.05)),
-            saturation_fraction=float(th.get("saturation_fraction", 0.6)),
-        )
+        thresholds = ModeThresholds(**{
+            f.name: float(th.get(f.name, f.default)) for f in fields(ModeThresholds)})
     except ValueError as exc:
         raise ConfigError(f"thresholds: {exc}") from None
 
@@ -130,9 +130,10 @@ def parse_config(doc: dict) -> DeviceConfig:
     so = doc.get("solver", {})
     bounds = {name: (float(lo), float(hi))
               for name, (lo, hi) in so.get("fit_bounds", {}).items()}
+    # A "quadrature_rel_tol" key from older configs is ignored: every
+    # capacitance is a closed form.
     solver = SolverSettings(
-        grid_nodes=int(so.get("grid_nodes", 201)),
-        quadrature_rel_tol=float(so.get("quadrature_rel_tol", 1e-10)),
+        grid_nodes=int(so.get("grid_nodes", SolverSettings.grid_nodes)),
         fit_bounds=bounds,
     )
     return DeviceConfig(profiles=profiles, thresholds=thresholds,

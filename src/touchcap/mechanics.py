@@ -3,13 +3,19 @@
 Closed-form center deflection in the small (linear) and large (cubic
 stiffening) regimes, the clamped-plate deflection profile, the geometric
 contact model once the diaphragm touches the insulated bottom plate, and
-classification into the four operating modes.
+classification into the four operating modes.  Center deflection,
+contact radius and mode label are array-valued: a whole pressure sweep is
+one numpy evaluation.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import functools
+import math
+from dataclasses import dataclass
+
+import numpy as np
 
 from .materials import Laminate, flexural_rigidity
 
@@ -68,7 +74,7 @@ class DeviceGeometry:
         """Effective travel: gap minus dielectric thickness."""
         return self.gap - self.dielectric_thickness
 
-    @property
+    @functools.cached_property
     def flexural_rigidity(self) -> float:
         return flexural_rigidity(self.laminate)
 
@@ -139,28 +145,44 @@ def small_deflection_center(geom: DeviceGeometry, pressure: float) -> float:
     return load / (1.0 + _stress_term(geom))
 
 
-def large_deflection_center(geom: DeviceGeometry, pressure: float) -> float:
+def checked_pressures(pressure: float | np.ndarray) -> np.ndarray:
+    """Pressures as a float array; ValueError naming a non-finite or negative one."""
+    p = np.asarray(pressure, dtype=float)
+    # Both comparisons are false for NaN; the 0-d test skips array reductions.
+    if not (0.0 <= p < math.inf if p.ndim == 0 else np.all((p >= 0.0) & (p < math.inf))):
+        finite = np.isfinite(p)
+        if not finite.all():
+            raise ValueError(f"pressure must be finite, got {float(p[~finite][0])}")
+        raise ValueError("pressure must be >= 0")
+    return p
+
+
+def large_deflection_center(geom: DeviceGeometry,
+                            pressure: float | np.ndarray) -> float | np.ndarray:
     """Center deflection from the cubic large-deflection relation.
 
-    Solves W0 (1 + K (W0/h)^2 + s) = P R^4 / (64 D) with K = 0.488 and
-    s the built-in stress term.  Newton iteration from the linear bound
-    converges monotonically (f is convex, start lies right of the root);
-    the returned root has relative residual below 1e-13.
+    W0 (1 + K (W0/h)^2 + s) = P R^4 / (64 D) with K = 0.488 and s the
+    built-in stress term is c3 W0^3 + c1 W0 = q with c1 = 1 + s > 0 and
+    c3 = K/h^2, which has exactly one real root.  With p = c1/c3 and
+    s' = q/c3 the hyperbolic Cardano form
+
+        W0 = 2 sqrt(p/3) sinh(asinh((3 s' / 2p) sqrt(3/p)) / 3)
+
+    gives it without iteration and without cancellation at small loads.
+    One Newton step then removes the few-ulp rounding of sinh/asinh, which
+    capacitance near the gap amplifies by up to 1 / (1 - W0/d_e).
+    Takes a scalar (returns a float) or an array of pressures (returns an
+    array); raises ValueError for a negative or non-finite pressure.
     """
-    if pressure < 0:
-        raise ValueError("pressure must be >= 0")
-    if pressure == 0.0:
-        return 0.0
-    q = pressure * geom.radius**4 / (64.0 * geom.flexural_rigidity)
+    p = checked_pressures(pressure)
+    q = p * geom.radius**4 / (64.0 * geom.flexural_rigidity)
     c1 = 1.0 + _stress_term(geom)
     c3 = STIFFENING_COEFF / geom.thickness**2
-    w = q / c1  # upper bound: cubic term only shrinks the root
-    for _ in range(100):
-        f = c3 * w**3 + c1 * w - q
-        if abs(f) <= 1e-15 * q:
-            return w
-        w -= f / (3.0 * c3 * w**2 + c1)
-    raise RuntimeError("large-deflection Newton iteration failed to converge")
+    ratio = c1 / c3
+    w = 2.0 * math.sqrt(ratio / 3.0) * np.sinh(
+        np.arcsinh(1.5 * (q / c3) / ratio * math.sqrt(3.0 / ratio)) / 3.0)
+    w = w - ((c3 * w * w + c1) * w - q) / (3.0 * c3 * w * w + c1)
+    return float(w) if w.ndim == 0 else w
 
 
 def pressure_for_center_deflection(geom: DeviceGeometry, w0: float) -> float:
@@ -187,18 +209,32 @@ def deflection_profile(state: DeflectionState, geom: DeviceGeometry, r: float) -
     return state.center_deflection * (1.0 - rho2) ** 2
 
 
-def contact_radius(geom: DeviceGeometry, pressure: float) -> float:
+def contact_edge_u(geom: DeviceGeometry,
+                   w0: float | np.ndarray) -> float | np.ndarray:
+    """u_a = 1 - (a/R)^2 = sqrt(g / max(W0, g)) for unconstrained deflections W0.
+
+    The unconstrained profile W0 (1 - (r/R)^2)^2 meets the travel g where
+    (1 - (r/R)^2)^2 = g/W0; u_a is 1 (no contact) while W0 <= g.
+    """
+    g = geom.travel
+    return np.sqrt(g / np.maximum(w0, g))
+
+
+def contact_radius(geom: DeviceGeometry,
+                   pressure: float | np.ndarray) -> float | np.ndarray:
     """Radius of the touched disk under the geometric contact model.
 
     The unconstrained profile W0 (1 - (r/R)^2)^2 intersects the travel g
     at a = R sqrt(1 - sqrt(g / W0)); zero while W0 <= g.  Continuous at
     onset and strictly increasing with pressure once positive.
     """
-    w0 = large_deflection_center(geom, pressure)
-    g = geom.travel
-    if w0 <= g:
-        return 0.0
-    return geom.radius * (1.0 - (g / w0) ** 0.5) ** 0.5
+    return _radius_of_contact(geom, large_deflection_center(geom, pressure))
+
+
+def _radius_of_contact(geom: DeviceGeometry,
+                       w0: float | np.ndarray) -> float | np.ndarray:
+    a = geom.radius * np.sqrt(1.0 - contact_edge_u(geom, w0))
+    return float(a) if np.ndim(a) == 0 else a
 
 
 def solve_state(geom: DeviceGeometry, pressure: float) -> DeflectionState:
@@ -208,26 +244,33 @@ def solve_state(geom: DeviceGeometry, pressure: float) -> DeflectionState:
         regime = DeflectionRegime.SMALL_LINEAR
     else:
         regime = DeflectionRegime.LARGE_NONLINEAR
-    a = contact_radius(geom, pressure)
     return DeflectionState(pressure=pressure,
                            center_deflection=min(w0, geom.travel),
                            regime=regime,
-                           contact_radius=a)
+                           contact_radius=_radius_of_contact(geom, w0))
+
+
+def mode_labels(geom: DeviceGeometry, w0: np.ndarray,
+                thresholds: ModeThresholds) -> np.ndarray:
+    """Operating-mode codes (``OperatingMode`` values) of unconstrained deflections W0.
+
+    The one statement of the mode rule: normal while W0 is below
+    transition_fraction * g, then transition, touch and saturation by the
+    contact-radius fraction a/R.
+    """
+    a_frac = np.sqrt(1.0 - contact_edge_u(geom, w0))
+    return np.where(
+        w0 < thresholds.transition_fraction * geom.travel, OperatingMode.NORMAL,
+        np.where(a_frac < thresholds.touch_onset_fraction, OperatingMode.TRANSITION,
+                 np.where(a_frac < thresholds.saturation_fraction,
+                          OperatingMode.TOUCH, OperatingMode.SATURATION)))
 
 
 def classify_mode(geom: DeviceGeometry, pressure: float,
                   thresholds: ModeThresholds = ModeThresholds()) -> OperatingMode:
     """Operating mode at one pressure under the given thresholds."""
-    g = geom.travel
     w0 = large_deflection_center(geom, pressure)
-    if w0 < thresholds.transition_fraction * g:
-        return OperatingMode.NORMAL
-    a_frac = contact_radius(geom, pressure) / geom.radius
-    if a_frac < thresholds.touch_onset_fraction:
-        return OperatingMode.TRANSITION
-    if a_frac < thresholds.saturation_fraction:
-        return OperatingMode.TOUCH
-    return OperatingMode.SATURATION
+    return OperatingMode(int(mode_labels(geom, w0, thresholds)))
 
 
 def pullin_safe_deflection(geom: DeviceGeometry) -> float:

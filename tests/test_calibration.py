@@ -43,19 +43,44 @@ class TestMeasuredSeries:
         with pytest.raises(ValueError):
             MeasuredSeries(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("row", ["nan,7e-12", "1000.0,inf"])
+    def test_non_finite_sample(self, row):
+        text = f"pressure_pa,capacitance_f\n0.0,7e-12\n{row}\n"
+        with pytest.raises(ValueError, match="must be finite"):
+            MeasuredSeries.from_csv(text)
+
 
 class TestFitModel:
     def test_noiseless_gap_recovery(self, default_geometry, config):
         true_gap = 4.1e-4
         truth = replace(default_geometry, gap=true_gap)
-        # Pre-touch pressures keep the forward model in its closed form.
+        # Pre-touch pressures: a normal-mode series.
         p = np.linspace(500.0, 8e3, 8)
         data = MeasuredSeries(p, cal.model_capacitances(truth, p))
         result = cal.fit_model(data, default_geometry, ["gap"],
                                config.solver.fit_bounds)
         assert result.converged
-        assert result.params["gap"] == pytest.approx(true_gap, rel=1e-3)
+        assert result.params["gap"] == pytest.approx(true_gap, rel=1e-3, abs=0)
         assert result.residual_norm < 1e-16
+
+    def test_objective_surfaces_non_domain_errors(self, default_geometry,
+                                                  config, monkeypatch):
+        # Only the model's domain errors (ValueError) score infinity; a
+        # fault in the model code itself must not be swallowed.
+        p = np.linspace(500.0, 8e3, 8)
+        data = MeasuredSeries(p, cal.model_capacitances(default_geometry, p))
+        real = cal.model_capacitances
+        calls = []
+
+        def faulty(geom, pressures):
+            calls.append(1)
+            if len(calls) == 2:
+                raise TypeError("bug in the forward model")
+            return real(geom, pressures)
+
+        monkeypatch.setattr(cal, "model_capacitances", faulty)
+        with pytest.raises(TypeError, match="bug"):
+            cal.fit_model(data, default_geometry, ["gap"], config.solver.fit_bounds)
 
     def test_deterministic(self, default_geometry, config):
         p = np.linspace(500.0, 8e3, 6)
@@ -113,7 +138,7 @@ class TestSegmentModes:
         seg = cal.segment_modes(MeasuredSeries(p, c))
         assert seg.boundaries == (8e3, 10e3, 40e3)
         assert seg.slopes == pytest.approx(
-            (1e-16, 8e-16, 4e-16, 0.5e-16), rel=1e-6)
+            (1e-16, 8e-16, 4e-16, 0.5e-16), rel=1e-6, abs=0)
         assert not seg.low_confidence
         assert seg.sse == pytest.approx(0.0, abs=1e-40)
 
@@ -155,7 +180,7 @@ class TestSensitivityLinearity:
         p = np.linspace(10e3, 40e3, 10)
         data = MeasuredSeries(p, 5e-12 + 3e-16 * p)
         slope, r2 = cal.sensitivity_linearity(data, (10e3, 40e3))
-        assert slope == pytest.approx(3e-16, rel=1e-9)
+        assert slope == pytest.approx(3e-16, rel=1e-9, abs=0)
         assert r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_too_few_in_range(self):
@@ -172,7 +197,7 @@ class TestSensitivityLinearity:
         s1, _ = cal.sensitivity_linearity(MeasuredSeries(p, c), (1e3, 40e3))
         s2, _ = cal.sensitivity_linearity(MeasuredSeries(k * p, c),
                                           (k * 1e3, k * 40e3))
-        assert s2 == pytest.approx(s1 / k, rel=1e-9)
+        assert s2 == pytest.approx(s1 / k, rel=1e-9, abs=0)
 
 
 def first_order_step(tau, fs=1e3, amplitude=0.36e-12, baseline=5e-12,

@@ -4,17 +4,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from touchcap import calibration as cal
 from touchcap import capacitance as cap
 from touchcap import mechanics
-from touchcap.capacitance import (EPSILON_0, CapacitanceMethod,
-                                  SweepPointError, TouchStateError)
+from touchcap.capacitance import EPSILON_0, SweepPointError, TouchStateError
 from touchcap.mechanics import DeflectionState, DeflectionRegime, OperatingMode
 
 # Frozen quadrature-oracle goldens: annulus of the 50 um dielectric profile
-# at contact radius a = R/2 (R = 1 cm, gap = 450 um, eps = 3.4).
+# at contact radius a = R/2 (R = 1 cm, gap = 450 um, eps = 3.4).  The
+# annulus value is the quadrature in u = 1 - (r/R)^2 of
+# pi eps0 R^2 du / (d_e - W(u)/eps_r) at epsrel 1e-13, independent of the
+# package's r-quadrature and closed form (which agree with it to 2e-15).
 GOLDEN_TOUCHED_HALF_R = 4.728762735653449e-11
-GOLDEN_ANNULUS_HALF_R = 1.205685522072916e-11
+GOLDEN_ANNULUS_HALF_R = 1.205684036802106e-11
 
 # Single-formula arithmetic: eps0 pi (1 cm)^2 / 400 um.
 GOLDEN_BASE_C = 6.95406284654919e-12
@@ -28,25 +32,25 @@ def untouched_state(w0, p=0.0):
 class TestBaseCapacitance:
     def test_bare_gap_value(self, bare_geometry):
         c0 = cap.base_capacitance(bare_geometry)
-        assert c0 == pytest.approx(GOLDEN_BASE_C, rel=1e-12)
-        assert c0 == pytest.approx(6.95e-12, rel=1e-3)
+        assert c0 == pytest.approx(GOLDEN_BASE_C, rel=1e-12, abs=0)
+        assert c0 == pytest.approx(6.95e-12, rel=1e-3, abs=0)
 
     def test_doubling_gap_halves(self, bare_geometry):
         doubled = replace(bare_geometry, gap=2.0 * bare_geometry.gap)
         assert cap.base_capacitance(doubled) == pytest.approx(
-            cap.base_capacitance(bare_geometry) / 2.0, rel=1e-12)
+            cap.base_capacitance(bare_geometry) / 2.0, rel=1e-12, abs=0)
 
     def test_doubling_radius_quadruples(self, bare_geometry):
         doubled = replace(bare_geometry, radius=2.0 * bare_geometry.radius)
         assert cap.base_capacitance(doubled) == pytest.approx(
-            4.0 * cap.base_capacitance(bare_geometry), rel=1e-12)
+            4.0 * cap.base_capacitance(bare_geometry), rel=1e-12, abs=0)
 
     def test_series_dielectric_reduces_gap(self, default_geometry):
         d_e = cap.electrical_gap(default_geometry)
         t1 = default_geometry.dielectric_thickness
         assert d_e == pytest.approx(
             (default_geometry.gap - t1)
-            + t1 / default_geometry.dielectric_rel_permittivity, rel=1e-12)
+            + t1 / default_geometry.dielectric_rel_permittivity, rel=1e-12, abs=0)
         assert d_e < default_geometry.gap
 
 
@@ -59,7 +63,7 @@ class TestNormalMode:
         w0 = 0.5 * cap.electrical_gap(bare_geometry)
         closed = cap.normal_mode_capacitance(bare_geometry, untouched_state(w0))
         quad = cap.normal_mode_capacitance_quadrature(bare_geometry, w0)
-        assert closed == pytest.approx(quad, rel=1e-9)
+        assert closed == pytest.approx(quad, rel=1e-9, abs=0)
 
     def test_strictly_increasing_in_deflection(self, bare_geometry):
         d_e = cap.electrical_gap(bare_geometry)
@@ -95,15 +99,17 @@ class TestTouchMode:
         got = cap.touch_mode_capacitance(geom, p)
         expected_touched = (EPSILON_0 * 3.4 * math.pi * (geom.radius / 2.0) ** 2
                             / geom.dielectric_thickness)
-        assert got.touched_part == pytest.approx(expected_touched, rel=1e-9)
-        assert got.touched_part == pytest.approx(GOLDEN_TOUCHED_HALF_R, rel=1e-10)
-        assert got.untouched_part == pytest.approx(GOLDEN_ANNULUS_HALF_R, rel=1e-8)
+        assert got.touched_part == pytest.approx(expected_touched, rel=1e-9, abs=0)
+        assert got.touched_part == pytest.approx(GOLDEN_TOUCHED_HALF_R, rel=1e-10,
+                                                 abs=0)
+        assert got.untouched_part == pytest.approx(GOLDEN_ANNULUS_HALF_R, rel=1e-8,
+                                                   abs=0)
 
     def test_additivity(self, dielectric_geometry):
         p = self._pressure_for_contact(dielectric_geometry, 0.3)
         got = cap.touch_mode_capacitance(dielectric_geometry, p)
         assert got.total == pytest.approx(
-            got.touched_part + got.untouched_part, rel=1e-12)
+            got.touched_part + got.untouched_part, rel=1e-12, abs=0)
         assert got.touched_part >= 0.0 and got.untouched_part >= 0.0
 
     def test_monotone_in_pressure(self, default_geometry):
@@ -120,15 +126,32 @@ class TestTouchMode:
         with pytest.raises(ValueError):
             cap.touch_mode_capacitance(bare_geometry, p)
 
-    def test_literal_form_runs(self, dielectric_geometry):
-        # Diagnostic only: must evaluate and decompose, never asserted
-        # against the quadrature result.
-        p = self._pressure_for_contact(dielectric_geometry, 0.4)
-        got = cap.touch_mode_capacitance(
-            dielectric_geometry, p, method=CapacitanceMethod.PUBLISHED_LITERAL)
-        assert got.method is CapacitanceMethod.PUBLISHED_LITERAL
-        assert got.total == pytest.approx(
-            got.touched_part + got.untouched_part, rel=1e-12)
+    def test_quadrature_oracle_rejects_wrong_regime(self, default_geometry,
+                                                    bare_geometry):
+        with pytest.raises(TouchStateError):
+            cap.touch_mode_capacitance_quadrature(default_geometry, 100.0)
+        p = mechanics.touch_onset_pressure(bare_geometry) * 2.0
+        with pytest.raises(ValueError):
+            cap.touch_mode_capacitance_quadrature(bare_geometry, p)
+
+
+@settings(max_examples=60)
+@given(radius=st.floats(1e-3, 2e-2), gap=st.floats(50e-6, 800e-6),
+       t1_frac=st.floats(0.005, 0.2), eps_t1=st.floats(1.5, 8.0),
+       eps_r=st.floats(1.0, 3.0), a_frac=st.floats(1e-3, 0.95))
+def test_touch_closed_form_matches_quadrature(default_laminate, radius, gap,
+                                              t1_frac, eps_t1, eps_r, a_frac):
+    geom = mechanics.DeviceGeometry(
+        radius=radius, laminate=default_laminate, gap=gap,
+        dielectric_thickness=t1_frac * gap, dielectric_rel_permittivity=eps_t1,
+        medium_rel_permittivity=eps_r)
+    w0 = geom.travel / (1.0 - a_frac**2) ** 2
+    p = mechanics.pressure_for_center_deflection(geom, w0)
+    closed = cap.touch_mode_capacitance(geom, p)
+    quad = cap.touch_mode_capacitance_quadrature(geom, p)
+    assert closed.touched_part == pytest.approx(quad.touched_part, rel=1e-9, abs=0)
+    assert closed.untouched_part == pytest.approx(quad.untouched_part, rel=1e-9,
+                                                  abs=0)
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +165,7 @@ class TestSweep:
     def test_single_zero_point(self, default_geometry, config):
         curve = cap.sweep_cp_curve(default_geometry, [0.0], config.thresholds)
         assert curve.points[0].capacitance == pytest.approx(
-            cap.base_capacitance(default_geometry), rel=1e-12)
+            cap.base_capacitance(default_geometry), rel=1e-12, abs=0)
         assert curve.points[0].mode is OperatingMode.NORMAL
 
     def test_four_contiguous_mode_segments(self, default_curve):
@@ -186,13 +209,33 @@ class TestSweep:
         p_on = mechanics.touch_onset_pressure(default_geometry)
         below = cap.capacitance_at(default_geometry, p_on * (1.0 - 1e-9))
         above = cap.capacitance_at(default_geometry, p_on * (1.0 + 1e-9))
-        assert above == pytest.approx(below, rel=1e-6)
+        assert above == pytest.approx(below, rel=1e-6, abs=0)
 
     def test_rejects_unsorted_pressures(self, default_geometry):
         with pytest.raises(ValueError):
             cap.sweep_cp_curve(default_geometry, [0.0, 2.0, 1.0])
         with pytest.raises(ValueError):
             cap.sweep_cp_curve(default_geometry, [-1.0, 2.0])
+
+    @pytest.mark.parametrize("profile,p_end", [("default", 100e3),
+                                               ("dielectric_50um", 100e3),
+                                               ("airgap", None)])
+    def test_matches_pointwise_evaluation(self, config, profile, p_end):
+        geom, th = config.geometry(profile), config.thresholds
+        if p_end is None:  # no dielectric: stay below touch onset
+            p_end = 0.999 * mechanics.touch_onset_pressure(geom)
+        pressures = [float(p) for p in np.linspace(0.0, p_end, 201)]
+        curve = cap.sweep_cp_curve(geom, pressures, th)
+        expected = [cap.capacitance_at(geom, p) for p in pressures]
+        assert curve.capacitances() == expected
+        assert cap.capacitances(geom, pressures).tolist() == expected
+        assert [pt.mode for pt in curve.points] == \
+            [mechanics.classify_mode(geom, p, th) for p in pressures]
+
+    def test_rejects_non_finite_before_ordering(self, default_geometry):
+        # [0, inf, inf] is also non-increasing; the error must name inf.
+        with pytest.raises(ValueError, match="finite, got inf"):
+            cap.sweep_cp_curve(default_geometry, [0.0, math.inf, math.inf])
 
     def test_point_error_carries_index(self, bare_geometry):
         # Bare gap device enters touch with no dielectric: the failing
@@ -219,6 +262,21 @@ class TestSweep:
         assert len(doc["points"]) == len(default_curve.points)
 
 
+@given(bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+       finite=st.lists(st.floats(0.0, 60e3), max_size=6, unique=True),
+       where=st.integers(0, 6))
+def test_non_finite_pressure_rejected(default_geometry, bad, finite, where):
+    finite = sorted(finite)
+    pressures = finite[:where] + [bad] + finite[where:]
+    message = f"finite, got {bad}"
+    with pytest.raises(ValueError, match=message):
+        cap.capacitance_at(default_geometry, bad)
+    with pytest.raises(ValueError, match=message):
+        cap.sweep_cp_curve(default_geometry, pressures)
+    with pytest.raises(ValueError, match=message):
+        cal.model_capacitances(default_geometry, np.array(pressures))
+
+
 def test_oracle_equivalence_random_cases():
     rng = np.random.default_rng(7)
     from touchcap.materials import DEFAULT_ALUMINUM, DEFAULT_POLYIMIDE, Laminate
@@ -233,4 +291,4 @@ def test_oracle_equivalence_random_cases():
         w0 = float(rng.uniform(0.01, 0.95)) * cap.electrical_gap(geom)
         closed = cap._normal_mode_closed_form(geom, w0)
         quad = cap.normal_mode_capacitance_quadrature(geom, w0)
-        assert closed == pytest.approx(quad, rel=1e-9)
+        assert closed == pytest.approx(quad, rel=1e-9, abs=0)

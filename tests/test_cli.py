@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import touchcap
 from touchcap.cli import main
 
 FIXTURE = resources.files("touchcap.data").joinpath("synthetic_fit.csv")
@@ -54,6 +59,13 @@ class TestSweep:
         result = run(runner, "sweep", "--steps", 3, "--p-end", 2000,
                      "--output", tmp_path / "no" / "such" / "dir" / "x.csv")
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("flag,value", [("--p-end", "inf"),
+                                            ("--p-start", "nan")])
+    def test_non_finite_range_usage_error(self, runner, tmp_path, flag, value):
+        result = run(runner, "sweep", flag, value, "--output", tmp_path / "x.csv")
+        assert result.exit_code == 2
+        assert f"{flag} must be finite, got {value}" in result.output
 
     def test_byte_identical_reruns(self, runner, tmp_path):
         a = tmp_path / "a.csv"
@@ -135,6 +147,22 @@ class TestServo:
     def test_requires_some_input(self, runner):
         assert run(runner, "servo").exit_code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_argument_usage_error(self, runner, tmp_path, value):
+        out = tmp_path / "servo.csv"
+        result = run(runner, "servo", "--output", out, "--", 1000, value)
+        assert result.exit_code == 2
+        assert f"finite, got {value}" in result.output
+        assert not out.exists()
+
+    def test_non_finite_data_row_parse_error(self, runner, tmp_path):
+        data = tmp_path / "p.csv"
+        data.write_text("pressure_pa\n1000.0\nnan\n")
+        result = run(runner, "servo", "--data", data,
+                     "--output", tmp_path / "servo.csv")
+        assert result.exit_code == 3
+        assert "line 3" in result.output and "finite" in result.output
+
 
 class TestModes:
     def test_segments_sweep_output(self, runner, tmp_path):
@@ -166,3 +194,14 @@ class TestConfigHandling:
         result = run(runner, "--config", bad, "validate")
         assert result.exit_code == 3
         assert "default" in result.output
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is needed only by fit_model and the test oracles.
+    src = str(Path(touchcap.__file__).resolve().parents[1])
+    code = ("import sys, touchcap.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "[]"

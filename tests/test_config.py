@@ -3,6 +3,7 @@ import json
 import pytest
 
 from touchcap.config import ConfigError, load_config, parse_config
+from touchcap.mechanics import ModeThresholds
 from touchcap.servo import ServoMap, servo_angle
 
 
@@ -12,7 +13,7 @@ class TestLoadConfig:
         assert "fem_scaled" in config.profiles
         geom = config.geometry("default")
         assert geom.radius == 0.01
-        assert geom.laminate.total_thickness == pytest.approx(25.2e-6)
+        assert geom.laminate.total_thickness == pytest.approx(25.2e-6, rel=1e-6, abs=0)
 
     def test_unknown_profile(self, config):
         with pytest.raises(ConfigError, match="unknown profile"):
@@ -51,6 +52,7 @@ class TestParseConfig:
     def test_minimal_parses_with_defaults(self):
         cfg = parse_config(self.minimal())
         assert cfg.thresholds.touch_onset_fraction == 0.05
+        assert cfg.thresholds == ModeThresholds()
         assert cfg.servo.p_max == 40e3
         assert cfg.solver.grid_nodes == 201
 
@@ -75,6 +77,16 @@ class TestParseConfig:
         doc["profiles"]["default"]["layers"][0]["poisson_ratio"] = 0.7
         with pytest.raises(ConfigError, match="poisson"):
             parse_config(doc)
+
+    def test_partial_thresholds_take_dataclass_defaults(self):
+        doc = self.minimal()
+        doc["thresholds"] = {"saturation_fraction": 0.7}
+        assert parse_config(doc).thresholds == ModeThresholds(saturation_fraction=0.7)
+
+    def test_legacy_quadrature_key_still_loads(self):
+        doc = self.minimal()
+        doc["solver"] = {"grid_nodes": 101, "quadrature_rel_tol": 1e-10}
+        assert parse_config(doc).solver.grid_nodes == 101
 
     def test_bad_solver_settings(self):
         doc = self.minimal()

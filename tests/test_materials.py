@@ -46,14 +46,14 @@ class TestLayerValidation:
 
 class TestNeutralPlane:
     def test_single_layer_is_half_thickness(self, pi_layer):
-        assert neutral_plane(Laminate((pi_layer,))) == pytest.approx(12.5e-6)
+        assert neutral_plane(Laminate((pi_layer,))) == pytest.approx(12.5e-6, rel=1e-6, abs=0)
 
     def test_two_identical_layers_midplane(self):
         lam = Laminate((layer(3e9, 0.3, 10e-6), layer(3e9, 0.3, 10e-6)))
-        assert neutral_plane(lam) == pytest.approx(10e-6, rel=1e-12)
+        assert neutral_plane(lam) == pytest.approx(10e-6, rel=1e-12, abs=0)
 
     def test_default_stack_golden(self, default_laminate):
-        assert neutral_plane(default_laminate) == pytest.approx(GOLDEN_E, rel=1e-12)
+        assert neutral_plane(default_laminate) == pytest.approx(GOLDEN_E, rel=1e-12, abs=0)
 
     def test_plane_strain_weights_differ(self, default_laminate):
         alt = neutral_plane(default_laminate, plane_strain_weights=True)
@@ -69,22 +69,22 @@ class TestFlexuralRigidity:
     def test_single_layer_closed_form(self, pi_layer):
         d = flexural_rigidity(Laminate((pi_layer,)))
         expected = 2.5e9 * (25e-6) ** 3 / (12.0 * (1.0 - 0.34**2))
-        assert d == pytest.approx(expected, rel=1e-12)
-        assert d == pytest.approx(3.67e-6, rel=0.01)
+        assert d == pytest.approx(expected, rel=1e-12, abs=0)
+        assert d == pytest.approx(3.67e-6, rel=0.01, abs=0)
 
     def test_split_into_identical_sublayers(self):
         whole = Laminate((layer(3e9, 0.3, 20e-6),))
         split = Laminate((layer(3e9, 0.3, 10e-6), layer(3e9, 0.3, 10e-6)))
         assert flexural_rigidity(split) == pytest.approx(
-            flexural_rigidity(whole), rel=1e-12)
+            flexural_rigidity(whole), rel=1e-12, abs=0)
 
     def test_default_stack_golden(self, default_laminate):
         assert flexural_rigidity(default_laminate) == pytest.approx(
-            GOLDEN_D, rel=1e-12)
+            GOLDEN_D, rel=1e-12, abs=0)
 
     def test_two_layer_literal_golden(self, default_laminate):
         d_lit = flexural_rigidity_two_layer_literal(default_laminate)
-        assert d_lit == pytest.approx(GOLDEN_D_LITERAL, rel=1e-12)
+        assert d_lit == pytest.approx(GOLDEN_D_LITERAL, rel=1e-12, abs=0)
         # The literal closed form drops part of the bottom layer's
         # contribution, so it must undercount the stiffness integral.
         assert d_lit < flexural_rigidity(default_laminate)
@@ -92,7 +92,7 @@ class TestFlexuralRigidity:
     def test_literal_single_layer_matches_canonical(self, pi_layer):
         lam = Laminate((pi_layer,))
         assert flexural_rigidity_two_layer_literal(lam) == pytest.approx(
-            flexural_rigidity(lam), rel=1e-12)
+            flexural_rigidity(lam), rel=1e-12, abs=0)
 
 
 layer_st = st.builds(
@@ -116,7 +116,7 @@ def test_cubic_thickness_scaling(single, k):
     scaled = flexural_rigidity(Laminate((
         layer(single.youngs_modulus, single.poisson_ratio,
               k * single.thickness),)))
-    assert scaled == pytest.approx(k**3 * base, rel=1e-12)
+    assert scaled == pytest.approx(k**3 * base, rel=1e-12, abs=0)
 
 
 @given(layer_st)
@@ -124,7 +124,7 @@ def test_split_invariance(single):
     half = layer(single.youngs_modulus, single.poisson_ratio,
                  single.thickness / 2.0)
     assert flexural_rigidity(Laminate((half, half))) == pytest.approx(
-        flexural_rigidity(Laminate((single,))), rel=1e-12)
+        flexural_rigidity(Laminate((single,))), rel=1e-12, abs=0)
 
 
 @given(layer_st, layer_st)
@@ -132,10 +132,10 @@ def test_layer_order_swap_preserves_rigidity(bottom, top):
     fwd = Laminate((bottom, top))
     rev = Laminate((top, bottom))
     assert flexural_rigidity(rev) == pytest.approx(
-        flexural_rigidity(fwd), rel=1e-12)
+        flexural_rigidity(fwd), rel=1e-12, abs=0)
     # Mirroring the stack mirrors the neutral plane.
     assert neutral_plane(rev) == pytest.approx(
-        fwd.total_thickness - neutral_plane(fwd), rel=1e-9)
+        fwd.total_thickness - neutral_plane(fwd), rel=1e-9, abs=0)
 
 
 def test_effective_poisson_ratio_weighted(default_laminate):

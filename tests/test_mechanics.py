@@ -14,6 +14,27 @@ from touchcap.mechanics import (DeflectionRegime, DeviceGeometry,
 # P = 5 kPa.
 GOLDEN_W0_5KPA = 0.0005605840315411636
 
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def newton_center_deflection(geom, pressure):
+    """Oracle for the cubic c3 w^3 + c1 w = q: Newton from the linear bound.
+
+    f is convex and the start q/c1 lies right of the root, so the iterates
+    decrease monotonically; stop when rounding ends the descent.
+    """
+    q = pressure * geom.radius**4 / (64.0 * geom.flexural_rigidity)
+    c1 = 1.0 + (geom.builtin_stress * geom.thickness * geom.radius**2
+                / (16.0 * geom.flexural_rigidity))
+    c3 = mechanics.STIFFENING_COEFF / geom.thickness**2
+    w = q / c1
+    for _ in range(500):
+        nxt = w - (c3 * w**3 + c1 * w - q) / (3.0 * c3 * w**2 + c1)
+        if not nxt < w:
+            return w
+        w = nxt
+    raise AssertionError("oracle Newton iteration did not settle")
+
 
 class TestSmallDeflection:
     def test_zero_load(self, bare_geometry):
@@ -42,7 +63,7 @@ class TestLargeDeflection:
 
     def test_bisection_golden(self, bare_geometry):
         w0 = mechanics.large_deflection_center(bare_geometry, 5e3)
-        assert w0 == pytest.approx(GOLDEN_W0_5KPA, rel=1e-12)
+        assert w0 == pytest.approx(GOLDEN_W0_5KPA, rel=1e-12, abs=0)
 
     def test_small_regime_agreement(self, bare_geometry):
         # Low enough pressure that the cubic stiffening term is negligible.
@@ -50,7 +71,7 @@ class TestLargeDeflection:
         w = mechanics.large_deflection_center(bare_geometry, p)
         assert mechanics.STIFFENING_COEFF * (w / bare_geometry.thickness) ** 2 < 1e-5
         assert w == pytest.approx(
-            mechanics.small_deflection_center(bare_geometry, p), rel=1e-3)
+            mechanics.small_deflection_center(bare_geometry, p), rel=1e-3, abs=0)
 
     def test_residual(self, bare_geometry):
         g = bare_geometry
@@ -63,11 +84,31 @@ class TestLargeDeflection:
                          * (w / g.thickness) ** 2 + s) - q
             assert abs(resid) < 1e-12 * q
 
+    @pytest.mark.parametrize("profile", ["default", "airgap", "fem_scaled"])
+    def test_closed_form_matches_newton_oracle(self, config, profile):
+        geom = config.geometry(profile)
+        pressures = np.geomspace(1e-6, 1e8, 141)
+        roots = mechanics.large_deflection_center(geom, pressures)
+        c1 = 1.0 + (geom.builtin_stress * geom.thickness * geom.radius**2
+                    / (16.0 * geom.flexural_rigidity))
+        c3 = mechanics.STIFFENING_COEFF / geom.thickness**2
+        for p, w in zip(pressures.tolist(), roots.tolist()):
+            q = p * geom.radius**4 / (64.0 * geom.flexural_rigidity)
+            assert abs(c3 * w**3 + c1 * w - q) < 1e-13 * q
+            assert w == pytest.approx(newton_center_deflection(geom, p),
+                                      rel=1e-13, abs=0)
+
+    def test_array_matches_scalar(self, default_geometry):
+        pressures = np.linspace(0.0, 80e3, 81)
+        assert mechanics.large_deflection_center(default_geometry, pressures).tolist() \
+            == [mechanics.large_deflection_center(default_geometry, p)
+                for p in pressures.tolist()]
+
     def test_inverse_roundtrip(self, bare_geometry):
         for w0 in (1e-6, 1e-4, 5e-4):
             p = mechanics.pressure_for_center_deflection(bare_geometry, w0)
             assert mechanics.large_deflection_center(bare_geometry, p) == \
-                pytest.approx(w0, rel=1e-12)
+                pytest.approx(w0, rel=1e-12, abs=0)
 
 
 class TestProfile:
@@ -79,7 +120,7 @@ class TestProfile:
         assert mechanics.deflection_profile(state, bare_geometry, R) == 0.0
         assert mechanics.deflection_profile(
             state, bare_geometry, R / math.sqrt(2.0)) == pytest.approx(
-            w0 / 4.0, rel=1e-12)
+            w0 / 4.0, rel=1e-12, abs=0)
 
     def test_rejects_out_of_range(self, bare_geometry):
         state = mechanics.solve_state(bare_geometry, 500.0)
@@ -188,7 +229,7 @@ class TestPullin:
             geom = DeviceGeometry(radius=0.01, laminate=default_laminate,
                                   gap=gap)
             assert mechanics.pullin_safe_deflection(geom) == \
-                pytest.approx(expected, rel=1e-12)
+                pytest.approx(expected, rel=1e-12, abs=0)
 
 
 class TestThresholdValidation:
@@ -211,6 +252,15 @@ class TestGeometryValidation:
         with pytest.raises(ValueError):
             DeviceGeometry(radius=0.01, laminate=default_laminate, gap=400e-6,
                            builtin_stress=-1e6)
+
+
+@given(NON_FINITE, st.lists(st.floats(0.0, 60e3), max_size=6), st.integers(0, 6))
+def test_rejects_non_finite_pressure(default_geometry, bad, finite, where):
+    pressures = finite[:where] + [bad] + finite[where:]
+    with pytest.raises(ValueError, match=f"finite, got {bad}"):
+        mechanics.large_deflection_center(default_geometry, np.array(pressures))
+    with pytest.raises(ValueError, match=f"finite, got {bad}"):
+        mechanics.large_deflection_center(default_geometry, bad)
 
 
 @given(st.floats(0.0, 60e3), st.floats(0.0, 60e3))
@@ -250,4 +300,4 @@ def test_profile_volume(p):
         * mechanics.deflection_profile(state, geom, r),
         0.0, R, epsrel=1e-12)
     expected = math.pi * R**2 * state.center_deflection / 3.0
-    assert vol == pytest.approx(expected, rel=1e-9)
+    assert vol == pytest.approx(expected, rel=1e-9, abs=0)

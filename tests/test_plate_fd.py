@@ -9,10 +9,10 @@ class TestGrid:
     def test_spacing_spans_radius(self):
         grid = RadialGrid(101, 1e-4)
         assert grid.spacing * (grid.node_count - 1) == pytest.approx(
-            grid.radius, rel=1e-15)
+            grid.radius, rel=1e-15, abs=0)
         nodes = grid.nodes()
         assert nodes[0] == 0.0
-        assert nodes[-1] == pytest.approx(grid.radius, rel=1e-15)
+        assert nodes[-1] == pytest.approx(grid.radius, rel=1e-15, abs=0)
 
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError):
@@ -41,7 +41,7 @@ class TestSolvePlate:
         sol = plate_fd.solve_plate(scaled_geometry, 10e3,
                                    RadialGrid(201, scaled_geometry.radius))
         exact = plate_fd.analytic_center_deflection(scaled_geometry, 10e3)
-        assert sol.center_deflection == pytest.approx(exact, rel=0.01)
+        assert sol.center_deflection == pytest.approx(exact, rel=0.01, abs=0)
 
     def test_profile_shape(self, scaled_geometry):
         sol = plate_fd.solve_plate(scaled_geometry, 10e3,
@@ -121,7 +121,7 @@ class TestLinearity:
         lin = plate_fd.linearity_check(scaled_geometry,
                                        [2e3, 4e3, 6e3, 8e3, 10e3], grid)
         unit = plate_fd.solve_plate(scaled_geometry, 1.0, grid).center_deflection
-        assert lin.slope == pytest.approx(unit, rel=1e-9)
+        assert lin.slope == pytest.approx(unit, rel=1e-9, abs=0)
 
     def test_rejects_degenerate_pressures(self, scaled_geometry):
         grid = RadialGrid(51, scaled_geometry.radius)
