@@ -121,14 +121,10 @@ def apply_params(geom: DeviceGeometry, params: dict[str, float]) -> tuple[Device
 def model_capacitances(geom: DeviceGeometry, pressures: np.ndarray) -> np.ndarray:
     """Forward-model capacitance at each pressure, in one array evaluation.
 
-    Raises ValueError for a negative or non-finite pressure, and the
-    point's own ValueError (TouchStateError for the wrong contact regime)
-    where the model has no value.
+    Raises ValueError for a negative or non-finite pressure and
+    SweepPointError for the first pressure where the model has no value.
     """
-    try:
-        return cap.capacitances(geom, pressures)
-    except cap.SweepPointError as exc:
-        raise exc.cause from None
+    return cap.capacitances(geom, pressures)
 
 
 def fit_model(data: MeasuredSeries, geom0: DeviceGeometry,
@@ -141,8 +137,8 @@ def fit_model(data: MeasuredSeries, geom0: DeviceGeometry,
     Nelder-Mead simplex with bound clamping.  The initial simplex is built
     deterministically from the starting geometry and the bounds, so
     identical inputs give identical results.  A trial point where the
-    model has no value (a ValueError, e.g. contact without a dielectric)
-    scores infinity; any other error propagates.
+    model has no value (a ValueError, or a SweepPointError such as contact
+    without a dielectric) scores infinity; any other error propagates.
     """
     from scipy import optimize
 
@@ -181,7 +177,7 @@ def fit_model(data: MeasuredSeries, geom0: DeviceGeometry,
         geom, offset = apply_params(geom0, params)
         try:
             model = model_capacitances(geom, data.abscissa) + offset
-        except ValueError:
+        except (ValueError, cap.SweepPointError):
             return np.inf
         return float(np.sqrt(np.mean((model - measured)**2)))
 

@@ -160,32 +160,42 @@ def _parts(geom: DeviceGeometry, w0, u) -> tuple[np.ndarray, np.ndarray, np.ndar
     return disk, base_capacitance(geom) * shape, outside
 
 
-def _evaluate(geom: DeviceGeometry, pressures) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unconstrained W0, touched-disk and annulus capacitance at each pressure.
+def _evaluate(geom: DeviceGeometry, pressures):
+    """Unconstrained W0, contact edge u, touched-disk and annulus capacitance
+    at each pressure, and the index of the first pressure outside the
+    model's domain (None when every point is inside).
 
-    Raises ValueError for a negative or non-finite pressure and
-    SweepPointError for the first pressure outside the model's domain.
+    Raises ValueError for a negative or non-finite pressure.
     """
     w0 = mechanics.large_deflection_center(geom, pressures)
     u = mechanics.contact_edge_u(geom, w0)
     disk, annulus, outside = _parts(geom, w0, u)
-    if np.any(outside):
-        i = int(np.argmax(outside))
-        touched = bool(np.ravel(u)[i] < 1.0)
-        cause = (ValueError(_NO_DIELECTRIC)
-                 if touched and geom.dielectric_thickness == 0.0
-                 else TouchStateError(_AT_GAP))
-        raise SweepPointError(i, float(np.ravel(pressures)[i]), cause)
-    return w0, disk, annulus
+    bad = int(np.argmax(outside)) if np.any(outside) else None
+    return w0, u, disk, annulus, bad
 
 
-def _at(geom: DeviceGeometry, pressure: float) -> tuple[float, float]:
-    """(disk, annulus) at one pressure, raising that point's own error."""
-    try:
-        _, disk, annulus = _evaluate(geom, pressure)
-    except SweepPointError as exc:
-        raise exc.cause from None
-    return float(disk), float(annulus)
+def _domain_error(geom: DeviceGeometry, u, index: int) -> ValueError:
+    """The error of point ``index``, which lies outside the model's domain."""
+    if np.ravel(u)[index] < 1.0 and geom.dielectric_thickness == 0.0:
+        return ValueError(_NO_DIELECTRIC)
+    return TouchStateError(_AT_GAP)
+
+
+def _at(geom: DeviceGeometry, pressure: float) -> tuple[float, float, float]:
+    """(u, disk, annulus) at one pressure, raising that point's own error."""
+    _, u, disk, annulus, bad = _evaluate(geom, pressure)
+    if bad is not None:
+        raise _domain_error(geom, u, bad)
+    return float(u), float(disk), float(annulus)
+
+
+def _evaluate_all(geom: DeviceGeometry, pressures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(W0, C) at each pressure; SweepPointError for the first point outside the domain."""
+    w0, u, disk, annulus, bad = _evaluate(geom, pressures)
+    if bad is not None:
+        raise SweepPointError(bad, float(np.ravel(pressures)[bad]),
+                              _domain_error(geom, u, bad))
+    return w0, disk + annulus
 
 
 def _gap_density(geom: DeviceGeometry, deflection: float) -> float:
@@ -253,9 +263,9 @@ def touch_mode_capacitance(geom: DeviceGeometry, pressure: float) -> Capacitance
     The touched disk is a parallel plate through the dielectric; the
     annulus is the closed form of the post-touch profile's integral.
     """
-    if mechanics.contact_radius(geom, pressure) <= 0.0:
+    u, disk, annulus = _at(geom, pressure)
+    if u >= 1.0:
         raise TouchStateError("touch-mode capacitance requires a touched state")
-    disk, annulus = _at(geom, pressure)
     return CapacitanceBreakdown(total=disk + annulus, touched_part=disk,
                                 untouched_part=annulus)
 
@@ -277,7 +287,7 @@ def touch_mode_capacitance_quadrature(geom: DeviceGeometry,
 
 def capacitance_at(geom: DeviceGeometry, pressure: float) -> float:
     """Capacitance at one pressure, in any mode."""
-    disk, annulus = _at(geom, pressure)
+    _, disk, annulus = _at(geom, pressure)
     return disk + annulus
 
 
@@ -287,8 +297,7 @@ def capacitances(geom: DeviceGeometry, pressures) -> np.ndarray:
     Raises ValueError for a negative or non-finite pressure and
     SweepPointError for the first pressure outside the model's domain.
     """
-    _, disk, annulus = _evaluate(geom, pressures)
-    return disk + annulus
+    return _evaluate_all(geom, pressures)[1]
 
 
 class SweepPointError(RuntimeError):
@@ -314,9 +323,9 @@ def sweep_cp_curve(geom: DeviceGeometry, pressures: list[float],
     p = mechanics.checked_pressures(pressures)
     if np.any(np.diff(p) <= 0):
         raise ValueError("pressures must be strictly increasing")
-    w0, disk, annulus = _evaluate(geom, p)
+    w0, c = _evaluate_all(geom, p)
     points = tuple(
         CPPoint(pressure=pi, capacitance=ci, mode=OperatingMode(m))
-        for pi, ci, m in zip(p.tolist(), (disk + annulus).tolist(),
+        for pi, ci, m in zip(p.tolist(), c.tolist(),
                              mechanics.mode_labels(geom, w0, thresholds).tolist()))
     return CPCurve(points=points, geometry_id=geometry_id)

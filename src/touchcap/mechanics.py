@@ -148,8 +148,7 @@ def small_deflection_center(geom: DeviceGeometry, pressure: float) -> float:
 def checked_pressures(pressure: float | np.ndarray) -> np.ndarray:
     """Pressures as a float array; ValueError naming a non-finite or negative one."""
     p = np.asarray(pressure, dtype=float)
-    # Both comparisons are false for NaN; the 0-d test skips array reductions.
-    if not (0.0 <= p < math.inf if p.ndim == 0 else np.all((p >= 0.0) & (p < math.inf))):
+    if not np.all((p >= 0.0) & (p < math.inf)):  # false for NaN too
         finite = np.isfinite(p)
         if not finite.all():
             raise ValueError(f"pressure must be finite, got {float(p[~finite][0])}")
@@ -258,7 +257,7 @@ def mode_labels(geom: DeviceGeometry, w0: np.ndarray,
     transition_fraction * g, then transition, touch and saturation by the
     contact-radius fraction a/R.
     """
-    a_frac = np.sqrt(1.0 - contact_edge_u(geom, w0))
+    a_frac = _radius_of_contact(geom, w0) / geom.radius
     return np.where(
         w0 < thresholds.transition_fraction * geom.travel, OperatingMode.NORMAL,
         np.where(a_frac < thresholds.touch_onset_fraction, OperatingMode.TRANSITION,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from touchcap import calibration as cal
+from touchcap import calibration as cal, capacitance as cap, mechanics
 from touchcap.calibration import MeasuredSeries
 
 
@@ -65,8 +65,9 @@ class TestFitModel:
 
     def test_objective_surfaces_non_domain_errors(self, default_geometry,
                                                   config, monkeypatch):
-        # Only the model's domain errors (ValueError) score infinity; a
-        # fault in the model code itself must not be swallowed.
+        # Only the model's domain errors (ValueError, SweepPointError)
+        # score infinity; a fault in the model code itself must not be
+        # swallowed.
         p = np.linspace(500.0, 8e3, 8)
         data = MeasuredSeries(p, cal.model_capacitances(default_geometry, p))
         real = cal.model_capacitances
@@ -81,6 +82,31 @@ class TestFitModel:
         monkeypatch.setattr(cal, "model_capacitances", faulty)
         with pytest.raises(TypeError, match="bug"):
             cal.fit_model(data, default_geometry, ["gap"], config.solver.fit_bounds)
+
+    def test_objective_scores_domain_errors_infinite(self, default_geometry,
+                                                     config, monkeypatch):
+        p = np.linspace(500.0, 8e3, 8)
+        data = MeasuredSeries(p, cal.model_capacitances(default_geometry, p))
+        real = cal.model_capacitances
+        calls = []
+
+        def outside(geom, pressures):
+            calls.append(1)
+            if len(calls) == 2:
+                raise cap.SweepPointError(0, 500.0, ValueError("no value"))
+            return real(geom, pressures)
+
+        monkeypatch.setattr(cal, "model_capacitances", outside)
+        result = cal.fit_model(data, default_geometry, ["gap"],
+                               config.solver.fit_bounds)
+        assert result.converged
+
+    def test_model_capacitances_reports_point(self, bare_geometry):
+        p_on = mechanics.touch_onset_pressure(bare_geometry)
+        with pytest.raises(cap.SweepPointError) as err:
+            cal.model_capacitances(bare_geometry, np.array([0.0, 2.0 * p_on]))
+        assert err.value.index == 1
+        assert "dielectric" in str(err.value.cause)
 
     def test_deterministic(self, default_geometry, config):
         p = np.linspace(500.0, 8e3, 6)
