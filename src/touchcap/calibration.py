@@ -2,7 +2,8 @@
 
 Fits forward-model parameters to measured capacitance-pressure samples by
 derivative-free simplex minimization, finds the SSE-optimal continuous
-4-piece linear fit of a measured curve by exhaustive knot search, and
+4-piece linear fit of a measured curve by an exact search over every
+knot triple (one rank-one update per triple, O(n^2) memory), and
 extracts sensitivity, linearity and 10-90% rise time.  The fit's knots
 coincide with operating-mode boundaries only where the curve changes
 slope there; mode labels come from ``mechanics.classify_mode``.
@@ -22,6 +23,14 @@ from .mechanics import DeviceGeometry, ModeThresholds
 # Geometry fields adjustable by the fitter, plus a constant parasitic offset.
 FIT_PARAM_NAMES = ("gap", "builtin_stress", "dielectric_thickness",
                    "dielectric_rel_permittivity", "parasitic_offset")
+# Fewest samples between two segmentation knots, and between a knot and
+# either end of the series.
+MIN_GAP = 2
+# Knot-triple SSEs closer than the SSE of a rounding error of this many
+# ulps in every normalized sample tie, and the smallest first knot wins.
+# This settles the knots of a series that every triple fits exactly: for a
+# straight line, a knot at the search edge.
+SSE_TIE_ULPS = 16
 
 
 @dataclass(frozen=True)
@@ -215,82 +224,68 @@ def _piecewise_design(p: np.ndarray, b1: float, b2: float, b3: float) -> np.ndar
     ])
 
 
-def _knot_triples(n: int, min_gap: int) -> np.ndarray:
-    """All admissible (i, j, k) knot index triples, min_gap apart and interior."""
-    triples = [(i, j, k)
-               for i in range(min_gap, n - 3 * min_gap)
-               for j in range(i + min_gap, n - 2 * min_gap)
-               for k in range(j + min_gap, n - min_gap)]
-    return np.array(triples, dtype=int)
+def _best_knots(p: np.ndarray, c: np.ndarray) -> tuple[int, int, int]:
+    """Knot indices (i, j, k) of the least-squares hinge fit, searched exactly.
 
-
-def _batched_sse(p: np.ndarray, c: np.ndarray,
-                 triples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares SSE of the hinge fit for every knot triple at once.
-
-    Every entry of the normal equations is a suffix sum over samples at or
-    beyond a knot, so the whole exhaustive search reduces to cumulative
-    sums plus a batched 5x5 solve.
+    With h_m = max(p - p_m, 0), each first knot i completes an orthonormal
+    basis Q3 of [1, p, h_i], leaving the residual r3 of c.  Every later
+    hinge projected off Q3 is a column g_m.  Adding g_j as the unit vector
+    q4_j lowers the SSE by (q4_j . r3)^2; adding h_k after it lowers it by
+    num^2/den, with num = h_k . r3 - (q4_j . h_k)(q4_j . r3) and
+    den = g_k . g_k - (q4_j . h_k)^2.  The cross terms q4_j . h_k come from
+    reversed cumulative sums, q . h_k = S(q p)[k] - p_k S(q)[k], so each i
+    scores all its (j, k) pairs in O(n^2) time and memory.
     """
     n = len(p)
-
-    def suffix(v: np.ndarray) -> np.ndarray:
-        out = np.zeros(n + 1)
-        out[:-1] = np.cumsum(v[::-1])[::-1]
-        return out
-
-    s0 = suffix(np.ones(n))
-    s1 = suffix(p)
-    s2 = suffix(p * p)
-    sc0 = suffix(c)
-    sc1 = suffix(p * c)
-
-    def hinge_dot(bi: np.ndarray, bj: np.ndarray, start: np.ndarray) -> np.ndarray:
-        """sum over samples >= start of (p - bi)(p - bj)."""
-        return s2[start] - (bi + bj) * s1[start] + bi * bj * s0[start]
-
-    i, j, k = triples[:, 0], triples[:, 1], triples[:, 2]
-    b1, b2, b3 = p[i], p[j], p[k]
-    m = len(triples)
-
-    gram = np.empty((m, 5, 5))
-    gram[:, 0, 0] = s0[0]
-    gram[:, 0, 1] = s1[0]
-    gram[:, 0, 2] = s1[i] - b1 * s0[i]
-    gram[:, 0, 3] = s1[j] - b2 * s0[j]
-    gram[:, 0, 4] = s1[k] - b3 * s0[k]
-    gram[:, 1, 1] = s2[0]
-    gram[:, 1, 2] = hinge_dot(b1, np.zeros(m), i)
-    gram[:, 1, 3] = hinge_dot(b2, np.zeros(m), j)
-    gram[:, 1, 4] = hinge_dot(b3, np.zeros(m), k)
-    gram[:, 2, 2] = hinge_dot(b1, b1, i)
-    gram[:, 2, 3] = hinge_dot(b1, b2, j)
-    gram[:, 2, 4] = hinge_dot(b1, b3, k)
-    gram[:, 3, 3] = hinge_dot(b2, b2, j)
-    gram[:, 3, 4] = hinge_dot(b2, b3, k)
-    gram[:, 4, 4] = hinge_dot(b3, b3, k)
-    for a in range(5):
-        for b in range(a + 1, 5):
-            gram[:, b, a] = gram[:, a, b]
-
-    rhs = np.empty((m, 5))
-    rhs[:, 0] = sc0[0]
-    rhs[:, 1] = sc1[0]
-    rhs[:, 2] = sc1[i] - b1 * sc0[i]
-    rhs[:, 3] = sc1[j] - b2 * sc0[j]
-    rhs[:, 4] = sc1[k] - b3 * sc0[k]
-
-    coef = np.linalg.solve(gram, rhs[..., None])[..., 0]
-    sse = float(np.dot(c, c)) - np.einsum("mi,mi->m", coef, rhs)
-    return sse, coef
+    tie = n * (SSE_TIE_ULPS * np.finfo(float).eps) ** 2  # c spans a unit range
+    q2, _ = np.linalg.qr(np.column_stack([np.ones(n), p]))
+    # Column m is h_m projected off [1, p]; each i projects off one more
+    # unit vector u, so that Q3 = [q2, u].
+    g2 = np.maximum(p[:, None] - p[None, :], 0.0)
+    g2 -= q2 @ (q2.T @ g2)
+    r2 = c - q2 @ (q2.T @ c)
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    best = (np.inf, (0, 0, 0))
+    for i in range(MIN_GAP, n - 3 * MIN_GAP):
+        u = g2[:, i] - q2 @ (q2.T @ g2[:, i])  # a second pass keeps u off q2
+        u /= np.sqrt(u @ u)
+        r3 = r2 - u * (u @ r2)
+        # Candidates i + MIN_GAP .. n - MIN_GAP - 1: the first m are the j
+        # choices and the last m (offset MIN_GAP) the k choices, so the
+        # admissible k >= j + MIN_GAP is the upper triangle of an m x m block.
+        g = g2[:, i + MIN_GAP:n - MIN_GAP]
+        g = g - np.outer(u, u @ g)
+        gg = np.einsum("lm,lm->m", g, g)
+        hr = g.T @ r3  # h_m . r3, since r3 is orthogonal to Q3
+        m = len(gg) - MIN_GAP
+        norm = np.sqrt(gg[:m])
+        q4 = g[:, :m] / norm
+        q4r = hr[:m] / norm
+        # h_k is zero on samples before k, so the sums start at the first k.
+        tail = q4[i + 2 * MIN_GAP:]
+        p_tail = p[i + 2 * MIN_GAP:, None]
+        s_q = np.cumsum(tail[::-1], axis=0)[::-1][:m]
+        s_qp = np.cumsum((p_tail * tail)[::-1], axis=0)[::-1][:m]
+        cross = (s_qp - p_tail[:m] * s_q).T  # [j, k] = q4_j . h_k
+        num = hr[MIN_GAP:] - cross * q4r[:, None]
+        den = gg[MIN_GAP:] - cross * cross
+        drop = np.divide(num * num, den, out=np.full((m, m), -np.inf),
+                         where=upper[:m, :m])
+        sse = (float(r3 @ r3) - q4r * q4r)[:, None] - drop
+        pos = int(np.argmin(sse))
+        if sse.flat[pos] < best[0] - tie:
+            a, b = divmod(pos, m)
+            best = (float(sse.flat[pos]), (i, i + MIN_GAP + a, i + 2 * MIN_GAP + b))
+    return best[1]
 
 
-def segment_modes(data: MeasuredSeries, min_gap: int = 2) -> ModeSegmentation:
-    """Best continuous 4-piece linear fit by exhaustive knot search.
+def segment_modes(data: MeasuredSeries) -> ModeSegmentation:
+    """Best continuous 4-piece linear fit over every admissible knot triple.
 
-    Knots are restricted to sample abscissae with at least ``min_gap``
-    samples between them; every knot triple is scored by least-squares SSE
-    and the global optimum returned.  Deterministic by construction.
+    Knots are restricted to sample abscissae with at least ``MIN_GAP``
+    samples between them and the ends; the search returns the global
+    least-squares optimum in O(n^3) time and O(n^2) memory (see
+    ``_best_knots``).  Deterministic by construction.
 
     The knots mark the SSE-optimal slope changes.  They coincide with
     operating-mode boundaries only where the curve changes slope there;
@@ -307,13 +302,8 @@ def segment_modes(data: MeasuredSeries, min_gap: int = 2) -> ModeSegmentation:
     p_scale = float(np.max(np.abs(data.abscissa))) or 1.0
     c_shift = float(np.mean(data.capacitance))
     c_scale = float(np.ptp(data.capacitance))
-    p = data.abscissa / p_scale
-    c = (data.capacitance - c_shift) / c_scale
-
-    triples = _knot_triples(n, min_gap)
-    sse_all, coef_all = _batched_sse(p, c, triples)
-    pos = int(np.argmin(sse_all))
-    i, j, k = (int(v) for v in triples[pos])
+    i, j, k = _best_knots(data.abscissa / p_scale,
+                          (data.capacitance - c_shift) / c_scale)
     # Re-solve the winning triple unnormalized for exact reporting.
     p = data.abscissa
     c = data.capacitance
@@ -335,7 +325,7 @@ def segment_modes(data: MeasuredSeries, min_gap: int = 2) -> ModeSegmentation:
         r2.append(1.0 - seg_sse / tss if tss > 0 else 0.0)
 
     # Knots pinned to the searchable extremes suggest fewer than 4 regimes.
-    low_confidence = (i <= min_gap or k >= n - min_gap - 1)
+    low_confidence = (i <= MIN_GAP or k >= n - MIN_GAP - 1)
     return ModeSegmentation(boundaries=boundaries, slopes=slopes,
                             r_squared=tuple(r2), sse=sse,
                             low_confidence=low_confidence)
@@ -348,13 +338,20 @@ def sensitivity_linearity(data: MeasuredSeries,
     mask = (data.abscissa >= lo) & (data.abscissa <= hi)
     if int(np.sum(mask)) < 3:
         raise ValueError("need at least 3 samples in range")
-    p = data.abscissa[mask]
-    c = data.capacitance[mask]
-    slope, intercept = np.polyfit(p, c, 1)
-    resid = c - (slope * p + intercept)
-    tss = float(np.sum((c - c.mean()) ** 2))
+    slope, _, r2 = line_fit(data.abscissa[mask], data.capacitance[mask])
+    return slope, r2
+
+
+def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line through (x, y): slope, intercept and R^2.
+
+    R^2 is 1 when y has no spread about its mean.
+    """
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    tss = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / tss if tss > 0 else 1.0
-    return float(slope), r2
+    return float(slope), float(intercept), r2
 
 
 def rise_time(data: MeasuredSeries, low: float = 0.1, high: float = 0.9) -> float:

@@ -1,14 +1,22 @@
 """Elastic layers and composite diaphragm stiffness.
 
 The diaphragm is a one- or two-layer laminate (e.g. aluminum-coated
-polyimide).  Bending stiffness is computed about the modulus-weighted
-neutral plane; both the per-layer stiffness integral and the literal
-two-layer closed form are available so they can be cross-checked.
+polyimide).  Bending stiffness is the per-layer stiffness integral about
+the modulus-weighted neutral plane.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+
+
+def check_finite(obj: object, names: tuple[str, ...], where: str = "") -> None:
+    """Raise ValueError naming the first attribute in ``names`` that is not finite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{where}{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -21,6 +29,8 @@ class MaterialLayer:
     thickness: float  # m
 
     def __post_init__(self) -> None:
+        check_finite(self, ("youngs_modulus", "poisson_ratio", "thickness"),
+                     f"layer {self.name!r}: ")
         if self.youngs_modulus <= 0:
             raise ValueError(f"layer {self.name!r}: youngs_modulus must be > 0")
         if not 0.0 <= self.poisson_ratio < 0.5:
@@ -64,23 +74,12 @@ DEFAULT_POLYIMIDE = MaterialLayer("PI", youngs_modulus=2.5e9, poisson_ratio=0.34
                                   thickness=25e-6)
 
 
-def _layer_weight(layer: MaterialLayer, plane_strain: bool) -> float:
-    """Modulus weight for the neutral-plane centroid.
-
-    The default weight is E/(1 - nu); classical laminate theory would use
-    the plane-strain-reduced E/(1 - nu^2), selectable via ``plane_strain``.
-    """
-    if plane_strain:
-        return layer.youngs_modulus / (1.0 - layer.poisson_ratio**2)
-    return layer.youngs_modulus / (1.0 - layer.poisson_ratio)
-
-
-def neutral_plane(laminate: Laminate, *, plane_strain_weights: bool = False) -> float:
+def neutral_plane(laminate: Laminate) -> float:
     """Neutral-plane height e above the bottom face.
 
     Modulus-weighted centroid of the stack: e = sum(w_i t_i zbar_i) /
-    sum(w_i t_i) with w_i = E_i/(1 - nu_i) by default.  A single layer
-    always gives h/2.
+    sum(w_i t_i) with w_i = E_i/(1 - nu_i).  A single layer always gives
+    h/2.
     """
     if len(laminate.layers) == 1:
         return laminate.layers[0].thickness / 2.0
@@ -88,52 +87,26 @@ def neutral_plane(laminate: Laminate, *, plane_strain_weights: bool = False) -> 
     num = 0.0
     den = 0.0
     for i, layer in enumerate(laminate.layers):
-        w = _layer_weight(layer, plane_strain_weights)
+        w = layer.youngs_modulus / (1.0 - layer.poisson_ratio)
         num += w * layer.thickness * 0.5 * (z[i] + z[i + 1])
         den += w * layer.thickness
     return num / den
 
 
-def flexural_rigidity(laminate: Laminate, *, plane_strain_weights: bool = False) -> float:
+def flexural_rigidity(laminate: Laminate) -> float:
     """Bending stiffness D of the stack about its neutral plane.
 
     Per-layer stiffness integral D = sum_i E_i/(1 - nu_i^2) *
     integral over layer i of (z - e)^2 dz, evaluated in closed form.
     Reduces to E h^3 / (12 (1 - nu^2)) for a single layer.
     """
-    e = neutral_plane(laminate, plane_strain_weights=plane_strain_weights)
+    e = neutral_plane(laminate)
     z = laminate.interfaces()
     d = 0.0
     for i, layer in enumerate(laminate.layers):
         k = layer.youngs_modulus / (3.0 * (1.0 - layer.poisson_ratio**2))
         d += k * ((z[i + 1] - e) ** 3 - (z[i] - e) ** 3)
     return d
-
-
-def flexural_rigidity_two_layer_literal(laminate: Laminate) -> float:
-    """Diagnostic: the literal two-layer closed form for D.
-
-    D = E_top[(h - e)^3 - (h_bot - e)^3] / (3 (1 - nu_top^2))
-      + E_bot (h_bot - e)^3 / (3 (1 - nu_bot^2))
-
-    The bottom-layer term drops the e^3 contribution of the material below
-    the neutral plane, so this under-counts relative to the full stiffness
-    integral of :func:`flexural_rigidity`.  Kept for traceability and
-    reporting only; never used in the deflection model.
-    """
-    if len(laminate.layers) == 1:
-        layer = laminate.layers[0]
-        return layer.youngs_modulus * layer.thickness**3 / (
-            12.0 * (1.0 - layer.poisson_ratio**2))
-    bot, top = laminate.layers
-    e = neutral_plane(laminate)
-    h = laminate.total_thickness
-    h_bot = bot.thickness
-    d_top = top.youngs_modulus * ((h - e) ** 3 - (h_bot - e) ** 3) / (
-        3.0 * (1.0 - top.poisson_ratio**2))
-    d_bot = bot.youngs_modulus * (h_bot - e) ** 3 / (
-        3.0 * (1.0 - bot.poisson_ratio**2))
-    return d_top + d_bot
 
 
 def effective_poisson_ratio(laminate: Laminate) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import Laminate, flexural_rigidity
+from .materials import Laminate, check_finite, flexural_rigidity
 
 # Coefficient of the cubic stiffening term in the large-deflection relation
 # W0 * (1 + K*(W0/h)^2 + sigma*h*R^2/(16 D)) = P R^4 / (64 D).
@@ -51,6 +51,8 @@ class DeviceGeometry:
     medium_rel_permittivity: float = 1.0
 
     def __post_init__(self) -> None:
+        check_finite(self, ("radius", "gap", "builtin_stress", "dielectric_thickness",
+                            "dielectric_rel_permittivity", "medium_rel_permittivity"))
         if self.radius <= 0:
             raise ValueError("radius must be > 0")
         if self.gap <= 0:
@@ -98,6 +100,8 @@ class ModeThresholds:
     saturation_fraction: float = 0.6
 
     def __post_init__(self) -> None:
+        check_finite(self, ("transition_fraction", "touch_onset_fraction",
+                            "saturation_fraction"))
         if not 0.0 < self.transition_fraction < 1.0:
             raise ValueError("transition_fraction must be in (0, 1)")
         if not 0.0 < self.touch_onset_fraction < self.saturation_fraction < 1.0:
@@ -270,8 +274,3 @@ def classify_mode(geom: DeviceGeometry, pressure: float,
     """Operating mode at one pressure under the given thresholds."""
     w0 = large_deflection_center(geom, pressure)
     return OperatingMode(int(mode_labels(geom, w0, thresholds)))
-
-
-def pullin_safe_deflection(geom: DeviceGeometry) -> float:
-    """Normal-mode design bound: one third of the separation gap."""
-    return geom.gap / 3.0

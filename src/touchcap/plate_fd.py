@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calibration import line_fit
 from .materials import effective_poisson_ratio, neutral_plane
 from .mechanics import DeviceGeometry
 
@@ -230,8 +231,4 @@ def linearity_check(geom: DeviceGeometry, pressures: list[float],
         raise ValueError("degenerate fit: pressures all equal")
     p = np.asarray(pressures, dtype=float)
     w = np.array([solve_plate(geom, pi, grid).center_deflection for pi in p])
-    slope, intercept = np.polyfit(p, w, 1)
-    resid = w - (slope * p + intercept)
-    tss = float(np.sum((w - w.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / tss if tss > 0 else 1.0
-    return LinearityResult(float(slope), float(intercept), r2)
+    return LinearityResult(*line_fit(p, w))

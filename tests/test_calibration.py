@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from touchcap import calibration as cal, capacitance as cap, mechanics
 from touchcap.calibration import MeasuredSeries
@@ -191,6 +192,56 @@ class TestSegmentModes:
                     sse = float(np.sum((design @ coef - c) ** 2))
                     best = min(best, sse)
         assert seg.sse == pytest.approx(best, rel=1e-9, abs=1e-12)
+
+    @given(st.integers(12, 25), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_bruteforce_oracle(self, n, seed, rounded):
+        """SSE equals the lstsq minimum over every admissible triple.
+
+        Rounded series sit on an integer grid with 0.1-step capacitances,
+        so distinct triples can tie exactly.
+        """
+        rng = np.random.default_rng(seed)
+        if rounded:
+            p = np.cumsum(rng.integers(1, 4, n)).astype(float)
+            c = np.round(np.sin(p / n * 4.0) + 0.3 * rng.standard_normal(n), 1)
+        else:
+            p = np.cumsum(rng.uniform(0.05, 1.0, n))
+            c = np.sin(p / p[-1] * 4.0) + 0.3 * rng.standard_normal(n)
+        assume(np.ptp(c) > 0)
+        seg = cal.segment_modes(MeasuredSeries(p, c))
+        best = math.inf
+        for i in range(2, n - 6):
+            for j in range(i + 2, n - 4):
+                for k in range(j + 2, n - 2):
+                    design = cal._piecewise_design(p, p[i], p[j], p[k])
+                    coef, _, _, _ = np.linalg.lstsq(design, c, rcond=None)
+                    best = min(best, float(np.sum((design @ coef - c) ** 2)))
+        assert seg.sse == pytest.approx(best, rel=1e-9, abs=0)
+
+    def test_default_sweep_golden(self, default_geometry, config):
+        """Knots of the 161-point 0-60 kPa default sweep, frozen from a
+        search that solved the 5x5 normal equations of every triple."""
+        pressures = [float(p) for p in np.linspace(0.0, 60e3, 161)]
+        curve = cap.sweep_cp_curve(default_geometry, pressures, config.thresholds)
+        seg = cal.segment_modes(MeasuredSeries(np.array(curve.pressures()),
+                                               np.array(curve.capacitances())))
+        assert seg.boundaries == (7500.0, 15000.0, 29625.0)
+        assert seg.sse == pytest.approx(1.5790018750623988e-21, rel=1e-9, abs=0)
+        assert not seg.low_confidence
+
+    def test_memory_quadratic(self, default_geometry):
+        """400 samples: the search holds O(n^2) arrays, not every triple."""
+        p = np.linspace(0.0, 60e3, 400)
+        noise = 2e-15 * np.random.default_rng(3).standard_normal(len(p))
+        data = MeasuredSeries(p, cap.capacitances(default_geometry, p) + noise)
+        tracemalloc.start()
+        try:
+            cal.segment_modes(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from touchcap.config import ConfigError, load_config, parse_config
 from touchcap.mechanics import ModeThresholds
@@ -87,6 +89,28 @@ class TestParseConfig:
         doc = self.minimal()
         doc["solver"] = {"grid_nodes": 101, "quadrature_rel_tol": 1e-10}
         assert parse_config(doc).solver.grid_nodes == 101
+
+    @given(st.sampled_from([
+               (("profiles", "default"), "radius_m", "radius"),
+               (("profiles", "default"), "gap_m", "gap"),
+               (("profiles", "default"), "builtin_stress_pa", "builtin_stress"),
+               (("profiles", "default", "layers", 0), "thickness_m", "thickness"),
+               (("profiles", "default", "layers", 0), "youngs_modulus_pa",
+                "youngs_modulus"),
+               (("thresholds",), "touch_onset_fraction", "touch_onset_fraction")]),
+           st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_value_named(self, where, bad):
+        path, key, field = where
+        doc = self.minimal()
+        doc["thresholds"] = {}
+        node = doc
+        for step in path:
+            node = node[step]
+        node[key] = bad
+        # The document goes through JSON text, which spells bad as a
+        # NaN / Infinity / -Infinity token that json.loads reads back.
+        with pytest.raises(ConfigError, match=f"{field} must be finite, got {bad}"):
+            parse_config(json.loads(json.dumps(doc)))
 
     def test_bad_solver_settings(self):
         doc = self.minimal()

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from touchcap.materials import (Laminate, MaterialLayer,
                                 effective_poisson_ratio, flexural_rigidity,
-                                flexural_rigidity_two_layer_literal,
                                 neutral_plane)
 
 # Golden values for the default Al-on-PI stack, frozen from independent
@@ -17,6 +16,31 @@ GOLDEN_D_LITERAL = 2.6709814917421968e-06
 
 def layer(E, nu, t, name="L"):
     return MaterialLayer(name, youngs_modulus=E, poisson_ratio=nu, thickness=t)
+
+
+def flexural_rigidity_two_layer_literal(laminate):
+    """Oracle: the literal two-layer closed form for D.
+
+    D = E_top[(h - e)^3 - (h_bot - e)^3] / (3 (1 - nu_top^2))
+      + E_bot (h_bot - e)^3 / (3 (1 - nu_bot^2))
+
+    The bottom-layer term drops the e^3 contribution of the material below
+    the neutral plane, so this under-counts relative to the full stiffness
+    integral of ``flexural_rigidity``.
+    """
+    if len(laminate.layers) == 1:
+        only = laminate.layers[0]
+        return only.youngs_modulus * only.thickness**3 / (
+            12.0 * (1.0 - only.poisson_ratio**2))
+    bot, top = laminate.layers
+    e = neutral_plane(laminate)
+    h = laminate.total_thickness
+    h_bot = bot.thickness
+    d_top = top.youngs_modulus * ((h - e) ** 3 - (h_bot - e) ** 3) / (
+        3.0 * (1.0 - top.poisson_ratio**2))
+    d_bot = bot.youngs_modulus * (h_bot - e) ** 3 / (
+        3.0 * (1.0 - bot.poisson_ratio**2))
+    return d_top + d_bot
 
 
 class TestLayerValidation:
@@ -33,6 +57,14 @@ class TestLayerValidation:
     def test_rejects_nonpositive_thickness(self):
         with pytest.raises(ValueError):
             layer(1e9, 0.3, 0.0)
+
+    @given(st.sampled_from(["youngs_modulus", "poisson_ratio", "thickness"]),
+           st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_rejects_non_finite(self, field, value):
+        values = {"youngs_modulus": 1e9, "poisson_ratio": 0.3, "thickness": 1e-6}
+        values[field] = value
+        with pytest.raises(ValueError, match=f"layer 'L': {field} must be finite"):
+            MaterialLayer("L", **values)
 
     def test_rejects_three_layers(self):
         one = layer(1e9, 0.3, 1e-6)
@@ -54,11 +86,6 @@ class TestNeutralPlane:
 
     def test_default_stack_golden(self, default_laminate):
         assert neutral_plane(default_laminate) == pytest.approx(GOLDEN_E, rel=1e-12, abs=0)
-
-    def test_plane_strain_weights_differ(self, default_laminate):
-        alt = neutral_plane(default_laminate, plane_strain_weights=True)
-        assert alt != neutral_plane(default_laminate)
-        assert 0.0 < alt < default_laminate.total_thickness
 
     def test_inside_stack(self, default_laminate):
         e = neutral_plane(default_laminate)

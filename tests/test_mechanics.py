@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -222,16 +223,6 @@ class TestClassifyMode:
         assert all(b >= a for a, b in zip(modes, modes[1:]))
 
 
-class TestPullin:
-    def test_values(self, default_laminate):
-        for gap, expected in ((400e-6, 400e-6 / 3.0), (3.0, 1.0),
-                              (390e-6, 130e-6)):
-            geom = DeviceGeometry(radius=0.01, laminate=default_laminate,
-                                  gap=gap)
-            assert mechanics.pullin_safe_deflection(geom) == \
-                pytest.approx(expected, rel=1e-12, abs=0)
-
-
 class TestThresholdValidation:
     def test_rejects_bad_transition(self):
         with pytest.raises(ValueError):
@@ -240,6 +231,12 @@ class TestThresholdValidation:
     def test_rejects_unordered_contact_fractions(self):
         with pytest.raises(ValueError):
             ModeThresholds(touch_onset_fraction=0.7, saturation_fraction=0.6)
+
+    @given(st.sampled_from(["transition_fraction", "touch_onset_fraction",
+                            "saturation_fraction"]), NON_FINITE)
+    def test_rejects_non_finite(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {bad}"):
+            ModeThresholds(**{field: bad})
 
 
 class TestGeometryValidation:
@@ -252,6 +249,13 @@ class TestGeometryValidation:
         with pytest.raises(ValueError):
             DeviceGeometry(radius=0.01, laminate=default_laminate, gap=400e-6,
                            builtin_stress=-1e6)
+
+    @given(st.sampled_from(["radius", "gap", "builtin_stress", "dielectric_thickness",
+                            "dielectric_rel_permittivity", "medium_rel_permittivity"]),
+           NON_FINITE)
+    def test_rejects_non_finite(self, default_geometry, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {bad}"):
+            replace(default_geometry, **{field: bad})
 
 
 @given(NON_FINITE, st.lists(st.floats(0.0, 60e3), max_size=6), st.integers(0, 6))
