@@ -1,5 +1,7 @@
 """Fitting, segmentation and timing metrics for measured sensor data.
 
+Reads named float columns of headed CSV files (``csv_columns``, the one
+reader behind ``MeasuredSeries.from_csv`` and the CLI's pressure lists).
 Fits forward-model parameters to measured capacitance-pressure samples by
 derivative-free simplex minimization, finds the SSE-optimal continuous
 4-piece linear fit of a measured curve by an exact search over every
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,33 +66,52 @@ class MeasuredSeries:
 
     @classmethod
     def from_csv(cls, text: str, meta: str = "") -> "MeasuredSeries":
-        """Parse a two-column CSV with a header row.
+        """Parse a headed CSV with pressure_pa or time_s, and capacitance_f.
 
-        Accepted headers: (pressure_pa, capacitance_f) or
-        (time_s, capacitance_f).  Raises ValueError naming the offending
-        line on malformed rows.
+        Other columns are ignored.  Raises ValueError naming the line and
+        the value of a malformed row.
         """
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty CSV")
-        header = [h.strip().lower() for h in lines[0].split(",")]
-        if header[:2] == ["pressure_pa", "capacitance_f"]:
-            kind = "pressure"
-        elif header[:2] == ["time_s", "capacitance_f"]:
-            kind = "time"
-        else:
-            raise ValueError(f"unrecognized CSV header: {lines[0]!r}")
-        xs, cs = [], []
-        for lineno, line in enumerate(lines[1:], start=2):
-            fields = line.split(",")
-            if len(fields) < 2:
-                raise ValueError(f"line {lineno}: expected 2 columns")
+        names, (x, c) = csv_columns(text, ("pressure_pa", "capacitance_f"),
+                                    ("time_s", "capacitance_f"))
+        return cls(x, c, kind="pressure" if names[0] == "pressure_pa" else "time",
+                   meta=meta)
+
+
+def csv_columns(text: str, *layouts: tuple[str, ...]) -> tuple[tuple[str, ...], list[np.ndarray]]:
+    """Finite float columns of a headed CSV, located by name.
+
+    ``layouts`` are the accepted sets of column names; the first whose
+    names all appear in the (case-insensitive) header is read and other
+    columns are ignored.  Returns that layout and one array per name.
+    Raises ValueError for an empty CSV, a header that matches no layout,
+    and a missing, malformed or non-finite field, naming its line and
+    value.
+    """
+    lines = [(no, line) for no, line in enumerate(text.splitlines(), start=1)
+             if line.strip()]
+    if not lines:
+        raise ValueError("empty CSV")
+    header = [h.strip().lower() for h in lines[0][1].split(",")]
+    names = next((lay for lay in layouts if set(lay) <= set(header)), None)
+    if names is None:
+        wanted = " or ".join(",".join(lay) for lay in layouts)
+        raise ValueError(f"unrecognized CSV header {lines[0][1]!r}: need columns {wanted}")
+    index = [header.index(name) for name in names]
+    columns: list[list[float]] = [[] for _ in names]
+    for lineno, line in lines[1:]:
+        fields = line.split(",")
+        for name, col, out in zip(names, index, columns):
+            if col >= len(fields):
+                raise ValueError(f"line {lineno}: no {name} field in {line!r}")
             try:
-                xs.append(float(fields[0]))
-                cs.append(float(fields[1]))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-        return cls(np.array(xs), np.array(cs), kind=kind, meta=meta)
+                value = float(fields[col])
+            except ValueError:
+                raise ValueError(
+                    f"line {lineno}: {name} {fields[col]!r} is not a number") from None
+            if not math.isfinite(value):
+                raise ValueError(f"line {lineno}: {name} must be finite, got {value}")
+            out.append(value)
+    return names, [np.array(col, dtype=float) for col in columns]
 
 
 @dataclass(frozen=True)

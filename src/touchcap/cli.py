@@ -145,8 +145,8 @@ def sweep(ctx: click.Context, p_start: float, p_end: float, steps: int,
 
 @main.command()
 @click.option("--nodes", "node_counts", type=int, multiple=True,
-              help="Grid node counts for the convergence study "
-                   "(default 51 101 201).")
+              help="Grid node counts for the convergence study (default: "
+                   "solver.grid_nodes and its halvings, 51 101 201 bundled).")
 @click.option("--profile", default="fem_scaled", show_default=True)
 @click.option("--pressure", type=float, default=10e3, show_default=True,
               help="Load pressure for the convergence study, Pa.")
@@ -158,8 +158,13 @@ def validate(ctx: click.Context, node_counts: tuple[int, ...], profile: str,
     Runs a grid convergence study plus a deflection-pressure linearity
     check and exits nonzero if any threshold is missed.
     """
-    counts = sorted(node_counts) if node_counts else [51, 101, 201]
     cfg = _config(ctx)
+    if node_counts:
+        counts = sorted(node_counts)
+    else:
+        g = cfg.solver.grid_nodes
+        counts = [n for n in ((g - 1) // 4 + 1, (g - 1) // 2 + 1, g)
+                  if n >= plate_fd.MIN_NODE_COUNT]
     try:
         geom = cfg.geometry(profile)
     except ConfigError as exc:
@@ -184,15 +189,16 @@ def validate(ctx: click.Context, node_counts: tuple[int, ...], profile: str,
     _echo(ctx, f"linearity R^2 over {p_lo:.0f}-{p_hi:.0f} Pa: "
                f"{lin.r_squared:.12f}")
 
+    # Each check is written so that NaN fails it.
     failures = []
-    if rows[-1].relative_error > VALIDATE_MAX_REL_ERROR:
+    if not rows[-1].relative_error <= VALIDATE_MAX_REL_ERROR:
         failures.append(
             f"finest-grid error {rows[-1].relative_error:.3e} "
             f"> {VALIDATE_MAX_REL_ERROR}")
     for order in orders:
-        if order < VALIDATE_MIN_ORDER:
+        if not order >= VALIDATE_MIN_ORDER:
             failures.append(f"convergence order {order:.3f} < {VALIDATE_MIN_ORDER}")
-    if lin.r_squared < VALIDATE_MIN_R2:
+    if not lin.r_squared >= VALIDATE_MIN_R2:
         failures.append(f"linearity R^2 {lin.r_squared} < {VALIDATE_MIN_R2}")
     if failures:
         raise CheckFailure("validation failed: " + "; ".join(failures))
@@ -290,7 +296,12 @@ def servo(ctx: click.Context, pressures: tuple[float, ...],
         raise click.UsageError(str(exc)) from exc
 
     if data_path is not None:
-        p_list = _pressure_column(_read_text(data_path), data_path)
+        try:
+            _, (column,) = calibration.csv_columns(_read_text(data_path),
+                                                   ("pressure_pa",))
+        except ValueError as exc:
+            raise ParseFailure(f"{data_path}: {exc}") from exc
+        p_list = column.tolist()
     else:
         p_list = list(pressures)
         bad = next((p for p in p_list if not math.isfinite(p)), None)
@@ -309,29 +320,6 @@ def servo(ctx: click.Context, pressures: tuple[float, ...],
         lines.append(f"{float(p)!r},{float(c)!r},{float(angle)!r}")
     _atomic_write(output, "\n".join(lines) + "\n")
     _echo(ctx, f"wrote {len(p_list)} rows to {output}")
-
-
-def _pressure_column(text: str, where: str) -> list[float]:
-    """Pressures from the pressure_pa column of a headed CSV."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseFailure(f"{where}: empty CSV")
-    header = [h.strip().lower() for h in lines[0].split(",")]
-    if "pressure_pa" not in header:
-        raise ParseFailure(f"{where}: no pressure_pa column in {lines[0]!r}")
-    col = header.index("pressure_pa")
-    out = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        try:
-            value = float(fields[col])
-        except (IndexError, ValueError) as exc:
-            raise ParseFailure(f"{where}: line {lineno}: {exc}") from None
-        if not math.isfinite(value):
-            raise ParseFailure(
-                f"{where}: line {lineno}: pressure must be finite, got {value}")
-        out.append(value)
-    return out
 
 
 @main.command()

@@ -2,9 +2,17 @@
 
 Solves D * biharmonic(w) = P on a uniform radial grid with a clamped edge
 (w = w' = 0 at r = R) and symmetry at the center, using second-order
-stencils with ghost-node reflection.  Bending moments, surface stresses
-and von Mises fields are recovered from the solution, and a convergence
-study against the analytic center deflection P R^4 / (64 D) is provided.
+stencils with ghost-node reflection.  The five-band operator is solved
+in O(n) time and memory by banded elimination plus one refinement step;
+no n x n matrix is formed.  Bending moments, surface stresses and von
+Mises fields are recovered from the solution, and a convergence study
+against the analytic center deflection P R^4 / (64 D) is provided.
+
+The operator's condition number grows as n^4.  Up to 1601 nodes the
+computed center deflection matches the stencil's exact-arithmetic
+solution to well under 1% of the discretization error; at 3201 nodes
+roundoff is about half the discretization error and at 6401 it
+dominates, so a convergence ladder is roundoff-limited past 1601 nodes.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import numpy as np
 
 from .calibration import line_fit
 from .materials import effective_poisson_ratio, neutral_plane
-from .mechanics import DeviceGeometry
+from .mechanics import DeviceGeometry, checked_pressures
 
 MIN_NODE_COUNT = 16
 
@@ -73,44 +81,86 @@ class PlateSolution:
         return buf.getvalue()
 
 
-def _biharmonic_row(r: float, dr: float) -> np.ndarray:
-    """Stencil weights for w_{i-2}..w_{i+2} of the axisymmetric biharmonic.
+def _biharmonic_bands(n: int) -> np.ndarray:
+    """The five bands of the clamped-plate operator on n nodes, scaled by dr^4.
 
-    biharmonic(w) = w'''' + (2/r) w''' - (1/r^2) w'' + (1/r^3) w'
+    Row i holds the coefficients of w_{i-2} .. w_{i+2} in columns 0 .. 4;
+    a coefficient reaching past either end of the grid is zero.  Interior
+    rows discretize dr^4 biharmonic(w), where
+
+        biharmonic(w) = w'''' + (2/r) w''' - (1/r^2) w'' + (1/r^3) w',
+
+    by second-order central differences at r = i dr.  Since dr/r = 1/i,
+    the operator depends on n alone and the load enters only through the
+    right-hand side (P/D) dr^4.  The bands are built in np.longdouble: a
+    stencil whose rows sum to zero loses most of its digits when rounded
+    to doubles on a fine grid.
     """
-    w4 = np.array([1.0, -4.0, 6.0, -4.0, 1.0]) / dr**4
-    w3 = np.array([-1.0, 2.0, 0.0, -2.0, 1.0]) / (2.0 * dr**3)
-    w2 = np.array([0.0, 1.0, -2.0, 1.0, 0.0]) / dr**2
-    w1 = np.array([0.0, -1.0, 0.0, 1.0, 0.0]) / (2.0 * dr)
-    return w4 + (2.0 / r) * w3 - (1.0 / r**2) * w2 + (1.0 / r**3) * w1
-
-
-def _solve_deflection(grid: RadialGrid, load_over_d: float) -> np.ndarray:
-    """Deflection nodes solving biharmonic(w) = P/D with clamped edge."""
-    n = grid.node_count
-    dr = grid.spacing
-    a = np.zeros((n, n))
-    rhs = np.full(n, load_over_d)
-
+    bands = np.zeros((n, 5), dtype=np.longdouble)
+    inv = 1 / np.arange(1, n - 1, dtype=np.longdouble)
+    rows = bands[1:-1]
+    rows[:, 0] = 1.0 - inv
+    rows[:, 1] = -4.0 + 2.0 * inv - inv**2 - 0.5 * inv**3
+    rows[:, 2] = 6.0 + 2.0 * inv**2
+    rows[:, 3] = -4.0 - 2.0 * inv - inv**2 + 0.5 * inv**3
+    rows[:, 4] = 1.0 + inv
+    # The symmetry ghost w_{-1} = w_1 enters row 1 with weight 1 - dr/r = 0;
+    # the clamped-edge ghost w_n = w_{n-2} (w'(R) = 0) folds onto w_{n-2}.
+    bands[n - 2, 2] += bands[n - 2, 4]
+    bands[n - 2, 4] = 0.0
     # Center node: series expansion of an even, regular solution gives
-    # biharmonic(w)(0) ~ (16/3) (3 w0 - 4 w1 + w2) / dr^4.
-    a[0, 0] = 16.0 * 3.0 / (3.0 * dr**4)
-    a[0, 1] = -16.0 * 4.0 / (3.0 * dr**4)
-    a[0, 2] = 16.0 / (3.0 * dr**4)
+    # dr^4 biharmonic(w)(0) ~ (16/3) (3 w0 - 4 w1 + w2).
+    bands[0, 2:] = np.array([48, -64, 16], dtype=np.longdouble) / 3
+    bands[n - 1, 2] = 1.0  # w(R) = 0
+    return bands
 
-    for i in range(1, n - 1):
-        row = _biharmonic_row(i * dr, dr)
-        for k in range(-2, 3):
-            j = i + k
-            if j == -1:
-                j = 1  # symmetry ghost: w(-dr) = w(dr)
-            elif j == n:
-                j = n - 2  # clamped-edge ghost: w'(R) = 0
-            a[i, j] += row[k + 2]
 
-    a[n - 1, n - 1] = 1.0  # w(R) = 0
-    rhs[n - 1] = 0.0
-    return np.linalg.solve(a, rhs)
+def _eliminate(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a pentadiagonal system in O(n) by elimination without pivoting.
+
+    ``bands`` is laid out as ``_biharmonic_bands`` returns it.  Banded
+    Gaussian elimination (Golub & Van Loan, Matrix Computations, 4.3)
+    keeps the band, so no n x n matrix is formed.  Without pivoting it
+    needs every pivot to stay away from zero; the plate operator's pivots
+    lie between 1 and 16.
+    """
+    e, c, d, a, b = (band.tolist() for band in bands.T)
+    y = rhs.tolist()
+    n = len(d)
+    for k in range(n - 1):
+        m = c[k + 1] / d[k]
+        d[k + 1] -= m * a[k]
+        a[k + 1] -= m * b[k]
+        y[k + 1] -= m * y[k]
+        if k + 2 < n:
+            m = e[k + 2] / d[k]
+            c[k + 2] -= m * a[k]
+            d[k + 2] -= m * b[k]
+            y[k + 2] -= m * y[k]
+    x = [0.0] * (n + 2)
+    for k in range(n - 1, -1, -1):
+        x[k] = (y[k] - a[k] * x[k + 1] - b[k] * x[k + 2]) / d[k]
+    return np.array(x[:n])
+
+
+def _solve_pentadiagonal(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Elimination plus one step of iterative refinement (Golub & Van Loan, 3.5.3).
+
+    The plate operator's condition number grows as n^4, so elimination
+    in doubles alone loses about cond * eps: 6e-7 relative at 1601 nodes.
+    The residual rhs - A x, formed from the np.longdouble bands in
+    np.longdouble (80-bit on x86-64), keeps the digits that cancellation
+    would drop, and one corrective solve in doubles recovers nearly all
+    of the loss.  Where np.longdouble is no wider than a double, the step
+    leaves the elimination's accuracy.
+    """
+    narrow = bands.astype(float)
+    x = _eliminate(narrow, rhs)
+    n = len(x)
+    wide = np.zeros(n + 4, dtype=np.longdouble)
+    wide[2:-2] = x
+    residual = rhs - sum(bands[:, k] * wide[k:k + n] for k in range(5))
+    return x + _eliminate(narrow, residual.astype(float))
 
 
 def _derivatives(w: np.ndarray, dr: float) -> tuple[np.ndarray, np.ndarray]:
@@ -133,14 +183,15 @@ def solve_plate(geom: DeviceGeometry, pressure: float, grid: RadialGrid) -> Plat
     worst surface is reported per node.  Built-in stress is not part of
     the operator (pure bending model).
     """
-    if pressure < 0:
-        raise ValueError("pressure must be >= 0")
+    pressure = float(checked_pressures(pressure))
     if grid.radius != geom.radius:
         raise ValueError("grid radius must match geometry radius")
     d_flex = geom.flexural_rigidity
-    w = _solve_deflection(grid, pressure / d_flex)
-
     dr = grid.spacing
+    rhs = np.full(grid.node_count, pressure / d_flex * dr**4)
+    rhs[-1] = 0.0  # w(R) = 0
+    w = _solve_pentadiagonal(_biharmonic_bands(grid.node_count), rhs)
+
     r = grid.nodes()
     d1, d2 = _derivatives(w, dr)
 
@@ -192,14 +243,21 @@ class ConvergenceRow:
 
 def convergence_study(geom: DeviceGeometry, pressure: float,
                       node_counts: list[int]) -> list[ConvergenceRow]:
-    """Center-deflection error against the analytic value per grid size."""
+    """Center-deflection error against the analytic value per grid size.
+
+    The relative error is undefined at zero load, so the pressure must be
+    finite and > 0.
+    """
+    if float(checked_pressures(pressure)) == 0.0:
+        raise ValueError("pressure must be > 0: the relative error is "
+                         "undefined at zero load")
     if any(b <= a for a, b in zip(node_counts, node_counts[1:])):
         raise ValueError("node_counts must be increasing")
     exact = analytic_center_deflection(geom, pressure)
     rows = []
     for n in node_counts:
         sol = solve_plate(geom, pressure, RadialGrid(n, geom.radius))
-        err = abs(sol.center_deflection - exact) / exact if exact else 0.0
+        err = abs(sol.center_deflection - exact) / exact
         rows.append(ConvergenceRow(n, sol.center_deflection, err))
     return rows
 

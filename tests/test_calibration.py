@@ -50,6 +50,17 @@ class TestMeasuredSeries:
         with pytest.raises(ValueError, match="must be finite"):
             MeasuredSeries.from_csv(text)
 
+    def test_columns_found_by_name(self):
+        text = "mode,capacitance_f,pressure_pa\nnormal,7e-12,0.0\ntouch,8e-12,1e3\n"
+        s = MeasuredSeries.from_csv(text)
+        assert s.abscissa.tolist() == [0.0, 1e3]
+        assert s.capacitance.tolist() == [7e-12, 8e-12]
+
+    def test_error_names_physical_line_and_value(self):
+        text = "pressure_pa\n\n1.0\n2.0x\n"
+        with pytest.raises(ValueError, match="line 4: pressure_pa '2.0x'"):
+            cal.csv_columns(text, ("pressure_pa",))
+
 
 class TestFitModel:
     def test_noiseless_gap_recovery(self, default_geometry, config):

@@ -87,6 +87,28 @@ class TestValidate:
         result = run(runner, "validate", "--nodes", 4)
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("value,message", [
+        ("nan", "pressure must be finite, got nan"),
+        ("inf", "pressure must be finite, got inf"),
+        ("0", "pressure must be > 0")])
+    def test_bad_pressure_usage_error(self, runner, value, message):
+        result = run(runner, "validate", "--pressure", value)
+        assert result.exit_code == 2
+        assert message in result.output
+        assert "PASS" not in result.output
+
+    def test_ladder_ends_at_config_grid_nodes(self, runner, tmp_path):
+        doc = json.loads(resources.files("touchcap.data")
+                         .joinpath("default_device.json").read_text())
+        doc["solver"]["grid_nodes"] = 401
+        config = tmp_path / "device.json"
+        config.write_text(json.dumps(doc))
+        result = run(runner, "--config", config, "validate")
+        assert result.exit_code == 0, result.output
+        nodes = [int(line.split()[0]) for line in result.output.splitlines()
+                 if line.split() and line.split()[0].isdigit()]
+        assert nodes == [101, 201, 401]
+
 
 class TestFit:
     def test_bundled_fixture_recovers_gap(self, runner, tmp_path):

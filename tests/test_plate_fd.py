@@ -1,8 +1,40 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from touchcap import plate_fd
+from touchcap import cli, plate_fd
 from touchcap.plate_fd import RadialGrid
+
+
+def dense_oracle(n: int, load: float) -> np.ndarray:
+    """The dr^4-scaled stencil assembled row by row into a dense matrix.
+
+    Ghost nodes fold by index as the dense solver before the banded one
+    did.  Entries are formed in np.longdouble and LAPACK's pivoted solve
+    takes one refinement step with a np.longdouble residual, so it
+    targets the same operator as the banded solve.
+    """
+    dense = np.zeros((n, n), dtype=np.longdouble)
+    dense[0, :3] = np.array([48, -64, 16], dtype=np.longdouble) / 3
+    for i in range(1, n - 1):
+        r = np.longdouble(i)  # r / dr
+        row = (np.array([1, -4, 6, -4, 1]) + (2 / r) * np.array([-1, 2, 0, -2, 1]) / 2
+               - np.array([0, 1, -2, 1, 0]) / r**2
+               + np.array([0, -1, 0, 1, 0]) / (2 * r**3))
+        for k in range(-2, 3):
+            j = i + k
+            if j == -1:
+                j = 1  # symmetry ghost: w(-dr) = w(dr)
+            elif j == n:
+                j = n - 2  # clamped-edge ghost: w'(R) = 0
+            dense[i, j] += row[k + 2]
+    dense[n - 1, n - 1] = 1
+    rhs = np.full(n, load)
+    rhs[-1] = 0.0
+    x = np.linalg.solve(dense.astype(float), rhs)
+    return x + np.linalg.solve(dense.astype(float), (rhs - dense @ x).astype(float))
 
 
 class TestGrid:
@@ -72,6 +104,32 @@ class TestSolvePlate:
             plate_fd.solve_plate(scaled_geometry, -1.0,
                                  RadialGrid(51, scaled_geometry.radius))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_pressure(self, scaled_geometry, bad):
+        with pytest.raises(ValueError, match=f"pressure must be finite, got {bad}"):
+            plate_fd.solve_plate(scaled_geometry, bad,
+                                 RadialGrid(51, scaled_geometry.radius))
+
+    @pytest.mark.parametrize("n", [16, 17, 31, 51, 100, 201, 401])
+    def test_banded_matches_dense_oracle(self, scaled_geometry, n):
+        grid = RadialGrid(n, scaled_geometry.radius)
+        sol = plate_fd.solve_plate(scaled_geometry, 10e3, grid)
+        load = 10e3 / scaled_geometry.flexural_rigidity * grid.spacing**4
+        expected = dense_oracle(n, load)
+        assert sol.deflection[:-1] == pytest.approx(expected[:-1], rel=1e-9, abs=0)
+        assert sol.deflection[-1] == expected[-1] == 0.0
+
+    def test_memory_linear_in_nodes(self, scaled_geometry):
+        grid = RadialGrid(3201, scaled_geometry.radius)
+        tracemalloc.start()
+        try:
+            plate_fd.solve_plate(scaled_geometry, 10e3, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One dense 3201 x 3201 matrix of doubles alone would take 82 MB.
+        assert peak < 4e6
+
     def test_csv_export(self, scaled_geometry):
         sol = plate_fd.solve_plate(scaled_geometry, 10e3,
                                    RadialGrid(51, scaled_geometry.radius))
@@ -107,6 +165,19 @@ class TestConvergence:
     def test_rejects_unsorted_counts(self, scaled_geometry):
         with pytest.raises(ValueError):
             plate_fd.convergence_study(scaled_geometry, 10e3, [101, 51])
+
+    def test_order_401_to_801(self, scaled_geometry):
+        rows = plate_fd.convergence_study(scaled_geometry, 10e3, [401, 801])
+        assert plate_fd.observed_orders(rows)[0] >= cli.VALIDATE_MIN_ORDER
+
+    @pytest.mark.parametrize("bad,message", [
+        (math.nan, "pressure must be finite, got nan"),
+        (math.inf, "pressure must be finite, got inf"),
+        (0.0, "pressure must be > 0"),
+        (-1.0, "pressure must be >= 0")])
+    def test_rejects_bad_pressure(self, scaled_geometry, bad, message):
+        with pytest.raises(ValueError, match=message):
+            plate_fd.convergence_study(scaled_geometry, bad, [51, 101])
 
 
 class TestLinearity:
