@@ -34,6 +34,17 @@ MIN_GAP = 2
 # This settles the knots of a series that every triple fits exactly: for a
 # straight line, a knot at the search edge.
 SSE_TIE_ULPS = 16
+# Damped steps a fit may try before it reports no convergence.
+MAX_FIT_ITERATIONS = 100
+# Fit stopping rules, on parameters scaled to [0, 1] by their bounds: a
+# step that moves no parameter further, or an accepted step that lowers
+# the SSE by at most this fraction of it.
+FIT_STEP_TOL = 1e-10
+FIT_SSE_RTOL = 1e-12
+# Forward-difference step of the fit Jacobian in scaled parameters, and
+# the Marquardt damping of the first step.
+FIT_JACOBIAN_STEP = 1e-7
+FIT_DAMPING_START = 1e-3
 
 
 @dataclass(frozen=True)
@@ -160,19 +171,32 @@ def model_capacitances(geom: DeviceGeometry, pressures: np.ndarray) -> np.ndarra
 
 def fit_model(data: MeasuredSeries, geom0: DeviceGeometry,
               free_params: list[str],
-              bounds: dict[str, tuple[float, float]],
-              max_iterations: int = 2000) -> FitResult:
+              bounds: dict[str, tuple[float, float]]) -> FitResult:
     """Fit geometry parameters to measured C-P data.
 
-    Minimizes the RMS capacitance error of the forward model by
-    Nelder-Mead simplex with bound clamping.  The initial simplex is built
-    deterministically from the starting geometry and the bounds, so
-    identical inputs give identical results.  A trial point where the
-    model has no value (a ValueError, or a SweepPointError such as contact
-    without a dielectric) scores infinity; any other error propagates.
-    """
-    from scipy import optimize
+    Minimizes the sum of squared capacitance errors of the forward model
+    by bounded Levenberg-Marquardt (More, LNM 630, 1978; Nocedal & Wright,
+    ch. 10) on the parameters scaled to [0, 1] by their bounds:
 
+    - the Jacobian is a forward difference, one array evaluation per free
+      column, stepping backward at the upper bound;
+    - the damping is Marquardt's diagonal of J^T J, raised tenfold on a
+      rejected step and lowered tenfold on an accepted one;
+    - each trial point is projected onto the bounds, and a parameter on a
+      bound whose gradient points outward is held there.
+
+    The fit has converged when a step moves no scaled parameter by more
+    than ``FIT_STEP_TOL`` or lowers the SSE by at most ``FIT_SSE_RTOL`` of
+    it, or when every parameter is held; ``converged`` is False only when
+    ``MAX_FIT_ITERATIONS`` damped steps were tried first.  Identical
+    inputs give identical results.
+
+    A trial point where the model has no value (a ValueError, or a
+    SweepPointError such as contact without a dielectric) is rejected, and
+    a Jacobian column without one steps the other way; any other error
+    propagates.  Raises ValueError, naming the pressure, if the model has
+    no value at the starting point.
+    """
     if data.kind != "pressure":
         raise ValueError("fit_model needs pressure-capacitance data")
     if len(data) < 4:
@@ -195,45 +219,94 @@ def fit_model(data: MeasuredSeries, geom0: DeviceGeometry,
         "dielectric_rel_permittivity": geom0.dielectric_rel_permittivity,
         "parasitic_offset": 0.0,
     }
-    lo = np.array([bounds[n][0] for n in free_params])
-    hi = np.array([bounds[n][1] for n in free_params])
+    lo = np.array([bounds[n][0] for n in free_params], dtype=float)
+    hi = np.array([bounds[n][1] for n in free_params], dtype=float)
     x0 = np.clip([start[n] for n in free_params], lo, hi)
-    scale = hi - lo
 
-    measured = data.capacitance
+    def params_at(z: np.ndarray) -> dict[str, float]:
+        # Exact at both bounds: z = 0 gives lo and z = 1 gives hi.
+        return dict(zip(free_params, (lo * (1.0 - z) + hi * z).tolist()))
 
-    def objective(x: np.ndarray) -> float:
-        x = np.clip(x, lo, hi)
-        params = dict(zip(free_params, x))
-        geom, offset = apply_params(geom0, params)
+    def residuals(z: np.ndarray) -> np.ndarray:
+        geom, offset = apply_params(geom0, params_at(z))
+        return model_capacitances(geom, data.abscissa) + offset - data.capacitance
+
+    def trial(z: np.ndarray) -> np.ndarray | None:
         try:
-            model = model_capacitances(geom, data.abscissa) + offset
+            return residuals(z)
         except (ValueError, cap.SweepPointError):
-            return np.inf
-        return float(np.sqrt(np.mean((model - measured)**2)))
+            return None
 
-    # Deterministic initial simplex: start point plus 5% of each bound span.
-    simplex = [x0]
-    for k in range(len(free_params)):
-        vertex = x0.copy()
-        step = 0.05 * scale[k]
-        vertex[k] = vertex[k] + step if vertex[k] + step <= hi[k] else vertex[k] - step
-        simplex.append(vertex)
+    z = (x0 - lo) / (hi - lo)
+    try:
+        r = residuals(z)
+    except cap.SweepPointError as exc:
+        raise ValueError(f"the model has no value at the starting point: "
+                         f"P = {exc.pressure} Pa: {exc.cause}") from exc
+    sse = float(r @ r)
+    damping = FIT_DAMPING_START
+    jac = None
+    iterations = 0
+    converged = False
+    while iterations < MAX_FIT_ITERATIONS:
+        if jac is None:
+            jac = _jacobian(trial, z, r)
+            grad = jac.T @ r
+            held = ((z <= 0.0) & (grad > 0.0)) | ((z >= 1.0) & (grad < 0.0))
+            free = np.flatnonzero(~held)
+            if not len(free):
+                converged = True
+                break
+            scale = np.sqrt(np.einsum("ij,ij->j", jac[:, free], jac[:, free]))
+        # Damped Gauss-Newton step: min |J d + r|^2 + damping |diag(J^T J)^(1/2) d|^2.
+        system = np.vstack([jac[:, free], np.diag(np.sqrt(damping) * scale)])
+        rhs = np.concatenate([-r, np.zeros(len(free))])
+        step = np.zeros_like(z)
+        step[free] = np.linalg.lstsq(system, rhs, rcond=None)[0]
+        z_new = np.clip(z + step, 0.0, 1.0)
+        if np.max(np.abs(z_new - z)) <= FIT_STEP_TOL:
+            converged = True
+            break
+        iterations += 1
+        r_new = trial(z_new)
+        sse_new = float(r_new @ r_new) if r_new is not None else math.inf
+        if sse_new < sse:
+            drop = sse - sse_new
+            z, r, sse = z_new, r_new, sse_new
+            jac = None
+            damping /= 10.0
+            if drop <= FIT_SSE_RTOL * (sse + drop):
+                converged = True
+                break
+        else:
+            damping *= 10.0
 
-    result = optimize.minimize(
-        objective, x0, method="Nelder-Mead",
-        options={"initial_simplex": np.array(simplex),
-                 "xatol": 1e-10 * float(np.max(scale)),
-                 "fatol": 1e-18, "maxiter": max_iterations,
-                 "maxfev": 4 * max_iterations})
-    best = np.clip(result.x, lo, hi)
-    params = {name: float(v) for name, v in zip(free_params, best)}
-    geom, offset = apply_params(geom0, params)
-    resid = model_capacitances(geom, data.abscissa) + offset - measured
+    params = params_at(z)
     return FitResult(params=params,
-                     residual_norm=float(np.sqrt(np.mean(resid**2))),
-                     iterations=int(result.nit),
-                     converged=bool(result.success))
+                     residual_norm=float(np.sqrt(sse / len(r))),
+                     iterations=iterations, converged=converged)
+
+
+def _jacobian(trial, z: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobian of the residuals in scaled parameters.
+
+    Column j steps z_j by ``FIT_JACOBIAN_STEP``, backward at the upper
+    bound or where the forward point has no model value; a column with no
+    value either way is zero, which leaves that parameter unmoved.
+    """
+    jac = np.zeros((len(r), len(z)))
+    for j in range(len(z)):
+        h = FIT_JACOBIAN_STEP if z[j] + FIT_JACOBIAN_STEP <= 1.0 else -FIT_JACOBIAN_STEP
+        for step in (h, -h):
+            moved = z.copy()
+            moved[j] += step
+            if not 0.0 <= moved[j] <= 1.0:
+                continue
+            r_step = trial(moved)
+            if r_step is not None:
+                jac[:, j] = (r_step - r) / step
+                break
+    return jac
 
 
 def _piecewise_design(p: np.ndarray, b1: float, b2: float, b3: float) -> np.ndarray:

@@ -6,8 +6,8 @@ touch the touched disk is a parallel plate through the dielectric and the
 free annulus has the same atanh form with its argument scaled by the
 contact edge (Ko & Wang, "Touch mode capacitive pressure sensors",
 Sens. Actuators A 75, 1999).  The expression is array-valued, so a sweep,
-a fit objective or a servo table is one numpy evaluation.  Adaptive
-quadrature of the integrals is kept as the test oracle for both forms.
+a fit objective or a servo table is one numpy evaluation.  The tests
+check both forms against adaptive quadrature of the integrals.
 """
 
 from __future__ import annotations
@@ -25,10 +25,6 @@ from .mechanics import (DeviceGeometry, DeflectionState, ModeThresholds,
                         OperatingMode)
 
 EPSILON_0 = 8.8541878128e-12  # F/m
-
-# Oracle quadrature tolerance: the integrand steepens sharply as W0
-# approaches the electrical gap.
-QUAD_REL_TOL = 1e-10
 
 
 class TouchStateError(ValueError):
@@ -198,13 +194,6 @@ def _evaluate_all(geom: DeviceGeometry, pressures: np.ndarray) -> tuple[np.ndarr
     return w0, disk + annulus
 
 
-def _gap_density(geom: DeviceGeometry, deflection: float) -> float:
-    """Local electrical separation under a diaphragm deflected by ``deflection``."""
-    t1 = geom.dielectric_thickness
-    air = geom.travel - deflection
-    return air / geom.medium_rel_permittivity + t1 / geom.dielectric_rel_permittivity
-
-
 def normal_mode_capacitance(geom: DeviceGeometry, state: DeflectionState) -> float:
     """Closed-form pre-touch capacitance.
 
@@ -224,25 +213,6 @@ def _normal_mode_closed_form(geom: DeviceGeometry, w0: float) -> float:
         raise ValueError("center deflection must be >= 0")
     _, annulus, _ = _parts(geom, w0, 1.0)
     return float(annulus)
-
-
-def _quadrature(geom: DeviceGeometry, profile, r_min: float) -> float:
-    """Adaptive quadrature of 2 pi eps0 r dr / gap(r) over r_min <= r <= R."""
-    from scipy import integrate
-
-    def integrand(r: float) -> float:
-        return 2.0 * math.pi * EPSILON_0 * r / _gap_density(geom, profile(r))
-
-    value, _ = integrate.quad(integrand, r_min, geom.radius, epsrel=QUAD_REL_TOL,
-                              epsabs=0.0, limit=200)
-    return value
-
-
-def normal_mode_capacitance_quadrature(geom: DeviceGeometry, w0: float) -> float:
-    """Test oracle: adaptive quadrature of the pre-touch capacitance integral."""
-    if w0 / geom.medium_rel_permittivity >= electrical_gap(geom):
-        raise TouchStateError(_AT_GAP)
-    return _quadrature(geom, lambda r: w0 * (1.0 - (r / geom.radius) ** 2) ** 2, 0.0)
 
 
 def post_touch_profile(geom: DeviceGeometry, a: float, r: float) -> float:
@@ -267,21 +237,6 @@ def touch_mode_capacitance(geom: DeviceGeometry, pressure: float) -> Capacitance
     if u >= 1.0:
         raise TouchStateError("touch-mode capacitance requires a touched state")
     return CapacitanceBreakdown(total=disk + annulus, touched_part=disk,
-                                untouched_part=annulus)
-
-
-def touch_mode_capacitance_quadrature(geom: DeviceGeometry,
-                                      pressure: float) -> CapacitanceBreakdown:
-    """Test oracle: the touch-mode annulus integrated by adaptive quadrature in r."""
-    a = mechanics.contact_radius(geom, pressure)
-    if a <= 0.0:
-        raise TouchStateError("touch-mode capacitance requires a touched state")
-    if geom.dielectric_thickness == 0.0:
-        raise ValueError(_NO_DIELECTRIC)
-    touched = (EPSILON_0 * geom.dielectric_rel_permittivity * math.pi * a**2
-               / geom.dielectric_thickness)
-    annulus = _quadrature(geom, lambda r: post_touch_profile(geom, a, r), a)
-    return CapacitanceBreakdown(total=touched + annulus, touched_part=touched,
                                 untouched_part=annulus)
 
 

@@ -21,6 +21,8 @@ from touchcap.materials import DEFAULT_ALUMINUM, DEFAULT_POLYIMIDE, Laminate
 from touchcap.mechanics import DeviceGeometry
 from touchcap.servo import servo_angle
 
+import oracles
+
 
 def report(n, ok, detail=""):
     verdict = "PASS" if ok else "FAIL"
@@ -79,7 +81,7 @@ def test_criterion_04_capacitance_oracle_equivalence():
             dielectric_rel_permittivity=float(rng.uniform(1.5, 8.0)))
         w0 = float(rng.uniform(0.01, 0.95)) * cap.electrical_gap(geom)
         closed = cap._normal_mode_closed_form(geom, w0)
-        quad = cap.normal_mode_capacitance_quadrature(geom, w0)
+        quad = oracles.normal_mode_capacitance_quadrature(geom, w0)
         worst = max(worst, abs(closed - quad) / quad)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-9 and elapsed < 2.0

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -8,6 +9,57 @@ from hypothesis import assume, given, settings, strategies as st
 
 from touchcap import calibration as cal, capacitance as cap, mechanics
 from touchcap.calibration import MeasuredSeries
+
+# The free-parameter sets the CLI benchmark fits to the bundled series.
+CLI_FREE_SETS = (("gap",), ("builtin_stress",), ("dielectric_rel_permittivity",),
+                 ("gap", "builtin_stress"), ("gap", "parasitic_offset"),
+                 ("gap", "dielectric_thickness"),
+                 ("gap", "dielectric_rel_permittivity"))
+
+
+@pytest.fixture(scope="module")
+def bundled_series():
+    text = resources.files("touchcap.data").joinpath("synthetic_fit.csv").read_text()
+    return MeasuredSeries.from_csv(text)
+
+
+def nelder_mead_fit(data, geom0, free_params, bounds):
+    """Oracle: scipy's Nelder-Mead on the RMS error, clamped to the bounds.
+
+    Returns the parameters and the RMS error at them.
+    """
+    from scipy import optimize
+
+    start = {"gap": geom0.gap, "builtin_stress": geom0.builtin_stress,
+             "dielectric_thickness": geom0.dielectric_thickness,
+             "dielectric_rel_permittivity": geom0.dielectric_rel_permittivity,
+             "parasitic_offset": 0.0}
+    lo = np.array([bounds[n][0] for n in free_params])
+    hi = np.array([bounds[n][1] for n in free_params])
+    x0 = np.clip([start[n] for n in free_params], lo, hi)
+
+    def rms(x):
+        geom, offset = cal.apply_params(geom0, dict(zip(free_params, np.clip(x, lo, hi))))
+        try:
+            model = cal.model_capacitances(geom, data.abscissa) + offset
+        except (ValueError, cap.SweepPointError):
+            return np.inf
+        return float(np.sqrt(np.mean((model - data.capacitance) ** 2)))
+
+    simplex = [x0]
+    for k in range(len(free_params)):
+        vertex = x0.copy()
+        step = 0.05 * (hi[k] - lo[k])
+        vertex[k] += step if vertex[k] + step <= hi[k] else -step
+        simplex.append(vertex)
+    result = optimize.minimize(
+        rms, x0, method="Nelder-Mead",
+        options={"initial_simplex": np.array(simplex),
+                 "xatol": 1e-10 * float(np.max(hi - lo)), "fatol": 1e-18,
+                 "maxiter": 2000, "maxfev": 8000})
+    assert result.success
+    best = np.clip(result.x, lo, hi)
+    return dict(zip(free_params, best.tolist())), rms(best)
 
 
 class TestMeasuredSeries:
@@ -119,6 +171,44 @@ class TestFitModel:
             cal.model_capacitances(bare_geometry, np.array([0.0, 2.0 * p_on]))
         assert err.value.index == 1
         assert "dielectric" in str(err.value.cause)
+
+    @pytest.mark.parametrize("free", CLI_FREE_SETS, ids="+".join)
+    def test_matches_nelder_mead_oracle(self, bundled_series, default_geometry,
+                                        config, free):
+        bounds = config.solver.fit_bounds
+        result = cal.fit_model(bundled_series, default_geometry, list(free), bounds)
+        want, want_rms = nelder_mead_fit(bundled_series, default_geometry, free,
+                                         bounds)
+        assert result.converged
+        assert result.residual_norm <= want_rms * (1.0 + 1e-9)
+        for name in free:
+            lo, hi = bounds[name]
+            assert abs(result.params[name] - want[name]) <= 1e-6 * (hi - lo), name
+
+    def test_few_iterations(self, bundled_series, default_geometry, config):
+        result = cal.fit_model(bundled_series, default_geometry,
+                               ["gap", "builtin_stress"], config.solver.fit_bounds)
+        assert result.converged
+        assert result.iterations <= 20
+
+    def test_active_upper_bound_held_exactly(self, default_geometry, config):
+        bounds = config.solver.fit_bounds
+        lo, hi = bounds["gap"]
+        p = np.linspace(500.0, 8e3, 8)
+        data = MeasuredSeries(
+            p, cal.model_capacitances(replace(default_geometry, gap=1.2 * hi), p))
+        result = cal.fit_model(data, default_geometry, ["gap"], bounds)
+        assert result.converged
+        assert result.params["gap"] == hi
+
+    def test_start_without_model_value_names_pressure(self, bare_geometry,
+                                                      config):
+        # No dielectric: every sample past touch has no capacitance.
+        p_on = mechanics.touch_onset_pressure(bare_geometry)
+        p = np.array([0.5, 1.5, 2.0, 2.5]) * p_on
+        data = MeasuredSeries(p, np.full(4, 7e-12))
+        with pytest.raises(ValueError, match=f"P = {float(p[1])} Pa: .*dielectric"):
+            cal.fit_model(data, bare_geometry, ["gap"], config.solver.fit_bounds)
 
     def test_deterministic(self, default_geometry, config):
         p = np.linspace(500.0, 8e3, 6)

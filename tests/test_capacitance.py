@@ -12,11 +12,13 @@ from touchcap import mechanics
 from touchcap.capacitance import EPSILON_0, SweepPointError, TouchStateError
 from touchcap.mechanics import DeflectionState, DeflectionRegime, OperatingMode
 
+import oracles
+
 # Frozen quadrature-oracle goldens: annulus of the 50 um dielectric profile
 # at contact radius a = R/2 (R = 1 cm, gap = 450 um, eps = 3.4).  The
 # annulus value is the quadrature in u = 1 - (r/R)^2 of
 # pi eps0 R^2 du / (d_e - W(u)/eps_r) at epsrel 1e-13, independent of the
-# package's r-quadrature and closed form (which agree with it to 2e-15).
+# r-quadrature oracle and the closed form (which agree with it to 2e-15).
 GOLDEN_TOUCHED_HALF_R = 4.728762735653449e-11
 GOLDEN_ANNULUS_HALF_R = 1.205684036802106e-11
 
@@ -62,7 +64,7 @@ class TestNormalMode:
     def test_half_gap_matches_quadrature(self, bare_geometry):
         w0 = 0.5 * cap.electrical_gap(bare_geometry)
         closed = cap.normal_mode_capacitance(bare_geometry, untouched_state(w0))
-        quad = cap.normal_mode_capacitance_quadrature(bare_geometry, w0)
+        quad = oracles.normal_mode_capacitance_quadrature(bare_geometry, w0)
         assert closed == pytest.approx(quad, rel=1e-9, abs=0)
 
     def test_strictly_increasing_in_deflection(self, bare_geometry):
@@ -129,10 +131,10 @@ class TestTouchMode:
     def test_quadrature_oracle_rejects_wrong_regime(self, default_geometry,
                                                     bare_geometry):
         with pytest.raises(TouchStateError):
-            cap.touch_mode_capacitance_quadrature(default_geometry, 100.0)
+            oracles.touch_mode_capacitance_quadrature(default_geometry, 100.0)
         p = mechanics.touch_onset_pressure(bare_geometry) * 2.0
         with pytest.raises(ValueError):
-            cap.touch_mode_capacitance_quadrature(bare_geometry, p)
+            oracles.touch_mode_capacitance_quadrature(bare_geometry, p)
 
 
 @settings(max_examples=60)
@@ -148,7 +150,7 @@ def test_touch_closed_form_matches_quadrature(default_laminate, radius, gap,
     w0 = geom.travel / (1.0 - a_frac**2) ** 2
     p = mechanics.pressure_for_center_deflection(geom, w0)
     closed = cap.touch_mode_capacitance(geom, p)
-    quad = cap.touch_mode_capacitance_quadrature(geom, p)
+    quad = oracles.touch_mode_capacitance_quadrature(geom, p)
     assert closed.touched_part == pytest.approx(quad.touched_part, rel=1e-9, abs=0)
     assert closed.untouched_part == pytest.approx(quad.untouched_part, rel=1e-9,
                                                   abs=0)
@@ -290,5 +292,5 @@ def test_oracle_equivalence_random_cases():
             dielectric_rel_permittivity=float(rng.uniform(1.5, 8.0)))
         w0 = float(rng.uniform(0.01, 0.95)) * cap.electrical_gap(geom)
         closed = cap._normal_mode_closed_form(geom, w0)
-        quad = cap.normal_mode_capacitance_quadrature(geom, w0)
+        quad = oracles.normal_mode_capacitance_quadrature(geom, w0)
         assert closed == pytest.approx(quad, rel=1e-9, abs=0)

@@ -140,6 +140,23 @@ class TestFit:
         result = run(runner, "fit", tmp_path / "nope.csv")
         assert result.exit_code == 3
 
+    def test_start_without_model_value_usage_error(self, runner, tmp_path):
+        # The airgap profile has no dielectric, so no touched sample has a
+        # capacitance at its bundled gap.
+        result = run(runner, "fit", FIXTURE, "--profile", "airgap",
+                     "--output", tmp_path / "fit.json")
+        assert result.exit_code == 2
+        assert "no value at the starting point: P = 3000.0 Pa" in result.output
+        assert "dielectric" in result.output
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_airgap_fits_dielectric_thickness(self, runner, tmp_path):
+        out = tmp_path / "fit.json"
+        result = run(runner, "fit", FIXTURE, "--profile", "airgap",
+                     "--free", "dielectric_thickness", "--output", out)
+        assert result.exit_code == 0, result.output
+        assert json.loads(out.read_text())["converged"]
+
 
 class TestServo:
     def test_endpoint_angles(self, runner, tmp_path):
@@ -218,12 +235,49 @@ class TestConfigHandling:
         assert "default" in result.output
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is needed only by fit_model and the test oracles.
+# Runs each command through the CLI with scipy made unimportable and
+# prints their exit codes.
+SCIPY_BLOCKED_COMMANDS = """
+import json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+from touchcap.cli import main
+
+codes = []
+for args in json.loads(sys.argv[1]):
+    try:
+        main(args)
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps(codes))
+"""
+
+
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # scipy is needed only by the test oracles.
     src = str(Path(touchcap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
     code = ("import sys, touchcap.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": src})
+                          text=True, check=True, env=env)
     assert proc.stdout.strip() == "[]"
+
+    commands = [
+        ["--quiet", "fit", str(FIXTURE), "--free", "gap", "--free", "builtin_stress"],
+        ["--quiet", "sweep", "--steps", "31"],
+        ["--quiet", "servo", "12000", "30000"],
+        ["--quiet", "modes", str(FIXTURE)],
+        ["--quiet", "validate"],
+    ]
+    proc = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED_COMMANDS,
+                           json.dumps(commands)], capture_output=True, text=True,
+                          env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0] * len(commands), proc.stderr
