@@ -304,7 +304,7 @@ def _jacobian(trial, z: np.ndarray, r: np.ndarray) -> np.ndarray:
                 continue
             r_step = trial(moved)
             if r_step is not None:
-                jac[:, j] = (r_step - r) / step
+                jac[:, j] = (r_step - r) / (moved[j] - z[j])
                 break
     return jac
 
