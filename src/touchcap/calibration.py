@@ -281,8 +281,7 @@ def fit_model(data: MeasuredSeries, geom0: DeviceGeometry,
         else:
             damping *= 10.0
 
-    params = params_at(z)
-    return FitResult(params=params,
+    return FitResult(params=params_at(z),
                      residual_norm=float(np.sqrt(sse / len(r))),
                      iterations=iterations, converged=converged)
 
