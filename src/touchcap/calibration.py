@@ -3,9 +3,10 @@
 Reads named float columns of headed CSV files (``csv_columns``, the one
 reader behind ``MeasuredSeries.from_csv`` and the CLI's pressure lists).
 Fits forward-model parameters to measured capacitance-pressure samples by
-derivative-free simplex minimization, finds the SSE-optimal continuous
-4-piece linear fit of a measured curve by an exact search over every
-knot triple (one rank-one update per triple, O(n^2) memory), and
+bounded Levenberg-Marquardt in numpy alone (one array evaluation of the
+model per trial point and per Jacobian column), finds the SSE-optimal
+continuous 4-piece linear fit of a measured curve by an exact search over
+every knot triple (one rank-one update per triple, O(n^2) memory), and
 extracts sensitivity, linearity and 10-90% rise time.  The fit's knots
 coincide with operating-mode boundaries only where the curve changes
 slope there; mode labels come from ``mechanics.classify_mode``.
@@ -295,8 +296,7 @@ def _jacobian(trial, z: np.ndarray, r: np.ndarray) -> np.ndarray:
     """
     jac = np.zeros((len(r), len(z)))
     for j in range(len(z)):
-        h = FIT_JACOBIAN_STEP if z[j] + FIT_JACOBIAN_STEP <= 1.0 else -FIT_JACOBIAN_STEP
-        for step in (h, -h):
+        for step in (FIT_JACOBIAN_STEP, -FIT_JACOBIAN_STEP):
             moved = z.copy()
             moved[j] += step
             if not 0.0 <= moved[j] <= 1.0:

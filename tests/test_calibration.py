@@ -39,7 +39,8 @@ def nelder_mead_fit(data, geom0, free_params, bounds):
     x0 = np.clip([start[n] for n in free_params], lo, hi)
 
     def rms(x):
-        geom, offset = cal.apply_params(geom0, dict(zip(free_params, np.clip(x, lo, hi))))
+        params = dict(zip(free_params, np.clip(x, lo, hi)))
+        geom, offset = cal.apply_params(geom0, params)
         try:
             model = cal.model_capacitances(geom, data.abscissa) + offset
         except (ValueError, cap.SweepPointError):
@@ -165,6 +166,30 @@ class TestFitModel:
                                config.solver.fit_bounds)
         assert result.converged
 
+    def test_trial_without_model_value_is_rejected(self, default_geometry,
+                                                   config, monkeypatch):
+        # Calls: the start, one Jacobian column, then the first trial step.
+        p = np.linspace(500.0, 8e3, 8)
+        truth = replace(default_geometry, gap=4.1e-4)
+        data = MeasuredSeries(p, cal.model_capacitances(truth, p))
+        bounds = config.solver.fit_bounds
+        want = cal.fit_model(data, default_geometry, ["gap"], bounds)
+        real = cal.model_capacitances
+        calls = []
+
+        def outside(geom, pressures):
+            calls.append(1)
+            if len(calls) == 3:
+                raise cap.SweepPointError(0, 500.0, ValueError("no value"))
+            return real(geom, pressures)
+
+        monkeypatch.setattr(cal, "model_capacitances", outside)
+        result = cal.fit_model(data, default_geometry, ["gap"], bounds)
+        assert result.converged
+        assert result.iterations > want.iterations
+        assert result.params["gap"] == pytest.approx(want.params["gap"], rel=1e-9,
+                                                     abs=0)
+
     def test_model_capacitances_reports_point(self, bare_geometry):
         p_on = mechanics.touch_onset_pressure(bare_geometry)
         with pytest.raises(cap.SweepPointError) as err:
@@ -193,13 +218,25 @@ class TestFitModel:
 
     def test_active_upper_bound_held_exactly(self, default_geometry, config):
         bounds = config.solver.fit_bounds
-        lo, hi = bounds["gap"]
+        hi = bounds["gap"][1]
         p = np.linspace(500.0, 8e3, 8)
         data = MeasuredSeries(
             p, cal.model_capacitances(replace(default_geometry, gap=1.2 * hi), p))
         result = cal.fit_model(data, default_geometry, ["gap"], bounds)
         assert result.converged
         assert result.params["gap"] == hi
+        # With the gap held on its bound, the stress is fitted as if the gap
+        # were fixed there.
+        truth = replace(default_geometry, gap=1.02 * hi, builtin_stress=5e6)
+        data = MeasuredSeries(p, cal.model_capacitances(truth, p))
+        both = cal.fit_model(data, default_geometry, ["gap", "builtin_stress"],
+                             bounds)
+        fixed = cal.fit_model(data, replace(default_geometry, gap=hi),
+                              ["builtin_stress"], bounds)
+        assert both.converged
+        assert both.params["gap"] == hi
+        assert both.params["builtin_stress"] == pytest.approx(
+            fixed.params["builtin_stress"], rel=1e-6, abs=0)
 
     def test_start_without_model_value_names_pressure(self, bare_geometry,
                                                       config):
