@@ -12,8 +12,6 @@ check both forms against adaptive quadrature of the integrals.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -25,6 +23,10 @@ from .mechanics import (DeviceGeometry, DeflectionState, ModeThresholds,
                         OperatingMode)
 
 EPSILON_0 = 8.8541878128e-12  # F/m
+
+# Export label of each operating mode, indexed by its OperatingMode value.
+MODE_LABELS = tuple(m.name.lower() for m in OperatingMode)
+_MODES = tuple(OperatingMode)
 
 
 class TouchStateError(ValueError):
@@ -61,22 +63,27 @@ class CPCurve:
         return [p.capacitance for p in self.points]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["pressure_pa", "capacitance_f", "mode"])
-        for p in self.points:
-            writer.writerow([repr(p.pressure), repr(p.capacitance), p.mode.name.lower()])
-        return buf.getvalue()
+        """Header plus one ``pressure,capacitance,mode`` row per point.
+
+        Floats are written by ``repr``, their shortest round-trip form.  No
+        field can hold a comma, quote or newline, so nothing is quoted.
+        """
+        return "pressure_pa,capacitance_f,mode\n" + "".join([
+            f"{p.pressure!r},{p.capacitance!r},{MODE_LABELS[p.mode]}\n"
+            for p in self.points])
 
     def to_json(self, geom: DeviceGeometry | None = None,
                 thresholds: ModeThresholds | None = None) -> str:
+        """The curve as a JSON document indented by two spaces.
+
+        ``json.dumps`` writes everything but the points, whose array is
+        spliced in from a fixed per-point template: for a finite float
+        ``repr`` is exactly what ``json`` writes.  Non-finite values are
+        not valid JSON, and a sweep never produces them.
+        """
         doc: dict = {
             "geometry_id": self.geometry_id,
-            "points": [
-                {"pressure_pa": p.pressure, "capacitance_f": p.capacitance,
-                 "mode": p.mode.name.lower()}
-                for p in self.points
-            ],
+            "points": [],
         }
         if geom is not None:
             doc["geometry"] = {
@@ -98,7 +105,17 @@ class CPCurve:
                 "touch_onset_fraction": thresholds.touch_onset_fraction,
                 "saturation_fraction": thresholds.saturation_fraction,
             }
-        return json.dumps(doc, indent=2) + "\n"
+        text = json.dumps(doc, indent=2) + "\n"
+        if not self.points:
+            return text
+        points = ",\n".join([
+            f'    {{\n      "pressure_pa": {p.pressure!r},\n'
+            f'      "capacitance_f": {p.capacitance!r},\n'
+            f'      "mode": "{MODE_LABELS[p.mode]}"\n    }}'
+            for p in self.points])
+        # Only the geometry_id string comes before the key, and a JSON
+        # string holds no raw newline, so the first match is the key.
+        return text.replace('\n  "points": []', f'\n  "points": [\n{points}\n  ]', 1)
 
 
 def electrical_gap(geom: DeviceGeometry) -> float:
@@ -215,18 +232,6 @@ def _normal_mode_closed_form(geom: DeviceGeometry, w0: float) -> float:
     return float(annulus)
 
 
-def post_touch_profile(geom: DeviceGeometry, a: float, r: float) -> float:
-    """Deflection in the free annulus once touching.
-
-    The clamped-edge profile shape rescaled to meet the plate at (a, g):
-    W(r) = g [(1 - (r/R)^2) / (1 - (a/R)^2)]^2, valid for a <= r <= R.
-    Continuous with the pre-touch profile at onset (a -> 0).
-    """
-    rho2 = (r / geom.radius) ** 2
-    alpha2 = (a / geom.radius) ** 2
-    return geom.travel * ((1.0 - rho2) / (1.0 - alpha2)) ** 2
-
-
 def touch_mode_capacitance(geom: DeviceGeometry, pressure: float) -> CapacitanceBreakdown:
     """Touch-mode capacitance split into touched disk and free annulus.
 
@@ -280,7 +285,7 @@ def sweep_cp_curve(geom: DeviceGeometry, pressures: list[float],
         raise ValueError("pressures must be strictly increasing")
     w0, c = _evaluate_all(geom, p)
     points = tuple(
-        CPPoint(pressure=pi, capacitance=ci, mode=OperatingMode(m))
+        CPPoint(pressure=pi, capacitance=ci, mode=_MODES[m])
         for pi, ci, m in zip(p.tolist(), c.tolist(),
                              mechanics.mode_labels(geom, w0, thresholds).tolist()))
     return CPCurve(points=points, geometry_id=geometry_id)

@@ -138,7 +138,7 @@ def sweep(ctx: click.Context, p_start: float, p_end: float, steps: int,
         sidecar = Path(output).with_suffix(".json")
         _atomic_write(sidecar, curve.to_json(geom, cfg.thresholds))
         _echo(ctx, f"sidecar: {sidecar}")
-    modes = sorted({pt.mode.name.lower() for pt in curve.points})
+    modes = sorted({capacitance.MODE_LABELS[pt.mode] for pt in curve.points})
     _echo(ctx, f"wrote {len(curve.points)} points to {output} "
                f"(modes: {', '.join(modes)})")
 

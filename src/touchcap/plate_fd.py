@@ -17,8 +17,6 @@ dominates, so a convergence ladder is roundoff-limited past 1601 nodes.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -67,18 +65,6 @@ class PlateSolution:
     @property
     def center_deflection(self) -> float:
         return float(self.deflection[0])
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["r_m", "deflection_m", "radial_moment_n",
-                         "tangential_moment_n", "von_mises_pa"])
-        for r, w, mr, mt, vm in zip(self.grid.nodes(), self.deflection,
-                                    self.radial_moment, self.tangential_moment,
-                                    self.von_mises):
-            writer.writerow([repr(float(r)), repr(float(w)), repr(float(mr)),
-                             repr(float(mt)), repr(float(vm))])
-        return buf.getvalue()
 
 
 def _biharmonic_bands(n: int) -> np.ndarray:

@@ -1,19 +1,24 @@
-"""Adaptive-quadrature oracles for the closed-form capacitance.
+"""Independent oracles for the closed-form capacitance and the C-P exports.
 
-Each oracle integrates 2 pi eps0 r dr / gap(r) over the deflected
-profile with ``scipy.integrate.quad``, independently of the atanh closed
-form in ``touchcap.capacitance``.  scipy is a test-only dependency, so
-these live with the tests.
+The quadrature oracles integrate 2 pi eps0 r dr / gap(r) over the
+deflected profile with ``scipy.integrate.quad``, independently of the
+atanh closed form in ``touchcap.capacitance``.  scipy is a test-only
+dependency, so these live with the tests.  The export oracles write a
+``CPCurve`` through ``csv.writer`` and ``json.dumps``, the encoders that
+the template-based ``to_csv`` and ``to_json`` must match byte for byte.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 
 from scipy import integrate
 
 from touchcap import capacitance as cap, mechanics
-from touchcap.mechanics import DeviceGeometry
+from touchcap.mechanics import DeviceGeometry, ModeThresholds
 
 # The integrand steepens sharply as W0 approaches the electrical gap.
 QUAD_REL_TOL = 1e-10
@@ -44,6 +49,18 @@ def normal_mode_capacitance_quadrature(geom: DeviceGeometry, w0: float) -> float
     return _quadrature(geom, lambda r: w0 * (1.0 - (r / geom.radius) ** 2) ** 2, 0.0)
 
 
+def post_touch_profile(geom: DeviceGeometry, a: float, r: float) -> float:
+    """Deflection in the free annulus once touching.
+
+    The clamped-edge profile shape rescaled to meet the plate at (a, g):
+    W(r) = g [(1 - (r/R)^2) / (1 - (a/R)^2)]^2, valid for a <= r <= R.
+    Continuous with the pre-touch profile at onset (a -> 0).
+    """
+    rho2 = (r / geom.radius) ** 2
+    alpha2 = (a / geom.radius) ** 2
+    return geom.travel * ((1.0 - rho2) / (1.0 - alpha2)) ** 2
+
+
 def touch_mode_capacitance_quadrature(geom: DeviceGeometry,
                                       pressure: float) -> cap.CapacitanceBreakdown:
     """The touch-mode annulus integrated by adaptive quadrature in r."""
@@ -54,6 +71,50 @@ def touch_mode_capacitance_quadrature(geom: DeviceGeometry,
         raise ValueError("touched regime with zero dielectric thickness")
     touched = (cap.EPSILON_0 * geom.dielectric_rel_permittivity * math.pi * a**2
                / geom.dielectric_thickness)
-    annulus = _quadrature(geom, lambda r: cap.post_touch_profile(geom, a, r), a)
+    annulus = _quadrature(geom, lambda r: post_touch_profile(geom, a, r), a)
     return cap.CapacitanceBreakdown(total=touched + annulus, touched_part=touched,
                                     untouched_part=annulus)
+
+
+def cp_curve_csv(curve: cap.CPCurve) -> str:
+    """``CPCurve.to_csv`` written row by row through ``csv.writer``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["pressure_pa", "capacitance_f", "mode"])
+    for p in curve.points:
+        writer.writerow([repr(p.pressure), repr(p.capacitance), p.mode.name.lower()])
+    return buf.getvalue()
+
+
+def cp_curve_json(curve: cap.CPCurve, geom: DeviceGeometry | None = None,
+                  thresholds: ModeThresholds | None = None) -> str:
+    """``CPCurve.to_json`` as one ``json.dumps(indent=2)`` of the whole document."""
+    doc: dict = {
+        "geometry_id": curve.geometry_id,
+        "points": [
+            {"pressure_pa": p.pressure, "capacitance_f": p.capacitance,
+             "mode": p.mode.name.lower()}
+            for p in curve.points
+        ],
+    }
+    if geom is not None:
+        doc["geometry"] = {
+            "radius_m": geom.radius,
+            "gap_m": geom.gap,
+            "builtin_stress_pa": geom.builtin_stress,
+            "dielectric_thickness_m": geom.dielectric_thickness,
+            "dielectric_rel_permittivity": geom.dielectric_rel_permittivity,
+            "medium_rel_permittivity": geom.medium_rel_permittivity,
+            "layers": [
+                {"name": l.name, "youngs_modulus_pa": l.youngs_modulus,
+                 "poisson_ratio": l.poisson_ratio, "thickness_m": l.thickness}
+                for l in geom.laminate.layers
+            ],
+        }
+    if thresholds is not None:
+        doc["thresholds"] = {
+            "transition_fraction": thresholds.transition_fraction,
+            "touch_onset_fraction": thresholds.touch_onset_fraction,
+            "saturation_fraction": thresholds.saturation_fraction,
+        }
+    return json.dumps(doc, indent=2) + "\n"

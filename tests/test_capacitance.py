@@ -264,6 +264,36 @@ class TestSweep:
         assert len(doc["points"]) == len(default_curve.points)
 
 
+# Finite floats whose repr and json encodings could plausibly differ.
+_AWKWARD_FLOATS = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-7, 0.1 + 0.2,
+                   1e16, 1e22, -1.5e300, 123456789.0)
+
+
+@pytest.mark.parametrize("geometry_id", [
+    "", "default", 'say "hi", then \\ back', '"points": []',
+    '\n  "points": []', "\u00d810 mm \u2014 Kapton \u2603"])
+@pytest.mark.parametrize("points", ["none", "one", "all_modes", "awkward"])
+@pytest.mark.parametrize("with_geom,with_thresholds", [
+    (True, True), (False, True), (True, False), (False, False)])
+def test_exports_match_encoder_oracles(default_curve, default_geometry, config,
+                                       geometry_id, points, with_geom,
+                                       with_thresholds):
+    chosen = {
+        "none": (),
+        "one": default_curve.points[:1],
+        "all_modes": default_curve.points,
+        "awkward": tuple(cap.CPPoint(x, -x, mode)
+                         for x, mode in zip(_AWKWARD_FLOATS,
+                                            list(OperatingMode) * 3)),
+    }[points]
+    curve = cap.CPCurve(points=chosen, geometry_id=geometry_id)
+    geom = default_geometry if with_geom else None
+    thresholds = config.thresholds if with_thresholds else None
+    assert curve.to_csv() == oracles.cp_curve_csv(curve)
+    assert curve.to_json(geom, thresholds) == \
+        oracles.cp_curve_json(curve, geom, thresholds)
+
+
 @given(bad=st.sampled_from([math.nan, math.inf, -math.inf]),
        finite=st.lists(st.floats(0.0, 60e3), max_size=6, unique=True),
        where=st.integers(0, 6))

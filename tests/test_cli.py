@@ -13,6 +13,8 @@ from touchcap.cli import main
 
 FIXTURE = resources.files("touchcap.data").joinpath("synthetic_fit.csv")
 FIXTURE_TRUE_GAP = 4.2e-4
+# Sweep outputs frozen from the csv.writer / json.dumps exports.
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -75,6 +77,26 @@ class TestSweep:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.json").read_bytes() == \
             (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("stem,args,count,modes", [
+        ("default", [], 61, "normal, saturation, touch, transition"),
+        ("dielectric_50um", ["--profile", "dielectric_50um", "--steps", 31], 31,
+         "normal, saturation, touch, transition"),
+        ("below_touch", ["--p-end", 5000, "--steps", 11], 11, "normal"),
+    ])
+    def test_golden_bytes(self, runner, tmp_path, stem, args, count, modes):
+        out = tmp_path / "sweep.csv"
+        result = run(runner, "sweep", *args, "--output", out)
+        assert result.exit_code == 0, result.output
+        assert result.output == (f"sidecar: {tmp_path / 'sweep.json'}\n"
+                                 f"wrote {count} points to {out} (modes: {modes})\n")
+        golden_json = (GOLDEN / f"{stem}.json").read_bytes()
+        assert out.read_bytes() == (GOLDEN / f"{stem}.csv").read_bytes()
+        assert (tmp_path / "sweep.json").read_bytes() == golden_json
+        out = tmp_path / "only.json"
+        result = run(runner, "sweep", *args, "--format", "json", "--output", out)
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == golden_json
 
 
 class TestValidate:

@@ -130,13 +130,6 @@ class TestSolvePlate:
         # One dense 3201 x 3201 matrix of doubles alone would take 82 MB.
         assert peak < 4e6
 
-    def test_csv_export(self, scaled_geometry):
-        sol = plate_fd.solve_plate(scaled_geometry, 10e3,
-                                   RadialGrid(51, scaled_geometry.radius))
-        lines = sol.to_csv().strip().split("\n")
-        assert lines[0].startswith("r_m,deflection_m")
-        assert len(lines) == 52
-
 
 class TestConvergence:
     def test_errors_decrease_and_order(self, scaled_geometry):
