@@ -15,6 +15,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +45,9 @@ class CapacitanceBreakdown:
     untouched_part: float
 
 
-@dataclass(frozen=True)
-class CPPoint:
+class CPPoint(NamedTuple):
+    """One sample of a C-P curve: pressure (Pa), capacitance (F) and mode."""
+
     pressure: float
     capacitance: float
     mode: OperatingMode
@@ -62,24 +66,38 @@ class CPCurve:
     def capacitances(self) -> list[float]:
         return [p.capacitance for p in self.points]
 
+    @cached_property
+    def _text(self) -> tuple[list[str], list[str], list[str]]:
+        """Pressure, capacitance and mode columns as export text.
+
+        Floats are written by ``repr``, their shortest round-trip form,
+        which is also exactly what ``json`` writes for a finite float.
+        Both exports join these strings, so each float is formatted once
+        per curve.
+        """
+        if not self.points:
+            return [], [], []
+        p, c, m = zip(*self.points)
+        return list(map(repr, p)), list(map(repr, c)), list(map(MODE_LABELS.__getitem__, m))
+
     def to_csv(self) -> str:
         """Header plus one ``pressure,capacitance,mode`` row per point.
 
-        Floats are written by ``repr``, their shortest round-trip form.  No
-        field can hold a comma, quote or newline, so nothing is quoted.
+        The row text is formatted once per curve and shared with
+        ``to_json``.  No field can hold a comma, quote or newline, so
+        nothing is quoted.
         """
         return "pressure_pa,capacitance_f,mode\n" + "".join([
-            f"{p.pressure!r},{p.capacitance!r},{MODE_LABELS[p.mode]}\n"
-            for p in self.points])
+            f"{p},{c},{m}\n" for p, c, m in zip(*self._text)])
 
     def to_json(self, geom: DeviceGeometry | None = None,
                 thresholds: ModeThresholds | None = None) -> str:
         """The curve as a JSON document indented by two spaces.
 
         ``json.dumps`` writes everything but the points, whose array is
-        spliced in from a fixed per-point template: for a finite float
-        ``repr`` is exactly what ``json`` writes.  Non-finite values are
-        not valid JSON, and a sweep never produces them.
+        spliced in from a fixed per-point template filled with the text
+        ``to_csv`` also uses, formatted once per curve.  Non-finite
+        values are not valid JSON, and a sweep never produces them.
         """
         doc: dict = {
             "geometry_id": self.geometry_id,
@@ -109,10 +127,9 @@ class CPCurve:
         if not self.points:
             return text
         points = ",\n".join([
-            f'    {{\n      "pressure_pa": {p.pressure!r},\n'
-            f'      "capacitance_f": {p.capacitance!r},\n'
-            f'      "mode": "{MODE_LABELS[p.mode]}"\n    }}'
-            for p in self.points])
+            f'    {{\n      "pressure_pa": {p},\n      "capacitance_f": {c},\n'
+            f'      "mode": "{m}"\n    }}'
+            for p, c, m in zip(*self._text)])
         # Only the geometry_id string comes before the key, and a JSON
         # string holds no raw newline, so the first match is the key.
         return text.replace('\n  "points": []', f'\n  "points": [\n{points}\n  ]', 1)
@@ -284,8 +301,8 @@ def sweep_cp_curve(geom: DeviceGeometry, pressures: list[float],
     if np.any(np.diff(p) <= 0):
         raise ValueError("pressures must be strictly increasing")
     w0, c = _evaluate_all(geom, p)
-    points = tuple(
-        CPPoint(pressure=pi, capacitance=ci, mode=_MODES[m])
-        for pi, ci, m in zip(p.tolist(), c.tolist(),
-                             mechanics.mode_labels(geom, w0, thresholds).tolist()))
+    modes = map(_MODES.__getitem__, mechanics.mode_labels(geom, w0, thresholds).tolist())
+    # tuple.__new__ skips the Python-level __new__ a NamedTuple runs per point.
+    points = tuple(map(tuple.__new__, repeat(CPPoint),
+                       zip(p.tolist(), c.tolist(), modes)))
     return CPCurve(points=points, geometry_id=geometry_id)

@@ -107,7 +107,8 @@ def sweep(ctx: click.Context, p_start: float, p_end: float, steps: int,
     """Sample the capacitance-pressure curve and export plot-ready data.
 
     CSV output also writes a JSON sidecar (same stem, .json suffix) with
-    the geometry and thresholds embedded.
+    the geometry and thresholds embedded, so a CSV output path may not
+    itself end in .json.
     """
     if steps < 2:
         raise click.UsageError("--steps must be >= 2")
@@ -118,6 +119,10 @@ def sweep(ctx: click.Context, p_start: float, p_end: float, steps: int,
         raise click.UsageError("need --p-start < --p-end")
     if p_start < 0:
         raise click.UsageError("--p-start must be >= 0")
+    if fmt == "csv" and Path(output).suffix == ".json":
+        raise click.UsageError(
+            f"--output {output} is also the path of the JSON sidecar; "
+            "use --format json or an output name not ending in .json")
     cfg = _config(ctx)
     try:
         geom = cfg.geometry(profile)

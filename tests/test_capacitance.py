@@ -294,6 +294,56 @@ def test_exports_match_encoder_oracles(default_curve, default_geometry, config,
         oracles.cp_curve_json(curve, geom, thresholds)
 
 
+class TestExportText:
+    """Both exports share text formatted once per curve."""
+
+    def test_bytes_independent_of_call_order(self, default_curve, default_geometry,
+                                             config):
+        def fresh():
+            return cap.CPCurve(points=default_curve.points, geometry_id="default")
+
+        th = config.thresholds
+        json_first = fresh()
+        json_text = json_first.to_json(default_geometry, th)
+        csv_text = json_first.to_csv()
+        twice = fresh()
+        assert twice.to_csv() == twice.to_csv() == csv_text
+        assert twice.to_json(default_geometry, th) == json_text
+        other = fresh()
+        assert other.to_csv() == csv_text
+        assert other.to_json(default_geometry, th) == json_text
+
+    def test_csv_and_json_carry_the_same_float_strings(self, default_curve):
+        rows = [line.split(",") for line in default_curve.to_csv().splitlines()[1:]]
+        lines = default_curve.to_json().splitlines()
+
+        def values(key):
+            prefix = f'      "{key}": '
+            return [l[len(prefix):].rstrip(",") for l in lines if l.startswith(prefix)]
+
+        assert values("pressure_pa") == [r[0] for r in rows] == \
+            [repr(pt.pressure) for pt in default_curve.points]
+        assert values("capacitance_f") == [r[1] for r in rows] == \
+            [repr(pt.capacitance) for pt in default_curve.points]
+        assert values("mode") == [f'"{r[2]}"' for r in rows]
+
+    @pytest.mark.parametrize("field", cap.CPPoint._fields)
+    def test_point_fields_cannot_be_assigned(self, default_curve, field):
+        pt = default_curve.points[0]
+        with pytest.raises(AttributeError):
+            setattr(pt, field, 1.0)
+
+    def test_point_is_a_plain_value_tuple(self):
+        pt = cap.CPPoint(1.0, 2e-12, OperatingMode.TOUCH)
+        assert pt == (1.0, 2e-12, OperatingMode.TOUCH)
+        assert pt[2] is pt.mode is OperatingMode.TOUCH
+
+    def test_sweep_points_carry_operating_modes(self, default_curve):
+        assert all(type(pt) is cap.CPPoint and type(pt.mode) is OperatingMode
+                   for pt in default_curve.points)
+        assert {pt.mode for pt in default_curve.points} == set(OperatingMode)
+
+
 @given(bad=st.sampled_from([math.nan, math.inf, -math.inf]),
        finite=st.lists(st.floats(0.0, 60e3), max_size=6, unique=True),
        where=st.integers(0, 6))

@@ -62,6 +62,14 @@ class TestSweep:
                      "--output", tmp_path / "no" / "such" / "dir" / "x.csv")
         assert result.exit_code == 3
 
+    def test_csv_output_colliding_with_sidecar_usage_error(self, runner, tmp_path):
+        # CSV output named *.json would be overwritten by its own sidecar.
+        out = tmp_path / "out.json"
+        result = run(runner, "sweep", "--steps", 3, "--p-end", 2000, "--output", out)
+        assert result.exit_code == 2
+        assert str(out) in result.output
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag,value", [("--p-end", "inf"),
                                             ("--p-start", "nan")])
     def test_non_finite_range_usage_error(self, runner, tmp_path, flag, value):
