@@ -46,6 +46,9 @@ FIT_SSE_RTOL = 1e-12
 # the Marquardt damping of the first step.
 FIT_JACOBIAN_STEP = 1e-7
 FIT_DAMPING_START = 1e-3
+# Fractions of the step amplitude between which rise_time is measured.
+RISE_LOW = 0.1
+RISE_HIGH = 0.9
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,6 @@ class MeasuredSeries:
     abscissa: np.ndarray
     capacitance: np.ndarray
     kind: str = "pressure"  # "pressure" or "time"
-    meta: str = ""
 
     def __post_init__(self) -> None:
         x = np.asarray(self.abscissa, dtype=float)
@@ -77,7 +79,7 @@ class MeasuredSeries:
         return len(self.abscissa)
 
     @classmethod
-    def from_csv(cls, text: str, meta: str = "") -> "MeasuredSeries":
+    def from_csv(cls, text: str) -> "MeasuredSeries":
         """Parse a headed CSV with pressure_pa or time_s, and capacitance_f.
 
         Other columns are ignored.  Raises ValueError naming the line and
@@ -85,8 +87,7 @@ class MeasuredSeries:
         """
         names, (x, c) = csv_columns(text, ("pressure_pa", "capacitance_f"),
                                     ("time_s", "capacitance_f"))
-        return cls(x, c, kind="pressure" if names[0] == "pressure_pa" else "time",
-                   meta=meta)
+        return cls(x, c, kind="pressure" if names[0] == "pressure_pa" else "time")
 
 
 def csv_columns(text: str, *layouts: tuple[str, ...]) -> tuple[tuple[str, ...], list[np.ndarray]]:
@@ -192,9 +193,9 @@ def fit_model(data: MeasuredSeries, geom0: DeviceGeometry,
     ``MAX_FIT_ITERATIONS`` damped steps were tried first.  Identical
     inputs give identical results.
 
-    A trial point where the model has no value (a ValueError, or a
-    SweepPointError such as contact without a dielectric) is rejected, and
-    a Jacobian column without one steps the other way; any other error
+    A trial point where the model has no value (a ValueError, such as the
+    SweepPointError of contact without a dielectric) is rejected, and a
+    Jacobian column without one steps the other way; any other error
     propagates.  Raises ValueError, naming the pressure, if the model has
     no value at the starting point.
     """
@@ -235,7 +236,7 @@ def fit_model(data: MeasuredSeries, geom0: DeviceGeometry,
     def trial(z: np.ndarray) -> np.ndarray | None:
         try:
             return residuals(z)
-        except (ValueError, cap.SweepPointError):
+        except ValueError:
             return None
 
     z = (x0 - lo) / (hi - lo)
@@ -403,17 +404,16 @@ def segment_modes(data: MeasuredSeries) -> ModeSegmentation:
     c = data.capacitance
     design = _piecewise_design(p, p[i], p[j], p[k])
     coef, _, _, _ = np.linalg.lstsq(design, c, rcond=None)
-    sse = float(np.sum((design @ coef - c) ** 2))
+    fitted = design @ coef
+    sse = float(np.sum((fitted - c) ** 2))
     boundaries = (float(p[i]), float(p[j]), float(p[k]))
     slopes = tuple(float(s) for s in np.cumsum(coef[1:]))  # hinge slopes accumulate
 
-    design = _piecewise_design(p, *boundaries)
-    fitted = design @ coef
     edges = [0, i, j, k, n]
     r2 = []
     for lo_idx, hi_idx in zip(edges, edges[1:]):
-        seg_c = c[lo_idx:hi_idx + 1] if hi_idx < n else c[lo_idx:]
-        seg_f = fitted[lo_idx:hi_idx + 1] if hi_idx < n else fitted[lo_idx:]
+        seg_c = c[lo_idx:hi_idx + 1]
+        seg_f = fitted[lo_idx:hi_idx + 1]
         tss = float(np.sum((seg_c - seg_c.mean()) ** 2))
         seg_sse = float(np.sum((seg_c - seg_f) ** 2))
         r2.append(1.0 - seg_sse / tss if tss > 0 else 0.0)
@@ -448,8 +448,8 @@ def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def rise_time(data: MeasuredSeries, low: float = 0.1, high: float = 0.9) -> float:
-    """Threshold-to-threshold rise time of a single step response.
+def rise_time(data: MeasuredSeries) -> float:
+    """10-90% rise time of a single step response.
 
     Baseline and plateau are medians over the first and last 10% of
     samples; crossing times are linearly interpolated.  Raises if the step
@@ -457,8 +457,6 @@ def rise_time(data: MeasuredSeries, low: float = 0.1, high: float = 0.9) -> floa
     """
     if data.kind != "time":
         raise ValueError("rise_time needs time-capacitance data")
-    if not 0.0 <= low < high <= 1.0:
-        raise ValueError("need 0 <= low < high <= 1")
     t = data.abscissa
     c = data.capacitance
     n = len(c)
@@ -479,6 +477,5 @@ def rise_time(data: MeasuredSeries, low: float = 0.1, high: float = 0.9) -> floa
         frac = (level - c0) / (c1 - c0)
         return float(t[idx - 1] + frac * (t[idx] - t[idx - 1]))
 
-    t_low = crossing(baseline + low * amplitude)
-    t_high = crossing(baseline + high * amplitude)
-    return t_high - t_low
+    return (crossing(baseline + RISE_HIGH * amplitude)
+            - crossing(baseline + RISE_LOW * amplitude))

@@ -36,6 +36,20 @@ class TouchStateError(ValueError):
     """Raised when an operation is applied in the wrong contact regime."""
 
 
+class SweepPointError(ValueError):
+    """The first point of an array evaluation outside the model's domain.
+
+    ``cause`` is that point's own error, the one the scalar entry points
+    raise at ``pressure``.
+    """
+
+    def __init__(self, index: int, pressure: float, cause: Exception) -> None:
+        super().__init__(f"point {index} (P = {pressure} Pa): {cause}")
+        self.index = index
+        self.pressure = pressure
+        self.cause = cause
+
+
 @dataclass(frozen=True)
 class CapacitanceBreakdown:
     """Touch-mode capacitance split into touched disk and free annulus."""
@@ -157,7 +171,7 @@ _NO_DIELECTRIC = ("touched regime with zero dielectric thickness: "
                   "capacitance diverges; configure dielectric_thickness > 0")
 
 
-def _parts(geom: DeviceGeometry, w0, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _evaluate(geom: DeviceGeometry, w0, u, pressures=None) -> tuple[np.ndarray, np.ndarray]:
     """Touched-disk and free-annulus capacitance: the one closed form.
 
     For unconstrained center deflections W0 and contact edges
@@ -171,9 +185,11 @@ def _parts(geom: DeviceGeometry, w0, u) -> tuple[np.ndarray, np.ndarray, np.ndar
     W = g ((1 - (r/R)^2) / u)^2 gives the same integral with curvature
     g / (eps_r u^2) = W0 / eps_r, its argument scaled by u.
 
-    Returns (disk, annulus, outside).  ``outside`` marks points where the
-    expression diverges (W0 at the electrical gap, or contact without a
-    dielectric); their disk and annulus values are meaningless.
+    The expression diverges where u x >= 1 (W0 at the electrical gap) and
+    on contact without a dielectric.  The first such point raises its
+    cause, TouchStateError or ValueError respectively; given the
+    ``pressures`` of an array call, a SweepPointError naming the point
+    wraps that cause.
     """
     t1 = geom.dielectric_thickness
     d_e = electrical_gap(geom)
@@ -185,47 +201,16 @@ def _parts(geom: DeviceGeometry, w0, u) -> tuple[np.ndarray, np.ndarray, np.ndar
     else:
         disk = (EPSILON_0 * geom.dielectric_rel_permittivity * math.pi
                 * geom.radius**2 / t1) * (1.0 - u)
+    if np.any(outside):
+        i = int(np.argmax(outside))
+        cause = (ValueError(_NO_DIELECTRIC) if t1 == 0.0 and np.ravel(u)[i] < 1.0
+                 else TouchStateError(_AT_GAP))
+        if pressures is None:
+            raise cause
+        raise SweepPointError(i, float(np.ravel(pressures)[i]), cause)
     with np.errstate(divide="ignore", invalid="ignore"):
         shape = np.where(x > 0.0, np.arctanh(u * x) / x, u)
-    return disk, base_capacitance(geom) * shape, outside
-
-
-def _evaluate(geom: DeviceGeometry, pressures):
-    """Unconstrained W0, contact edge u, touched-disk and annulus capacitance
-    at each pressure, and the index of the first pressure outside the
-    model's domain (None when every point is inside).
-
-    Raises ValueError for a negative or non-finite pressure.
-    """
-    w0 = mechanics.large_deflection_center(geom, pressures)
-    u = mechanics.contact_edge_u(geom, w0)
-    disk, annulus, outside = _parts(geom, w0, u)
-    bad = int(np.argmax(outside)) if np.any(outside) else None
-    return w0, u, disk, annulus, bad
-
-
-def _domain_error(geom: DeviceGeometry, u, index: int) -> ValueError:
-    """The error of point ``index``, which lies outside the model's domain."""
-    if np.ravel(u)[index] < 1.0 and geom.dielectric_thickness == 0.0:
-        return ValueError(_NO_DIELECTRIC)
-    return TouchStateError(_AT_GAP)
-
-
-def _at(geom: DeviceGeometry, pressure: float) -> tuple[float, float, float]:
-    """(u, disk, annulus) at one pressure, raising that point's own error."""
-    _, u, disk, annulus, bad = _evaluate(geom, pressure)
-    if bad is not None:
-        raise _domain_error(geom, u, bad)
-    return float(u), float(disk), float(annulus)
-
-
-def _evaluate_all(geom: DeviceGeometry, pressures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(W0, C) at each pressure; SweepPointError for the first point outside the domain."""
-    w0, u, disk, annulus, bad = _evaluate(geom, pressures)
-    if bad is not None:
-        raise SweepPointError(bad, float(np.ravel(pressures)[bad]),
-                              _domain_error(geom, u, bad))
-    return w0, disk + annulus
+    return disk, base_capacitance(geom) * shape
 
 
 def normal_mode_capacitance(geom: DeviceGeometry, state: DeflectionState) -> float:
@@ -237,16 +222,7 @@ def normal_mode_capacitance(geom: DeviceGeometry, state: DeflectionState) -> flo
     """
     if state.touched:
         raise TouchStateError("normal-mode capacitance requires an untouched state")
-    return _normal_mode_closed_form(geom, state.center_deflection)
-
-
-def _normal_mode_closed_form(geom: DeviceGeometry, w0: float) -> float:
-    if w0 / geom.medium_rel_permittivity >= electrical_gap(geom):
-        raise TouchStateError(_AT_GAP)
-    if w0 < 0:
-        raise ValueError("center deflection must be >= 0")
-    _, annulus, _ = _parts(geom, w0, 1.0)
-    return float(annulus)
+    return float(_evaluate(geom, state.center_deflection, 1.0)[1])
 
 
 def touch_mode_capacitance(geom: DeviceGeometry, pressure: float) -> CapacitanceBreakdown:
@@ -255,7 +231,9 @@ def touch_mode_capacitance(geom: DeviceGeometry, pressure: float) -> Capacitance
     The touched disk is a parallel plate through the dielectric; the
     annulus is the closed form of the post-touch profile's integral.
     """
-    u, disk, annulus = _at(geom, pressure)
+    w0 = mechanics.large_deflection_center(geom, pressure)
+    u = mechanics.contact_edge_u(geom, w0)
+    disk, annulus = map(float, _evaluate(geom, w0, u))
     if u >= 1.0:
         raise TouchStateError("touch-mode capacitance requires a touched state")
     return CapacitanceBreakdown(total=disk + annulus, touched_part=disk,
@@ -264,8 +242,9 @@ def touch_mode_capacitance(geom: DeviceGeometry, pressure: float) -> Capacitance
 
 def capacitance_at(geom: DeviceGeometry, pressure: float) -> float:
     """Capacitance at one pressure, in any mode."""
-    _, disk, annulus = _at(geom, pressure)
-    return disk + annulus
+    w0 = mechanics.large_deflection_center(geom, pressure)
+    disk, annulus = _evaluate(geom, w0, mechanics.contact_edge_u(geom, w0))
+    return float(disk + annulus)
 
 
 def capacitances(geom: DeviceGeometry, pressures) -> np.ndarray:
@@ -274,17 +253,9 @@ def capacitances(geom: DeviceGeometry, pressures) -> np.ndarray:
     Raises ValueError for a negative or non-finite pressure and
     SweepPointError for the first pressure outside the model's domain.
     """
-    return _evaluate_all(geom, pressures)[1]
-
-
-class SweepPointError(RuntimeError):
-    """Sweep failure annotated with the offending point index."""
-
-    def __init__(self, index: int, pressure: float, cause: Exception) -> None:
-        super().__init__(f"point {index} (P = {pressure} Pa): {cause}")
-        self.index = index
-        self.pressure = pressure
-        self.cause = cause
+    w0 = mechanics.large_deflection_center(geom, pressures)
+    disk, annulus = _evaluate(geom, w0, mechanics.contact_edge_u(geom, w0), pressures)
+    return disk + annulus
 
 
 def sweep_cp_curve(geom: DeviceGeometry, pressures: list[float],
@@ -300,7 +271,9 @@ def sweep_cp_curve(geom: DeviceGeometry, pressures: list[float],
     p = mechanics.checked_pressures(pressures)
     if np.any(np.diff(p) <= 0):
         raise ValueError("pressures must be strictly increasing")
-    w0, c = _evaluate_all(geom, p)
+    w0 = mechanics.large_deflection_center(geom, p)
+    disk, annulus = _evaluate(geom, w0, mechanics.contact_edge_u(geom, w0), p)
+    c = disk + annulus
     modes = map(_MODES.__getitem__, mechanics.mode_labels(geom, w0, thresholds).tolist())
     # tuple.__new__ skips the Python-level __new__ a NamedTuple runs per point.
     points = tuple(map(tuple.__new__, repeat(CPPoint),

@@ -40,13 +40,20 @@ class CheckFailure(click.ClickException):
 
 
 def _atomic_write(path: str | Path, text: str) -> None:
-    """Write text to path via a temp file and atomic rename."""
+    """Write text to path via a temp file and atomic rename.
+
+    The file gets the mode a plain write would (0o666 less the umask),
+    not the owner-only mode of the temp file.
+    """
     path = Path(path)
     directory = path.parent if str(path.parent) else Path(".")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{path.name}.")
         try:
             with os.fdopen(fd, "w", newline="") as handle:
+                os.fchmod(fd, 0o666 & ~umask)
                 handle.write(text)
             os.replace(tmp, path)
         except BaseException:
@@ -133,7 +140,7 @@ def sweep(ctx: click.Context, p_start: float, p_end: float, steps: int,
     try:
         curve = capacitance.sweep_cp_curve(
             geom, pressures, thresholds=cfg.thresholds, geometry_id=profile)
-    except (ValueError, capacitance.SweepPointError) as exc:
+    except ValueError as exc:
         raise CheckFailure(f"sweep failed: {exc}") from exc
 
     if fmt == "json":
@@ -213,7 +220,7 @@ def validate(ctx: click.Context, node_counts: tuple[int, ...], profile: str,
 @main.command()
 @click.argument("data", type=click.Path())
 @click.option("--free", "free_params", multiple=True, default=("gap",),
-              show_default=True,
+              type=click.Choice(calibration.FIT_PARAM_NAMES), show_default=True,
               help="Parameters to fit (repeatable).")
 @click.option("--profile", default="default", show_default=True)
 @click.option("--output", type=click.Path(), default="fit.json",
@@ -227,18 +234,13 @@ def fit(ctx: click.Context, data: str, free_params: tuple[str, ...],
     mode-segmentation summary of the data.  A non-converged fit still
     writes its best point but exits nonzero.
     """
-    for name in free_params:
-        if name not in calibration.FIT_PARAM_NAMES:
-            raise click.UsageError(
-                f"unknown fit parameter {name!r}; "
-                f"choose from {', '.join(calibration.FIT_PARAM_NAMES)}")
     cfg = _config(ctx)
     try:
         geom = cfg.geometry(profile)
     except ConfigError as exc:
         raise click.UsageError(str(exc)) from exc
     try:
-        series = calibration.MeasuredSeries.from_csv(_read_text(data), meta=data)
+        series = calibration.MeasuredSeries.from_csv(_read_text(data))
     except ValueError as exc:
         raise ParseFailure(f"{data}: {exc}") from exc
 
@@ -309,16 +311,13 @@ def servo(ctx: click.Context, pressures: tuple[float, ...],
         p_list = column.tolist()
     else:
         p_list = list(pressures)
-        bad = next((p for p in p_list if not math.isfinite(p)), None)
-        if bad is not None:
-            raise click.UsageError(f"pressures must be finite, got {bad}")
-    if any(p < 0 for p in p_list):
-        raise click.UsageError("pressures must be >= 0")
 
     try:
         caps = capacitance.capacitances(geom, p_list)
     except capacitance.SweepPointError as exc:
         raise CheckFailure(f"P = {exc.pressure} Pa: {exc.cause}") from exc
+    except ValueError as exc:  # a negative or non-finite pressure
+        raise click.UsageError(str(exc)) from exc
     lines = ["pressure_pa,capacitance_f,angle_deg"]
     for p, c in zip(p_list, caps.tolist()):
         angle = servo_angle(cfg.servo, p)
@@ -339,7 +338,7 @@ def modes(ctx: click.Context, data: str, output: str) -> None:
     the curve changes slope there.
     """
     try:
-        series = calibration.MeasuredSeries.from_csv(_read_text(data), meta=data)
+        series = calibration.MeasuredSeries.from_csv(_read_text(data))
     except ValueError as exc:
         raise ParseFailure(f"{data}: {exc}") from exc
     try:

@@ -67,32 +67,48 @@ class DeviceConfig:
             ) from None
 
 
-def _parse_layer(doc: dict, where: str) -> MaterialLayer:
+def _object(value, where: str) -> dict:
+    """``value`` if it is a JSON object; ConfigError naming ``where`` otherwise."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    return value
+
+
+def _float(doc: dict, key: str, default: float | None = None) -> float:
+    """``doc[key]`` as a float, or ``default`` when absent (KeyError if None).
+
+    Raises ConfigError naming the key for a null, list or object.
+    """
+    value = doc[key] if default is None else doc.get(key, default)
     try:
-        return MaterialLayer(
-            name=str(doc["name"]),
-            youngs_modulus=float(doc["youngs_modulus_pa"]),
-            poisson_ratio=float(doc["poisson_ratio"]),
-            thickness=float(doc["thickness_m"]),
-        )
+        return float(value)
+    except TypeError:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
+def _parse_layer(doc) -> MaterialLayer:
+    try:
+        return MaterialLayer(name=str(_object(doc, "layer")["name"]),
+                             youngs_modulus=_float(doc, "youngs_modulus_pa"),
+                             poisson_ratio=_float(doc, "poisson_ratio"),
+                             thickness=_float(doc, "thickness_m"))
     except KeyError as exc:
-        raise ConfigError(f"{where}: missing layer field {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        raise ConfigError(f"missing layer field {exc}") from None
 
 
-def _parse_geometry(doc: dict, where: str) -> DeviceGeometry:
+def _parse_geometry(doc, where: str) -> DeviceGeometry:
+    _object(doc, where)
     try:
-        layers = tuple(_parse_layer(l, where) for l in doc["layers"])
+        if not isinstance(doc["layers"], list):
+            raise ConfigError(f"layers must be a list, got {doc['layers']!r}")
         return DeviceGeometry(
-            radius=float(doc["radius_m"]),
-            laminate=Laminate(layers),
-            gap=float(doc["gap_m"]),
-            builtin_stress=float(doc.get("builtin_stress_pa", 0.0)),
-            dielectric_thickness=float(doc.get("dielectric_thickness_m", 0.0)),
-            dielectric_rel_permittivity=float(
-                doc.get("dielectric_rel_permittivity", 1.0)),
-            medium_rel_permittivity=float(doc.get("medium_rel_permittivity", 1.0)),
+            radius=_float(doc, "radius_m"),
+            laminate=Laminate(tuple(_parse_layer(l) for l in doc["layers"])),
+            gap=_float(doc, "gap_m"),
+            builtin_stress=_float(doc, "builtin_stress_pa", 0.0),
+            dielectric_thickness=_float(doc, "dielectric_thickness_m", 0.0),
+            dielectric_rel_permittivity=_float(doc, "dielectric_rel_permittivity", 1.0),
+            medium_rel_permittivity=_float(doc, "medium_rel_permittivity", 1.0),
         )
     except KeyError as exc:
         raise ConfigError(f"{where}: missing field {exc}") from None
@@ -101,7 +117,7 @@ def _parse_geometry(doc: dict, where: str) -> DeviceGeometry:
 
 
 def parse_config(doc: dict) -> DeviceConfig:
-    if "profiles" not in doc or not isinstance(doc["profiles"], dict):
+    if not isinstance(doc, dict) or not isinstance(doc.get("profiles"), dict):
         raise ConfigError("config must contain a 'profiles' object")
     profiles = {name: _parse_geometry(g, f"profiles.{name}")
                 for name, g in doc["profiles"].items()}
@@ -109,33 +125,43 @@ def parse_config(doc: dict) -> DeviceConfig:
         raise ConfigError("config must define a 'default' profile")
 
     # Missing keys take the uncalibrated ModeThresholds defaults (module docstring).
-    th = doc.get("thresholds", {})
+    th = _object(doc.get("thresholds", {}), "thresholds")
     try:
         thresholds = ModeThresholds(**{
-            f.name: float(th.get(f.name, f.default)) for f in fields(ModeThresholds)})
+            f.name: _float(th, f.name, f.default) for f in fields(ModeThresholds)})
     except ValueError as exc:
         raise ConfigError(f"thresholds: {exc}") from None
 
-    sv = doc.get("servo", {})
+    sv = _object(doc.get("servo", {}), "servo")
     try:
         servo = ServoMap(
-            p_min=float(sv.get("pressure_min_pa", 10e3)),
-            p_max=float(sv.get("pressure_max_pa", 40e3)),
-            angle_min=float(sv.get("angle_min_deg", 0.0)),
-            angle_max=float(sv.get("angle_max_deg", 90.0)),
+            p_min=_float(sv, "pressure_min_pa", 10e3),
+            p_max=_float(sv, "pressure_max_pa", 40e3),
+            angle_min=_float(sv, "angle_min_deg", 0.0),
+            angle_max=_float(sv, "angle_max_deg", 90.0),
         )
     except ValueError as exc:
         raise ConfigError(f"servo: {exc}") from None
 
-    so = doc.get("solver", {})
-    bounds = {name: (float(lo), float(hi))
-              for name, (lo, hi) in so.get("fit_bounds", {}).items()}
+    so = _object(doc.get("solver", {}), "solver")
+    nodes = so.get("grid_nodes", SolverSettings.grid_nodes)
+    try:
+        if isinstance(nodes, float) and not nodes.is_integer():
+            raise ValueError
+        grid_nodes = int(nodes)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"solver.grid_nodes must be a whole number, got {nodes!r}") from None
+    bounds = {}
+    for name, pair in _object(so.get("fit_bounds", {}), "solver.fit_bounds").items():
+        try:
+            lo, hi = pair
+            bounds[name] = (float(lo), float(hi))
+        except (TypeError, ValueError):
+            raise ConfigError(f"solver.fit_bounds.{name} must be a [lo, hi] pair "
+                              f"of numbers, got {pair!r}") from None
     # A "quadrature_rel_tol" key from older configs is ignored: every
     # capacitance is a closed form.
-    solver = SolverSettings(
-        grid_nodes=int(so.get("grid_nodes", SolverSettings.grid_nodes)),
-        fit_bounds=bounds,
-    )
+    solver = SolverSettings(grid_nodes=grid_nodes, fit_bounds=bounds)
     return DeviceConfig(profiles=profiles, thresholds=thresholds,
                         servo=servo, solver=solver)
 

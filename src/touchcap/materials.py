@@ -107,9 +107,3 @@ def flexural_rigidity(laminate: Laminate) -> float:
         k = layer.youngs_modulus / (3.0 * (1.0 - layer.poisson_ratio**2))
         d += k * ((z[i + 1] - e) ** 3 - (z[i] - e) ** 3)
     return d
-
-
-def effective_poisson_ratio(laminate: Laminate) -> float:
-    """Thickness-weighted Poisson ratio, used in moment recovery."""
-    h = laminate.total_thickness
-    return sum(l.poisson_ratio * l.thickness for l in laminate.layers) / h

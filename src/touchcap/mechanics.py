@@ -33,11 +33,6 @@ class OperatingMode(enum.IntEnum):
     SATURATION = 3
 
 
-class DeflectionRegime(enum.Enum):
-    SMALL_LINEAR = "small_linear"
-    LARGE_NONLINEAR = "large_nonlinear"
-
-
 @dataclass(frozen=True)
 class DeviceGeometry:
     """Geometry and electrostatic stack of one circular sensor element."""
@@ -118,7 +113,6 @@ class DeflectionState:
 
     pressure: float
     center_deflection: float
-    regime: DeflectionRegime
     contact_radius: float = 0.0
 
     def __post_init__(self) -> None:
@@ -243,13 +237,8 @@ def _radius_of_contact(geom: DeviceGeometry,
 def solve_state(geom: DeviceGeometry, pressure: float) -> DeflectionState:
     """Deflection state at one pressure; W0 capped at the travel when touching."""
     w0 = large_deflection_center(geom, pressure)
-    if STIFFENING_COEFF * (w0 / geom.thickness) ** 2 < 1e-5:
-        regime = DeflectionRegime.SMALL_LINEAR
-    else:
-        regime = DeflectionRegime.LARGE_NONLINEAR
     return DeflectionState(pressure=pressure,
                            center_deflection=min(w0, geom.travel),
-                           regime=regime,
                            contact_radius=_radius_of_contact(geom, w0))
 
 

@@ -4,9 +4,9 @@ Solves D * biharmonic(w) = P on a uniform radial grid with a clamped edge
 (w = w' = 0 at r = R) and symmetry at the center, using second-order
 stencils with ghost-node reflection.  The five-band operator is solved
 in O(n) time and memory by banded elimination plus one refinement step;
-no n x n matrix is formed.  Bending moments, surface stresses and von
-Mises fields are recovered from the solution, and a convergence study
-against the analytic center deflection P R^4 / (64 D) is provided.
+no n x n matrix is formed.  Surface stresses and von Mises fields are
+recovered from the solution, and a convergence study against the
+analytic center deflection P R^4 / (64 D) is provided.
 
 The operator's condition number grows as n^4.  Up to 1601 nodes the
 computed center deflection matches the stencil's exact-arithmetic
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import line_fit
-from .materials import effective_poisson_ratio, neutral_plane
+from .materials import neutral_plane
 from .mechanics import DeviceGeometry, checked_pressures
 
 MIN_NODE_COUNT = 16
@@ -56,10 +56,7 @@ class PlateSolution:
 
     grid: RadialGrid
     deflection: np.ndarray  # m, per node
-    radial_moment: np.ndarray  # N (moment per unit length)
-    tangential_moment: np.ndarray
     von_mises: np.ndarray  # Pa, worst layer surface per node
-    edge_radial_stress: float  # Pa
     max_von_mises: tuple[float, float]  # (Pa, location r)
 
     @property
@@ -164,9 +161,8 @@ def _derivatives(w: np.ndarray, dr: float) -> tuple[np.ndarray, np.ndarray]:
 def solve_plate(geom: DeviceGeometry, pressure: float, grid: RadialGrid) -> PlateSolution:
     """Solve the clamped plate at one pressure and recover stresses.
 
-    Moments use the thickness-weighted Poisson ratio; stresses are
-    evaluated at every layer surface offset from the neutral plane and the
-    worst surface is reported per node.  Built-in stress is not part of
+    Stresses are evaluated at every layer surface offset from the neutral
+    plane and the worst surface's von Mises stress is reported per node.  Built-in stress is not part of
     the operator (pure bending model).
     """
     pressure = float(checked_pressures(pressure))
@@ -186,16 +182,12 @@ def solve_plate(geom: DeviceGeometry, pressure: float, grid: RadialGrid) -> Plat
     d1_over_r[0] = d2[0]
     d1_over_r[1:] = d1[1:] / r[1:]
 
-    nu_eff = effective_poisson_ratio(geom.laminate)
     kappa_r = -d2
     kappa_t = -d1_over_r
-    mr = d_flex * (kappa_r + nu_eff * kappa_t)
-    mt = d_flex * (nu_eff * kappa_r + kappa_t)
 
     # Per-layer surface stress recovery about the neutral plane.
     e = neutral_plane(geom.laminate)
     von_mises = np.zeros_like(w)
-    edge_sr = 0.0
     z = geom.laminate.interfaces()
     for i, layer in enumerate(geom.laminate.layers):
         stiff = layer.youngs_modulus / (1.0 - layer.poisson_ratio**2)
@@ -205,13 +197,9 @@ def solve_plate(geom: DeviceGeometry, pressure: float, grid: RadialGrid) -> Plat
             st = stiff * (kappa_t + layer.poisson_ratio * kappa_r) * offset
             vm = np.sqrt(sr**2 - sr * st + st**2)
             von_mises = np.maximum(von_mises, vm)
-            if abs(sr[-1]) > abs(edge_sr):
-                edge_sr = float(sr[-1])
 
     idx = int(np.argmax(von_mises))
-    return PlateSolution(grid=grid, deflection=w, radial_moment=mr,
-                         tangential_moment=mt, von_mises=von_mises,
-                         edge_radial_stress=edge_sr,
+    return PlateSolution(grid=grid, deflection=w, von_mises=von_mises,
                          max_von_mises=(float(von_mises[idx]), float(r[idx])))
 
 

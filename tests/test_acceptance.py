@@ -18,7 +18,7 @@ from touchcap import capacitance as cap
 from touchcap import mechanics, plate_fd
 from touchcap.cli import main as cli_main
 from touchcap.materials import DEFAULT_ALUMINUM, DEFAULT_POLYIMIDE, Laminate
-from touchcap.mechanics import DeviceGeometry
+from touchcap.mechanics import DeflectionState, DeviceGeometry
 from touchcap.servo import servo_angle
 
 import oracles
@@ -80,7 +80,8 @@ def test_criterion_04_capacitance_oracle_equivalence():
             dielectric_thickness=float(rng.uniform(0.0, 0.2)) * gap,
             dielectric_rel_permittivity=float(rng.uniform(1.5, 8.0)))
         w0 = float(rng.uniform(0.01, 0.95)) * cap.electrical_gap(geom)
-        closed = cap._normal_mode_closed_form(geom, w0)
+        closed = cap.normal_mode_capacitance(
+            geom, DeflectionState(pressure=0.0, center_deflection=w0))
         quad = oracles.normal_mode_capacitance_quadrature(geom, w0)
         worst = max(worst, abs(closed - quad) / quad)
     elapsed = time.perf_counter() - start

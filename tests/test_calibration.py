@@ -43,7 +43,7 @@ def nelder_mead_fit(data, geom0, free_params, bounds):
         geom, offset = cal.apply_params(geom0, params)
         try:
             model = cal.model_capacitances(geom, data.abscissa) + offset
-        except (ValueError, cap.SweepPointError):
+        except ValueError:
             return np.inf
         return float(np.sqrt(np.mean((model - data.capacitance) ** 2)))
 
@@ -130,9 +130,9 @@ class TestFitModel:
 
     def test_objective_surfaces_non_domain_errors(self, default_geometry,
                                                   config, monkeypatch):
-        # Only the model's domain errors (ValueError, SweepPointError)
-        # score infinity; a fault in the model code itself must not be
-        # swallowed.
+        # Only the model's domain errors (ValueError, SweepPointError
+        # included) score infinity; a fault in the model code itself must
+        # not be swallowed.
         p = np.linspace(500.0, 8e3, 8)
         data = MeasuredSeries(p, cal.model_capacitances(default_geometry, p))
         real = cal.model_capacitances

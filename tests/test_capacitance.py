@@ -10,7 +10,7 @@ from touchcap import calibration as cal
 from touchcap import capacitance as cap
 from touchcap import mechanics
 from touchcap.capacitance import EPSILON_0, SweepPointError, TouchStateError
-from touchcap.mechanics import DeflectionState, DeflectionRegime, OperatingMode
+from touchcap.mechanics import DeflectionState, OperatingMode
 
 import oracles
 
@@ -27,8 +27,7 @@ GOLDEN_BASE_C = 6.95406284654919e-12
 
 
 def untouched_state(w0, p=0.0):
-    return DeflectionState(pressure=p, center_deflection=w0,
-                           regime=DeflectionRegime.SMALL_LINEAR)
+    return DeflectionState(pressure=p, center_deflection=w0)
 
 
 class TestBaseCapacitance:
@@ -80,7 +79,6 @@ class TestNormalMode:
 
     def test_rejects_touched_state(self, bare_geometry):
         state = DeflectionState(pressure=1.0, center_deflection=1e-6,
-                                regime=DeflectionRegime.SMALL_LINEAR,
                                 contact_radius=1e-3)
         with pytest.raises(TouchStateError):
             cap.normal_mode_capacitance(bare_geometry, state)
@@ -247,6 +245,29 @@ class TestSweep:
             cap.sweep_cp_curve(bare_geometry, [0.0, p_on * 2.0])
         assert err.value.index == 1
 
+    def test_point_error_is_a_value_error(self):
+        assert issubclass(SweepPointError, ValueError)
+
+    def test_rejected_point_raises_its_cause_pointwise(self, bare_geometry):
+        # Just above onset a bare device first sits at the gap, then in
+        # contact without a dielectric: both causes must occur.
+        pressures = [mechanics.touch_onset_pressure(bare_geometry)]
+        for _ in range(12):
+            pressures.append(float(np.nextafter(pressures[-1], math.inf)))
+        pressures.append(2.0 * pressures[0])
+        causes = set()
+        for p in pressures:
+            try:
+                cap.sweep_cp_curve(bare_geometry, [0.0, p])
+            except SweepPointError as err:
+                assert (err.index, err.pressure) == (1, p)
+                causes.add(type(err.cause))
+                with pytest.raises(type(err.cause)) as point:
+                    cap.capacitance_at(bare_geometry, p)
+                assert type(point.value) is type(err.cause)
+                assert str(point.value) == str(err.cause)
+        assert causes == {TouchStateError, ValueError}
+
     def test_csv_round_trip(self, default_curve):
         text = default_curve.to_csv()
         lines = text.strip().split("\n")
@@ -371,6 +392,6 @@ def test_oracle_equivalence_random_cases():
             radius=radius, laminate=lam, gap=gap, dielectric_thickness=t1,
             dielectric_rel_permittivity=float(rng.uniform(1.5, 8.0)))
         w0 = float(rng.uniform(0.01, 0.95)) * cap.electrical_gap(geom)
-        closed = cap._normal_mode_closed_form(geom, w0)
+        closed = cap.normal_mode_capacitance(geom, untouched_state(w0))
         quad = oracles.normal_mode_capacitance_quadrature(geom, w0)
         assert closed == pytest.approx(quad, rel=1e-9, abs=0)

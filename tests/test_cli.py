@@ -77,6 +77,29 @@ class TestSweep:
         assert result.exit_code == 2
         assert f"{flag} must be finite, got {value}" in result.output
 
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_outputs_take_umask_mode(self, runner, tmp_path, umask, mode):
+        out = tmp_path / "sweep.csv"
+        old = os.umask(umask)
+        try:
+            result = run(runner, "sweep", "--steps", 3, "--p-end", 2000,
+                         "--output", out)
+        finally:
+            os.umask(old)
+        assert result.exit_code == 0, result.output
+        assert out.stat().st_mode & 0o777 == mode
+        assert (tmp_path / "sweep.json").stat().st_mode & 0o777 == mode
+
+    def test_point_outside_model_fails_check(self, runner, tmp_path):
+        # The airgap profile has no dielectric: contact has no capacitance.
+        result = run(runner, "sweep", "--profile", "airgap",
+                     "--output", tmp_path / "x.csv")
+        assert result.exit_code == 1
+        assert "point 2 (P = 2000.0 Pa)" in result.output
+        assert "dielectric" in result.output
+        assert list(tmp_path.iterdir()) == []
+
     def test_byte_identical_reruns(self, runner, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -224,6 +247,22 @@ class TestServo:
         assert f"finite, got {value}" in result.output
         assert not out.exists()
 
+    def test_negative_argument_usage_error(self, runner, tmp_path):
+        out = tmp_path / "servo.csv"
+        result = run(runner, "servo", "--output", out, "--", 1000, -5)
+        assert result.exit_code == 2
+        assert "pressure must be >= 0" in result.output
+        assert not out.exists()
+
+    def test_point_outside_model_fails_check(self, runner, tmp_path):
+        out = tmp_path / "servo.csv"
+        result = run(runner, "servo", "--profile", "airgap", "--output", out,
+                     "--", 1000, 60000)
+        assert result.exit_code == 1
+        assert "P = 60000.0 Pa" in result.output
+        assert "dielectric" in result.output
+        assert not out.exists()
+
     def test_non_finite_data_row_parse_error(self, runner, tmp_path):
         data = tmp_path / "p.csv"
         data.write_text("pressure_pa\n1000.0\nnan\n")
@@ -263,6 +302,16 @@ class TestConfigHandling:
         result = run(runner, "--config", bad, "validate")
         assert result.exit_code == 3
         assert "default" in result.output
+
+    def test_malformed_config_value_parse_error(self, runner, tmp_path):
+        doc = json.loads(resources.files("touchcap.data")
+                         .joinpath("default_device.json").read_text())
+        doc["profiles"]["default"]["radius_m"] = None
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        result = run(runner, "--config", bad, "validate")
+        assert result.exit_code == 3
+        assert "radius_m must be a number" in result.output
 
 
 # Runs each command through the CLI with scipy made unimportable and

@@ -118,6 +118,42 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="grid_nodes"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("path,value,message", [
+        (("profiles", "default", "radius_m"), None,
+         "profiles.default: radius_m must be a number, got None"),
+        (("thresholds", "transition_fraction"), None,
+         "thresholds: transition_fraction must be a number, got None"),
+        (("solver", "grid_nodes"), "abc", "solver.grid_nodes must be a whole number"),
+        (("solver", "grid_nodes"), None, "solver.grid_nodes must be a whole number"),
+        (("solver", "grid_nodes"), 201.7,
+         "solver.grid_nodes must be a whole number, got 201.7"),
+        (("solver", "fit_bounds", "gap"), [1e-4],
+         r"solver.fit_bounds.gap must be a \[lo, hi\] pair"),
+        (("solver", "fit_bounds", "gap"), [1e-4, None],
+         r"solver.fit_bounds.gap must be a \[lo, hi\] pair"),
+        (("solver",), [201], r"solver must be an object, got \[201\]"),
+        (("profiles", "default", "layers"), 3,
+         "profiles.default: layers must be a list, got 3"),
+        (("profiles", "default"), 3, "profiles.default must be an object, got 3"),
+    ], ids=["null_radius", "null_threshold", "text_grid_nodes", "null_grid_nodes",
+            "fractional_grid_nodes", "one_bound", "null_bound", "solver_list",
+            "layers_number", "profile_number"])
+    def test_malformed_value_named(self, path, value, message):
+        doc = self.minimal()
+        doc["thresholds"] = {}
+        doc["solver"] = {"fit_bounds": {}}
+        node = doc
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+        with pytest.raises(ConfigError, match=message):
+            parse_config(json.loads(json.dumps(doc)))
+
+    def test_whole_float_grid_nodes_accepted(self):
+        doc = self.minimal()
+        doc["solver"] = {"grid_nodes": 101.0}
+        assert parse_config(doc).solver.grid_nodes == 101
+
 
 class TestServoMap:
     def test_endpoints_exact(self, config):

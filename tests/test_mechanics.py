@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from touchcap import mechanics
-from touchcap.mechanics import (DeflectionRegime, DeviceGeometry,
-                                ModeThresholds, OperatingMode)
+from touchcap.mechanics import DeviceGeometry, ModeThresholds, OperatingMode
 
 # Frozen from a bisection oracle on the cubic over [0, P R^4 / 64 D] with
 # 1e-15 relative tolerance: full-scale device, default laminate, sigma = 0,
@@ -178,12 +177,6 @@ class TestSolveState:
         state = mechanics.solve_state(bare_geometry, p)
         assert state.center_deflection == bare_geometry.travel
         assert state.touched
-
-    def test_regime_labels(self, bare_geometry):
-        assert mechanics.solve_state(bare_geometry, 1e-3).regime is \
-            DeflectionRegime.SMALL_LINEAR
-        assert mechanics.solve_state(bare_geometry, 20e3).regime is \
-            DeflectionRegime.LARGE_NONLINEAR
 
 
 class TestClassifyMode:
