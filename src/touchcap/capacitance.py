@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import mechanics
+from .config import geometry_doc, thresholds_doc
 from .mechanics import (DeviceGeometry, DeflectionState, ModeThresholds,
                         OperatingMode)
 
@@ -112,31 +113,18 @@ class CPCurve:
         spliced in from a fixed per-point template filled with the text
         ``to_csv`` also uses, formatted once per curve.  Non-finite
         values are not valid JSON, and a sweep never produces them.
+        The ``geometry`` and ``thresholds`` blocks are written by
+        ``config``, as a profile and a ``thresholds`` section that load
+        back through ``config.parse_config``.
         """
         doc: dict = {
             "geometry_id": self.geometry_id,
             "points": [],
         }
         if geom is not None:
-            doc["geometry"] = {
-                "radius_m": geom.radius,
-                "gap_m": geom.gap,
-                "builtin_stress_pa": geom.builtin_stress,
-                "dielectric_thickness_m": geom.dielectric_thickness,
-                "dielectric_rel_permittivity": geom.dielectric_rel_permittivity,
-                "medium_rel_permittivity": geom.medium_rel_permittivity,
-                "layers": [
-                    {"name": l.name, "youngs_modulus_pa": l.youngs_modulus,
-                     "poisson_ratio": l.poisson_ratio, "thickness_m": l.thickness}
-                    for l in geom.laminate.layers
-                ],
-            }
+            doc["geometry"] = geometry_doc(geom)
         if thresholds is not None:
-            doc["thresholds"] = {
-                "transition_fraction": thresholds.transition_fraction,
-                "touch_onset_fraction": thresholds.touch_onset_fraction,
-                "saturation_fraction": thresholds.saturation_fraction,
-            }
+            doc["thresholds"] = thresholds_doc(thresholds)
         text = json.dumps(doc, indent=2) + "\n"
         if not self.points:
             return text

@@ -19,6 +19,7 @@ import click
 
 from . import calibration, capacitance, plate_fd
 from .config import ConfigError, DeviceConfig, load_config
+from .mechanics import DeviceGeometry
 from .servo import servo_angle
 
 # cmd_validate pass thresholds, matched to the solver's design targets.
@@ -75,8 +76,12 @@ def _echo(ctx: click.Context, message: str) -> None:
         click.echo(message)
 
 
-def _config(ctx: click.Context) -> DeviceConfig:
-    return ctx.obj["config"]
+def _geometry(cfg: DeviceConfig, profile: str) -> DeviceGeometry:
+    """The named profile's geometry; an unknown name is a usage error."""
+    try:
+        return cfg.geometry(profile)
+    except ConfigError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 @click.group()
@@ -130,11 +135,8 @@ def sweep(ctx: click.Context, p_start: float, p_end: float, steps: int,
         raise click.UsageError(
             f"--output {output} is also the path of the JSON sidecar; "
             "use --format json or an output name not ending in .json")
-    cfg = _config(ctx)
-    try:
-        geom = cfg.geometry(profile)
-    except ConfigError as exc:
-        raise click.UsageError(str(exc)) from exc
+    cfg = ctx.obj["config"]
+    geom = _geometry(cfg, profile)
     pressures = [p_start + (p_end - p_start) * i / (steps - 1)
                  for i in range(steps)]
     try:
@@ -170,17 +172,14 @@ def validate(ctx: click.Context, node_counts: tuple[int, ...], profile: str,
     Runs a grid convergence study plus a deflection-pressure linearity
     check and exits nonzero if any threshold is missed.
     """
-    cfg = _config(ctx)
+    cfg = ctx.obj["config"]
     if node_counts:
         counts = sorted(node_counts)
     else:
         g = cfg.solver.grid_nodes
         counts = [n for n in ((g - 1) // 4 + 1, (g - 1) // 2 + 1, g)
                   if n >= plate_fd.MIN_NODE_COUNT]
-    try:
-        geom = cfg.geometry(profile)
-    except ConfigError as exc:
-        raise click.UsageError(str(exc)) from exc
+    geom = _geometry(cfg, profile)
     try:
         rows = plate_fd.convergence_study(geom, pressure, counts)
     except ValueError as exc:
@@ -234,11 +233,8 @@ def fit(ctx: click.Context, data: str, free_params: tuple[str, ...],
     mode-segmentation summary of the data.  A non-converged fit still
     writes its best point but exits nonzero.
     """
-    cfg = _config(ctx)
-    try:
-        geom = cfg.geometry(profile)
-    except ConfigError as exc:
-        raise click.UsageError(str(exc)) from exc
+    cfg = ctx.obj["config"]
+    geom = _geometry(cfg, profile)
     try:
         series = calibration.MeasuredSeries.from_csv(_read_text(data))
     except ValueError as exc:
@@ -296,11 +292,8 @@ def servo(ctx: click.Context, pressures: tuple[float, ...],
         raise click.UsageError("give pressures as arguments or --data CSV")
     if data_path is not None and pressures:
         raise click.UsageError("give either pressures or --data, not both")
-    cfg = _config(ctx)
-    try:
-        geom = cfg.geometry(profile)
-    except ConfigError as exc:
-        raise click.UsageError(str(exc)) from exc
+    cfg = ctx.obj["config"]
+    geom = _geometry(cfg, profile)
 
     if data_path is not None:
         try:

@@ -21,11 +21,17 @@ A config without a ``thresholds`` block (or without one of its keys)
 falls back to the generic ``ModeThresholds`` defaults.  They are not
 calibrated to any geometry: on the default profile they put normal ->
 transition at 5.03 kPa and touch at 8.49 kPa, not the paper's 8/10 kPa.
+
+Every numeric value must be a JSON number.  One key table per section maps
+JSON keys to dataclass fields both ways, so a sweep sidecar's ``geometry``
+and ``thresholds`` blocks (``geometry_doc``, ``thresholds_doc``) load back
+as a profile and a ``thresholds`` section.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -49,6 +55,10 @@ class SolverSettings:
     def __post_init__(self) -> None:
         if self.grid_nodes < 16:
             raise ConfigError("solver.grid_nodes must be >= 16")
+        for name, (lo, hi) in self.fit_bounds.items():
+            if not -math.inf < lo < hi < math.inf:  # false for NaN too
+                raise ConfigError(f"solver.fit_bounds.{name} must be finite with "
+                                  f"lo < hi, got [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -67,6 +77,33 @@ class DeviceConfig:
             ) from None
 
 
+# Key tables: (dataclass field, JSON key, default) for each section, in
+# the order a sweep sidecar writes them; a default of None marks a
+# required key.  parse_config reads through them, and geometry_doc and
+# thresholds_doc write through them.
+_LAYER_KEYS = (("youngs_modulus", "youngs_modulus_pa", None),
+               ("poisson_ratio", "poisson_ratio", None),
+               ("thickness", "thickness_m", None))
+_PROFILE_KEYS = (("radius", "radius_m", None),
+                 ("gap", "gap_m", None),
+                 ("builtin_stress", "builtin_stress_pa", 0.0),
+                 ("dielectric_thickness", "dielectric_thickness_m", 0.0),
+                 ("dielectric_rel_permittivity", "dielectric_rel_permittivity", 1.0),
+                 ("medium_rel_permittivity", "medium_rel_permittivity", 1.0))
+# Missing keys take the uncalibrated ModeThresholds defaults (module docstring).
+_THRESHOLD_KEYS = tuple((f.name, f.name, f.default) for f in fields(ModeThresholds))
+_SERVO_KEYS = (("p_min", "pressure_min_pa", 10e3),
+               ("p_max", "pressure_max_pa", 40e3),
+               ("angle_min", "angle_min_deg", 0.0),
+               ("angle_max", "angle_max_deg", 90.0))
+
+
+def _is_number(value) -> bool:
+    """The one JSON-number check: an int or a float, but not a bool (JSON
+    ``true``).  Ranges and finiteness are the dataclasses' own checks."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _object(value, where: str) -> dict:
     """``value`` if it is a JSON object; ConfigError naming ``where`` otherwise."""
     if not isinstance(value, dict):
@@ -74,24 +111,39 @@ def _object(value, where: str) -> dict:
     return value
 
 
-def _float(doc: dict, key: str, default: float | None = None) -> float:
-    """``doc[key]`` as a float, or ``default`` when absent (KeyError if None).
+def _read(doc: dict, keys) -> dict:
+    """Dataclass keyword arguments read from ``doc`` through a key table;
+    KeyError for a missing required key, ConfigError for a non-number."""
+    kwargs = {}
+    for name, key, default in keys:
+        value = doc[key] if default is None else doc.get(key, default)
+        if not _is_number(value):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
+        kwargs[name] = float(value)
+    return kwargs
 
-    Raises ConfigError naming the key for a null, list or object.
-    """
-    value = doc[key] if default is None else doc.get(key, default)
-    try:
-        return float(value)
-    except TypeError:
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+def _write(obj, keys) -> dict:
+    """The JSON object of ``obj`` under a key table, in table order."""
+    return {key: getattr(obj, name) for name, key, _ in keys}
+
+
+def geometry_doc(geom: DeviceGeometry) -> dict:
+    """A profile's JSON object, as a sweep sidecar's ``geometry`` block writes it."""
+    return {**_write(geom, _PROFILE_KEYS),
+            "layers": [{"name": l.name, **_write(l, _LAYER_KEYS)}
+                       for l in geom.laminate.layers]}
+
+
+def thresholds_doc(thresholds: ModeThresholds) -> dict:
+    """The ``thresholds`` section's JSON object, as a sweep sidecar writes it."""
+    return _write(thresholds, _THRESHOLD_KEYS)
 
 
 def _parse_layer(doc) -> MaterialLayer:
     try:
         return MaterialLayer(name=str(_object(doc, "layer")["name"]),
-                             youngs_modulus=_float(doc, "youngs_modulus_pa"),
-                             poisson_ratio=_float(doc, "poisson_ratio"),
-                             thickness=_float(doc, "thickness_m"))
+                             **_read(doc, _LAYER_KEYS))
     except KeyError as exc:
         raise ConfigError(f"missing layer field {exc}") from None
 
@@ -102,18 +154,21 @@ def _parse_geometry(doc, where: str) -> DeviceGeometry:
         if not isinstance(doc["layers"], list):
             raise ConfigError(f"layers must be a list, got {doc['layers']!r}")
         return DeviceGeometry(
-            radius=_float(doc, "radius_m"),
-            laminate=Laminate(tuple(_parse_layer(l) for l in doc["layers"])),
-            gap=_float(doc, "gap_m"),
-            builtin_stress=_float(doc, "builtin_stress_pa", 0.0),
-            dielectric_thickness=_float(doc, "dielectric_thickness_m", 0.0),
-            dielectric_rel_permittivity=_float(doc, "dielectric_rel_permittivity", 1.0),
-            medium_rel_permittivity=_float(doc, "medium_rel_permittivity", 1.0),
-        )
+            **_read(doc, _PROFILE_KEYS),
+            laminate=Laminate(tuple(_parse_layer(l) for l in doc["layers"])))
     except KeyError as exc:
         raise ConfigError(f"{where}: missing field {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
+
+
+def _parse_section(doc: dict, name: str, cls, keys):
+    """The optional top-level section ``name`` read into ``cls``."""
+    section = _object(doc.get(name, {}), name)
+    try:
+        return cls(**_read(section, keys))
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def parse_config(doc: dict) -> DeviceConfig:
@@ -123,45 +178,23 @@ def parse_config(doc: dict) -> DeviceConfig:
                 for name, g in doc["profiles"].items()}
     if "default" not in profiles:
         raise ConfigError("config must define a 'default' profile")
-
-    # Missing keys take the uncalibrated ModeThresholds defaults (module docstring).
-    th = _object(doc.get("thresholds", {}), "thresholds")
-    try:
-        thresholds = ModeThresholds(**{
-            f.name: _float(th, f.name, f.default) for f in fields(ModeThresholds)})
-    except ValueError as exc:
-        raise ConfigError(f"thresholds: {exc}") from None
-
-    sv = _object(doc.get("servo", {}), "servo")
-    try:
-        servo = ServoMap(
-            p_min=_float(sv, "pressure_min_pa", 10e3),
-            p_max=_float(sv, "pressure_max_pa", 40e3),
-            angle_min=_float(sv, "angle_min_deg", 0.0),
-            angle_max=_float(sv, "angle_max_deg", 90.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"servo: {exc}") from None
+    thresholds = _parse_section(doc, "thresholds", ModeThresholds, _THRESHOLD_KEYS)
+    servo = _parse_section(doc, "servo", ServoMap, _SERVO_KEYS)
 
     so = _object(doc.get("solver", {}), "solver")
     nodes = so.get("grid_nodes", SolverSettings.grid_nodes)
-    try:
-        if isinstance(nodes, float) and not nodes.is_integer():
-            raise ValueError
-        grid_nodes = int(nodes)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"solver.grid_nodes must be a whole number, got {nodes!r}") from None
+    if not (_is_number(nodes) and (isinstance(nodes, int) or nodes.is_integer())):
+        raise ConfigError(f"solver.grid_nodes must be a whole number, got {nodes!r}")
     bounds = {}
     for name, pair in _object(so.get("fit_bounds", {}), "solver.fit_bounds").items():
-        try:
-            lo, hi = pair
-            bounds[name] = (float(lo), float(hi))
-        except (TypeError, ValueError):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(map(_is_number, pair))):
             raise ConfigError(f"solver.fit_bounds.{name} must be a [lo, hi] pair "
-                              f"of numbers, got {pair!r}") from None
+                              f"of numbers, got {pair!r}")
+        bounds[name] = (float(pair[0]), float(pair[1]))
     # A "quadrature_rel_tol" key from older configs is ignored: every
     # capacitance is a closed form.
-    solver = SolverSettings(grid_nodes=grid_nodes, fit_bounds=bounds)
+    solver = SolverSettings(grid_nodes=int(nodes), fit_bounds=bounds)
     return DeviceConfig(profiles=profiles, thresholds=thresholds,
                         servo=servo, solver=solver)
 

@@ -1,7 +1,6 @@
 """Deflection of the edge-clamped circular diaphragm under uniform pressure.
 
-Closed-form center deflection in the small (linear) and large (cubic
-stiffening) regimes, the clamped-plate deflection profile, the geometric
+Closed-form center deflection under cubic stiffening, the geometric
 contact model once the diaphragm touches the insulated bottom plate, and
 classification into the four operating modes.  Center deflection,
 contact radius and mode label are array-valued: a whole pressure sweep is
@@ -132,17 +131,6 @@ def _stress_term(geom: DeviceGeometry) -> float:
             / (16.0 * geom.flexural_rigidity))
 
 
-def small_deflection_center(geom: DeviceGeometry, pressure: float) -> float:
-    """Linear center deflection with built-in stress stiffening.
-
-    W0 = (P R^4 / 64 D) / (1 + sigma h R^2 / 16 D)
-    """
-    if pressure < 0:
-        raise ValueError("pressure must be >= 0")
-    load = pressure * geom.radius**4 / (64.0 * geom.flexural_rigidity)
-    return load / (1.0 + _stress_term(geom))
-
-
 def checked_pressures(pressure: float | np.ndarray) -> np.ndarray:
     """Pressures as a float array; ValueError naming a non-finite or negative one."""
     p = np.asarray(pressure, dtype=float)
@@ -194,16 +182,6 @@ def pressure_for_center_deflection(geom: DeviceGeometry, w0: float) -> float:
 def touch_onset_pressure(geom: DeviceGeometry) -> float:
     """Pressure at which the unconstrained center deflection equals the travel."""
     return pressure_for_center_deflection(geom, geom.travel)
-
-
-def deflection_profile(state: DeflectionState, geom: DeviceGeometry, r: float) -> float:
-    """Clamped-plate deflection W(r) = W0 (1 - (r/R)^2)^2, pre-touch only."""
-    if state.touched:
-        raise ValueError("profile undefined for touched states")
-    if not 0.0 <= r <= geom.radius:
-        raise ValueError("r must be in [0, R]")
-    rho2 = (r / geom.radius) ** 2
-    return state.center_deflection * (1.0 - rho2) ** 2
 
 
 def contact_edge_u(geom: DeviceGeometry,

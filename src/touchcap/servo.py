@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .materials import check_finite
+
 
 @dataclass(frozen=True)
 class ServoMap:
@@ -15,6 +17,7 @@ class ServoMap:
     angle_max: float
 
     def __post_init__(self) -> None:
+        check_finite(self, ("p_min", "p_max", "angle_min", "angle_max"))
         if self.p_min >= self.p_max:
             raise ValueError("p_min must be < p_max")
         if self.angle_min >= self.angle_max:

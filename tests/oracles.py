@@ -1,6 +1,8 @@
-"""Independent oracles for the closed-form capacitance and the C-P exports.
+"""Independent oracles for the closed-form model and the C-P exports.
 
-The quadrature oracles integrate 2 pi eps0 r dr / gap(r) over the
+The linear small-deflection center deflection and the clamped-plate
+profile check the large-deflection root and the shape the capacitance
+closed form integrates.  The quadrature oracles integrate 2 pi eps0 r dr / gap(r) over the
 deflected profile with ``scipy.integrate.quad``, independently of the
 atanh closed form in ``touchcap.capacitance``.  scipy is a test-only
 dependency, so these live with the tests.  The export oracles write a
@@ -18,7 +20,7 @@ import math
 from scipy import integrate
 
 from touchcap import capacitance as cap, mechanics
-from touchcap.mechanics import DeviceGeometry, ModeThresholds
+from touchcap.mechanics import DeflectionState, DeviceGeometry, ModeThresholds
 
 # The integrand steepens sharply as W0 approaches the electrical gap.
 QUAD_REL_TOL = 1e-10
@@ -47,6 +49,30 @@ def normal_mode_capacitance_quadrature(geom: DeviceGeometry, w0: float) -> float
     if w0 / geom.medium_rel_permittivity >= cap.electrical_gap(geom):
         raise cap.TouchStateError("center deflection reaches the electrical gap")
     return _quadrature(geom, lambda r: w0 * (1.0 - (r / geom.radius) ** 2) ** 2, 0.0)
+
+
+def small_deflection_center(geom: DeviceGeometry, pressure: float) -> float:
+    """Linear center deflection with built-in stress stiffening.
+
+    W0 = (P R^4 / 64 D) / (1 + sigma h R^2 / 16 D), the large-deflection
+    relation without its cubic term.
+    """
+    if pressure < 0:
+        raise ValueError("pressure must be >= 0")
+    load = pressure * geom.radius**4 / (64.0 * geom.flexural_rigidity)
+    stress = (geom.builtin_stress * geom.thickness * geom.radius**2
+              / (16.0 * geom.flexural_rigidity))
+    return load / (1.0 + stress)
+
+
+def deflection_profile(state: DeflectionState, geom: DeviceGeometry, r: float) -> float:
+    """Clamped-plate deflection W(r) = W0 (1 - (r/R)^2)^2, pre-touch only."""
+    if state.touched:
+        raise ValueError("profile undefined for touched states")
+    if not 0.0 <= r <= geom.radius:
+        raise ValueError("r must be in [0, R]")
+    rho2 = (r / geom.radius) ** 2
+    return state.center_deflection * (1.0 - rho2) ** 2
 
 
 def post_touch_profile(geom: DeviceGeometry, a: float, r: float) -> float:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -312,6 +313,26 @@ class TestConfigHandling:
         result = run(runner, "--config", bad, "validate")
         assert result.exit_code == 3
         assert "radius_m must be a number" in result.output
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("solver", "fit_bounds", {"gap": [math.nan, 1e-3]},
+         "solver.fit_bounds.gap must be finite with lo < hi, got [nan, 0.001]"),
+        ("servo", "pressure_min_pa", math.nan, "servo: p_min must be finite, got nan"),
+        ("servo", "angle_max_deg", math.inf, "servo: angle_max must be finite, got inf"),
+    ], ids=["nan_gap_bound", "nan_servo_pressure", "inf_servo_angle"])
+    def test_bad_config_value_stops_sweep(self, runner, tmp_path, section, key,
+                                          value, message):
+        doc = json.loads(resources.files("touchcap.data")
+                         .joinpath("default_device.json").read_text())
+        doc[section][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        out.mkdir()
+        result = run(runner, "--config", bad, "sweep", "--output", out / "x.csv")
+        assert result.exit_code == 3
+        assert message in result.output
+        assert list(out.iterdir()) == []
 
 
 # Runs each command through the CLI with scipy made unimportable and

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from touchcap.capacitance import sweep_cp_curve
 from touchcap.config import ConfigError, load_config, parse_config
 from touchcap.mechanics import ModeThresholds
 from touchcap.servo import ServoMap, servo_angle
@@ -97,12 +98,17 @@ class TestParseConfig:
                (("profiles", "default", "layers", 0), "thickness_m", "thickness"),
                (("profiles", "default", "layers", 0), "youngs_modulus_pa",
                 "youngs_modulus"),
-               (("thresholds",), "touch_onset_fraction", "touch_onset_fraction")]),
+               (("thresholds",), "touch_onset_fraction", "touch_onset_fraction"),
+               (("servo",), "pressure_min_pa", "p_min"),
+               (("servo",), "pressure_max_pa", "p_max"),
+               (("servo",), "angle_min_deg", "angle_min"),
+               (("servo",), "angle_max_deg", "angle_max")]),
            st.sampled_from([math.nan, math.inf, -math.inf]))
     def test_non_finite_value_named(self, where, bad):
         path, key, field = where
         doc = self.minimal()
         doc["thresholds"] = {}
+        doc["servo"] = {}
         node = doc
         for step in path:
             node = node[step]
@@ -135,9 +141,25 @@ class TestParseConfig:
         (("profiles", "default", "layers"), 3,
          "profiles.default: layers must be a list, got 3"),
         (("profiles", "default"), 3, "profiles.default must be an object, got 3"),
+        (("profiles", "default", "radius_m"), True,
+         "profiles.default: radius_m must be a number, got True"),
+        (("profiles", "default", "gap_m"), "4.2e-4",
+         "profiles.default: gap_m must be a number, got '4.2e-4'"),
+        (("profiles", "default", "radius_m"), "abc",
+         "profiles.default: radius_m must be a number, got 'abc'"),
+        (("solver", "grid_nodes"), True,
+         "solver.grid_nodes must be a whole number, got True"),
+        (("solver", "grid_nodes"), "301",
+         "solver.grid_nodes must be a whole number, got '301'"),
+        (("solver", "fit_bounds", "gap"), [math.nan, 1e-3],
+         r"solver.fit_bounds.gap must be finite with lo < hi, got \[nan, 0.001\]"),
+        (("solver", "fit_bounds", "gap"), [1e-3, 1e-4],
+         r"solver.fit_bounds.gap must be finite with lo < hi, got \[0.001, 0.0001\]"),
     ], ids=["null_radius", "null_threshold", "text_grid_nodes", "null_grid_nodes",
             "fractional_grid_nodes", "one_bound", "null_bound", "solver_list",
-            "layers_number", "profile_number"])
+            "layers_number", "profile_number", "bool_radius", "string_gap",
+            "text_radius", "bool_grid_nodes", "string_grid_nodes", "nan_bound",
+            "inverted_bounds"])
     def test_malformed_value_named(self, path, value, message):
         doc = self.minimal()
         doc["thresholds"] = {}
@@ -153,6 +175,19 @@ class TestParseConfig:
         doc = self.minimal()
         doc["solver"] = {"grid_nodes": 101.0}
         assert parse_config(doc).solver.grid_nodes == 101
+
+    @pytest.mark.parametrize("profile", ["default", "airgap", "dielectric_50um",
+                                         "fem_scaled"])
+    def test_sweep_sidecar_loads_back(self, config, profile):
+        # The sidecar's geometry and thresholds blocks are a config profile
+        # and thresholds section.
+        geom = config.geometry(profile)
+        curve = sweep_cp_curve(geom, [0.0, 1e3], config.thresholds, profile)
+        sidecar = json.loads(curve.to_json(geom, config.thresholds))
+        loaded = parse_config({"profiles": {"default": sidecar["geometry"]},
+                               "thresholds": sidecar["thresholds"]})
+        assert loaded.geometry() == geom
+        assert loaded.thresholds == config.thresholds
 
 
 class TestServoMap:
