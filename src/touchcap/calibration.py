@@ -6,8 +6,11 @@ Fits forward-model parameters to measured capacitance-pressure samples by
 bounded Levenberg-Marquardt in numpy alone (one array evaluation of the
 model per trial point and per Jacobian column), finds the SSE-optimal
 continuous 4-piece linear fit of a measured curve by an exact search over
-every knot triple (one rank-one update per triple, O(n^2) memory), and
-extracts sensitivity, linearity and 10-90% rise time.  The fit's knots
+knot triples, and extracts sensitivity, linearity and 10-90% rise time.
+The search scores one first knot at a time (one rank-one update per
+triple, O(n^2) memory) in ascending order of a lower bound on its SSE,
+the two outer pieces fitted without continuity, and stops once no bound
+left can come within the tie width of the least SSE found.  The fit's knots
 coincide with operating-mode boundaries only where the curve changes
 slope there; mode labels come from ``mechanics.classify_mode``.
 """
@@ -31,9 +34,10 @@ FIT_PARAM_NAMES = ("gap", "builtin_stress", "dielectric_thickness",
 # either end of the series.
 MIN_GAP = 2
 # Knot-triple SSEs closer than the SSE of a rounding error of this many
-# ulps in every normalized sample tie, and the smallest first knot wins.
-# This settles the knots of a series that every triple fits exactly: for a
-# straight line, a knot at the search edge.
+# ulps in every normalized sample tie: the smallest first knot whose SSE is
+# within this width of the least wins, whatever the order first knots are
+# scored in.  This settles the knots of a series that every triple fits
+# exactly: for a straight line, a knot at the search edge.
 SSE_TIE_ULPS = 16
 # Damped steps a fit may try before it reports no convergence.
 MAX_FIT_ITERATIONS = 100
@@ -319,59 +323,179 @@ def _piecewise_design(p: np.ndarray, b1: float, b2: float, b3: float) -> np.ndar
     ])
 
 
-def _best_knots(p: np.ndarray, c: np.ndarray) -> tuple[int, int, int]:
-    """Knot indices (i, j, k) of the least-squares hinge fit, searched exactly.
-
-    With h_m = max(p - p_m, 0), each first knot i completes an orthonormal
-    basis Q3 of [1, p, h_i], leaving the residual r3 of c.  Every later
-    hinge projected off Q3 is a column g_m.  Adding g_j as the unit vector
-    q4_j lowers the SSE by (q4_j . r3)^2; adding h_k after it lowers it by
-    num^2/den, with num = h_k . r3 - (q4_j . h_k)(q4_j . r3) and
-    den = g_k . g_k - (q4_j . h_k)^2.  The cross terms q4_j . h_k come from
-    reversed cumulative sums, q . h_k = S(q p)[k] - p_k S(q)[k], so each i
-    scores all its (j, k) pairs in O(n^2) time and memory.
-    """
+def _knot_basis(p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What scoring any first knot starts from: an orthonormal basis q2 of
+    [1, p], every hinge h_m = max(p - p_m, 0) projected off it (column m of
+    g2), and the residual r2 of c off it."""
     n = len(p)
-    tie = n * (SSE_TIE_ULPS * np.finfo(float).eps) ** 2  # c spans a unit range
     q2, _ = np.linalg.qr(np.column_stack([np.ones(n), p]))
-    # Column m is h_m projected off [1, p]; each i projects off one more
-    # unit vector u, so that Q3 = [q2, u].
     g2 = np.maximum(p[:, None] - p[None, :], 0.0)
     g2 -= q2 @ (q2.T @ g2)
     r2 = c - q2 @ (q2.T @ c)
-    upper = np.triu(np.ones((n, n), dtype=bool))
-    best = (np.inf, (0, 0, 0))
-    for i in range(MIN_GAP, n - 3 * MIN_GAP):
-        u = g2[:, i] - q2 @ (q2.T @ g2[:, i])  # a second pass keeps u off q2
-        u /= np.sqrt(u @ u)
-        r3 = r2 - u * (u @ r2)
-        # Candidates i + MIN_GAP .. n - MIN_GAP - 1: the first m are the j
-        # choices and the last m (offset MIN_GAP) the k choices, so the
-        # admissible k >= j + MIN_GAP is the upper triangle of an m x m block.
-        g = g2[:, i + MIN_GAP:n - MIN_GAP]
-        g = g - np.outer(u, u @ g)
-        gg = np.einsum("lm,lm->m", g, g)
-        hr = g.T @ r3  # h_m . r3, since r3 is orthogonal to Q3
-        m = len(gg) - MIN_GAP
-        norm = np.sqrt(gg[:m])
-        q4 = g[:, :m] / norm
-        q4r = hr[:m] / norm
-        # h_k is zero on samples before k, so the sums start at the first k.
-        tail = q4[i + 2 * MIN_GAP:]
-        p_tail = p[i + 2 * MIN_GAP:, None]
-        s_q = np.cumsum(tail[::-1], axis=0)[::-1][:m]
-        s_qp = np.cumsum((p_tail * tail)[::-1], axis=0)[::-1][:m]
-        cross = (s_qp - p_tail[:m] * s_q).T  # [j, k] = q4_j . h_k
-        num = hr[MIN_GAP:] - cross * q4r[:, None]
-        den = gg[MIN_GAP:] - cross * cross
-        drop = np.divide(num * num, den, out=np.full((m, m), -np.inf),
-                         where=upper[:m, :m])
-        sse = (float(r3 @ r3) - q4r * q4r)[:, None] - drop
-        pos = int(np.argmin(sse))
-        if sse.flat[pos] < best[0] - tie:
-            a, b = divmod(pos, m)
-            best = (float(sse.flat[pos]), (i, i + MIN_GAP + a, i + 2 * MIN_GAP + b))
-    return best[1]
+    return q2, g2, r2
+
+
+def _score_first_knot(p: np.ndarray, q2: np.ndarray, g2: np.ndarray,
+                      r2: np.ndarray, i: int) -> tuple[float, int, int]:
+    """Least SSE over every admissible (j, k) with first knot i, and its j, k.
+
+    Each first knot i completes an orthonormal basis Q3 = [q2, u] of
+    [1, p, h_i], leaving the residual r3 of c.  Every later hinge projected
+    off Q3 is a column g_m.  Adding g_j as the unit vector q4_j lowers the
+    SSE by (q4_j . r3)^2; adding h_k after it lowers it by num^2/den, with
+    num = h_k . r3 - (q4_j . h_k)(q4_j . r3) and
+    den = g_k . g_k - (q4_j . h_k)^2.  The cross terms q4_j . h_k come from
+    reversed cumulative sums, q . h_k = S(q p)[k] - p_k S(q)[k], so all
+    (j, k) pairs take O(n^2) time and memory.  Among equal SSEs the
+    smallest j, then k, wins.
+    """
+    n = len(p)
+    u = g2[:, i] - q2 @ (q2.T @ g2[:, i])  # a second pass keeps u off q2
+    u /= np.sqrt(u @ u)
+    r3 = r2 - u * (u @ r2)
+    # Candidates i + MIN_GAP .. n - MIN_GAP - 1: the first m are the j
+    # choices and the last m (offset MIN_GAP) the k choices, so the
+    # admissible k >= j + MIN_GAP is the upper triangle of an m x m block.
+    g = g2[:, i + MIN_GAP:n - MIN_GAP]
+    g = g - np.outer(u, u @ g)
+    gg = np.einsum("lm,lm->m", g, g)
+    hr = g.T @ r3  # h_m . r3, since r3 is orthogonal to Q3
+    m = len(gg) - MIN_GAP
+    norm = np.sqrt(gg[:m])
+    q4 = g[:, :m] / norm
+    q4r = hr[:m] / norm
+    # h_k is zero on samples before k, so the sums start at the first k.
+    tail = q4[i + 2 * MIN_GAP:]
+    p_tail = p[i + 2 * MIN_GAP:, None]
+    s_q = np.cumsum(tail[::-1], axis=0)[::-1][:m]
+    s_qp = np.cumsum((p_tail * tail)[::-1], axis=0)[::-1][:m]
+    cross = (s_qp - p_tail[:m] * s_q).T  # [j, k] = q4_j . h_k
+    num = hr[MIN_GAP:] - cross * q4r[:, None]
+    den = gg[MIN_GAP:] - cross * cross
+    drop = np.divide(num * num, den, out=np.full((m, m), -np.inf),
+                     where=np.triu(np.ones((m, m), dtype=bool)))
+    sse = (float(r3 @ r3) - q4r * q4r)[:, None] - drop
+    pos = int(np.argmin(sse))
+    a, b = divmod(pos, m)
+    return float(sse.flat[pos]), i + MIN_GAP + a, i + 2 * MIN_GAP + b
+
+
+def _hinge_sse_bounds(p: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """T[m, j] <= the least-squares SSE of a line hinged at p_m, fitted to
+    samples 0..j, for every m < j (entries with m >= j mean nothing);
+    O(n^2) time and memory.
+
+    With u = p - p_m, the basis (min(u, 0), max(u, 0), 1) spans
+    [1, p, h_m], and its first two columns are orthogonal, so the normal
+    matrix [[L2, 0, L1], [0, R2, R1], [L1, R1, j + 1]] takes its left-piece
+    entries (samples 0..m) per m and its right-piece entries (samples
+    m+1..j) per (m, j), each from prefix sums of 1, p, p^2, c, pc and c^2.
+    A closed-form Cholesky solve gives the SSE, c.c - z.z, elementwise.
+    Its last pivot is at least 1 in exact arithmetic, since sample m is 1
+    in the third column and 0 in the others.
+
+    Rounding margin, with |p| <= 1 as segment_modes scales it: a prefix sum
+    of f is off by at most (n - 1) eps sum|f| (Higham, Accuracy and
+    Stability of Numerical Algorithms, sec. 4.2), so a difference of two,
+    multiplied by p_m and combined as above, is off by at most
+    gamma = 3 n eps times the sum over all samples of |x_a x_b|, |x_a c| or
+    c^2, where |x| <= (|p| + |p_m|, |p| + |p_m|, 1) <= (2, 2, 1).  To first
+    order the SSE moves by w.dG w - 2 w.db + d(c.c) at the least-squares
+    coefficients w, which is at most
+    gamma sum_l (|c_l| + 2|w_-| + 2|w_+| + |w_1|)^2
+    <= 4 gamma (c.c + n (4 w_-^2 + 4 w_+^2 + w_1^2)).  The Cholesky solve
+    and the final subtraction add a few eps of the same sums.  Twice this
+    is subtracted, which also covers the rounding of the first-knot SSEs
+    the bounds are compared with.  An entry with a NaN or non-positive
+    pivot is -inf.
+    """
+    n = len(p)
+    count = np.arange(1.0, n + 1.0)
+    sp, spp, sc, spc, scc = (np.cumsum(f) for f in (p, p * p, c, p * c, c * c))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # Left piece, samples 0..m, per m (rows).
+        a = np.sqrt(spp - p * (2.0 * sp - p * count))[:, None]
+        z1 = (spc - p * sc)[:, None] / a
+        e1 = (sp - p * count)[:, None] / a
+        # Right piece, samples m+1..j, per (m, j).
+        # (Each n x n array is deleted once used, to keep the peak down.)
+        pm = p[:, None]
+        s1 = sp - sp[:, None]
+        r1 = s1 - pm * (count - count[:, None])
+        b = np.sqrt((spp - spp[:, None]) - pm * (s1 + r1))
+        del s1
+        e2 = r1 / b
+        del r1
+        z2 = ((spc - spc[:, None]) - pm * (sc - sc[:, None])) / b
+        d = np.sqrt(count - e1 * e1 - e2 * e2)
+        z3 = (sc - e1 * z1 - e2 * z2) / d
+        bound = scc - z1 * z1 - z2 * z2 - z3 * z3
+        w1 = z3 / d
+        del z3, d
+        w_plus = (z2 - e2 * w1) / b
+        del z2, e2, b
+        w_minus = (z1 - e1 * w1) / a
+        bound -= (24.0 * n * np.finfo(float).eps
+                  * (scc[-1] + n * (4.0 * (w_minus**2 + w_plus**2) + w1**2)))
+    bound[np.isnan(bound)] = -np.inf
+    return bound
+
+
+def _first_knot_bounds(p: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """LB[i] <= the least SSE of any admissible knot triple with first knot i.
+
+    On samples 0..j the spline with knots (i, j, k) is a line hinged at p_i
+    alone, and on samples j+1..n-1 a line hinged at p_k, so its SSE is at
+    least A(i, j) + B(j, k), the two pieces fitted without continuity at
+    p_j.  LB[i] is the least A(i, j) + min_k B(j, k) under the
+    ``MIN_GAP`` rules of the search.  B is the table of A on the reversed
+    series: hinge k there has index n-1-k, and samples j+1..n-1 are samples
+    0..n-2-j.  Inadmissible first knots get inf.
+    """
+    n = len(p)
+    row = np.arange(n)[:, None]
+    j = np.arange(n - 1)[None, :]
+    # B(j, k) is at row n-1-k and column n-2-j of the reversed table, whose
+    # columns are read backward so that column j holds B(j, .); the rows
+    # admit k from j + MIN_GAP to n - 1 - MIN_GAP.
+    usable = (row >= MIN_GAP) & (row <= n - 1 - MIN_GAP - j)
+    b_min = np.where(usable, _hinge_sse_bounds(-p[::-1], c[::-1])[:, n - 2::-1],
+                     np.inf).min(axis=0)
+    # A(i, j) is at row i, for j from i + MIN_GAP to n - 1 - 2 MIN_GAP.
+    usable = (row >= MIN_GAP) & (j >= row + MIN_GAP) & (j < n - 2 * MIN_GAP)
+    fwd = _hinge_sse_bounds(p, c)[:, :n - 1]
+    with np.errstate(invalid="ignore"):  # -inf + inf off the admissible pairs
+        return np.where(usable, fwd + b_min, np.inf).min(axis=1)
+
+
+def _best_knots(p: np.ndarray, c: np.ndarray) -> tuple[int, int, int]:
+    """Knot indices (i, j, k) of the least-squares hinge fit, searched exactly.
+
+    First knots are scored by ``_score_first_knot``, O(n^2) each, in
+    ascending order of their lower bounds from ``_first_knot_bounds``.
+    The search stops once the next bound exceeds the least SSE found by
+    more than the tie width, since no first knot left can then come within
+    it.  The smallest first knot whose SSE is within the tie width of the
+    least wins, whatever the order of scoring.  Time is O(n^2) for the
+    bounds plus O(n^2) per first knot scored.  A curve with well-separated
+    slope changes scores one or two, and only data fitted to within the
+    bounds' rounding margin, such as a line, scores every first knot in
+    O(n^3).
+    """
+    n = len(p)
+    tie = n * (SSE_TIE_ULPS * np.finfo(float).eps) ** 2  # c spans a unit range
+    q2, g2, r2 = _knot_basis(p, c)
+    bounds = _first_knot_bounds(p, r2)
+    first = np.arange(MIN_GAP, n - 3 * MIN_GAP)
+    least = np.inf
+    scored = []
+    for i in first[np.argsort(bounds[first], kind="stable")].tolist():
+        if bounds[i] > least + tie:
+            break
+        sse, j, k = _score_first_knot(p, q2, g2, r2, i)
+        scored.append((sse, (i, j, k)))
+        least = min(least, sse)
+    return min(knots for sse, knots in scored if sse <= least + tie)
 
 
 def segment_modes(data: MeasuredSeries) -> ModeSegmentation:
@@ -379,8 +503,11 @@ def segment_modes(data: MeasuredSeries) -> ModeSegmentation:
 
     Knots are restricted to sample abscissae with at least ``MIN_GAP``
     samples between them and the ends; the search returns the global
-    least-squares optimum in O(n^3) time and O(n^2) memory (see
-    ``_best_knots``).  Deterministic by construction.
+    least-squares optimum in O(n^2) memory (see ``_best_knots``).  Its
+    time is O(n^2) for the first-knot lower bounds plus O(n^2) per first
+    knot scored: one or two on a curve with distinct slope changes, and
+    every one, O(n^3) in all, only on data fitted to within rounding.
+    Deterministic by construction.
 
     The knots mark the SSE-optimal slope changes.  They coincide with
     operating-mode boundaries only where the curve changes slope there;
@@ -457,6 +584,8 @@ def rise_time(data: MeasuredSeries) -> float:
     """
     if data.kind != "time":
         raise ValueError("rise_time needs time-capacitance data")
+    if len(data) < 2:
+        raise ValueError("need at least 2 samples")
     t = data.abscissa
     c = data.capacitance
     n = len(c)

@@ -10,6 +10,7 @@ error, 3 IO or parse error.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import tempfile
@@ -325,15 +326,26 @@ def servo(ctx: click.Context, pressures: tuple[float, ...],
               show_default=True)
 @click.pass_context
 def modes(ctx: click.Context, data: str, output: str) -> None:
-    """Fit a continuous 4-piece linear model to a pressure-capacitance CSV.
+    """Segment a pressure-capacitance CSV, or time a step response.
 
-    Reports the SSE-optimal knots; they match mode boundaries only where
-    the curve changes slope there.
+    A pressure_pa,capacitance_f CSV gets a continuous 4-piece linear fit,
+    reported by its SSE-optimal knots; they match mode boundaries only
+    where the curve changes slope there.  A time_s,capacitance_f CSV gets
+    its 10-90% rise time, written as {"rise_time_s": ...}.
     """
     try:
         series = calibration.MeasuredSeries.from_csv(_read_text(data))
     except ValueError as exc:
         raise ParseFailure(f"{data}: {exc}") from exc
+    if series.kind == "time":
+        try:
+            rise = calibration.rise_time(series)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
+        _atomic_write(output, json.dumps({"rise_time_s": rise}, indent=2) + "\n")
+        _echo(ctx, f"rise time (s): {rise!r}")
+        _echo(ctx, f"wrote {output}")
+        return
     try:
         seg = calibration.segment_modes(series)
     except ValueError as exc:

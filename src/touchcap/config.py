@@ -111,6 +111,16 @@ def _object(value, where: str) -> dict:
     return value
 
 
+def _float(value, where: str) -> float:
+    """A JSON number as a float; ConfigError naming ``where`` for an
+    integer too large for one."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} is too large for a float: an integer of "
+                          f"{len(str(abs(value)))} digits") from None
+
+
 def _read(doc: dict, keys) -> dict:
     """Dataclass keyword arguments read from ``doc`` through a key table;
     KeyError for a missing required key, ConfigError for a non-number."""
@@ -119,7 +129,7 @@ def _read(doc: dict, keys) -> dict:
         value = doc[key] if default is None else doc.get(key, default)
         if not _is_number(value):
             raise ConfigError(f"{key} must be a number, got {value!r}")
-        kwargs[name] = float(value)
+        kwargs[name] = _float(value, key)
     return kwargs
 
 
@@ -191,7 +201,7 @@ def parse_config(doc: dict) -> DeviceConfig:
                 and all(map(_is_number, pair))):
             raise ConfigError(f"solver.fit_bounds.{name} must be a [lo, hi] pair "
                               f"of numbers, got {pair!r}")
-        bounds[name] = (float(pair[0]), float(pair[1]))
+        bounds[name] = tuple(_float(v, f"solver.fit_bounds.{name}") for v in pair)
     # A "quadrature_rel_tol" key from older configs is ignored: every
     # capacitance is a closed form.
     solver = SolverSettings(grid_nodes=int(nodes), fit_bounds=bounds)
@@ -208,6 +218,6 @@ def load_config(path: str | Path | None = None) -> DeviceConfig:
         text = Path(path).read_text()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to read
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     return parse_config(doc)

@@ -8,6 +8,9 @@ atanh closed form in ``touchcap.capacitance``.  scipy is a test-only
 dependency, so these live with the tests.  The export oracles write a
 ``CPCurve`` through ``csv.writer`` and ``json.dumps``, the encoders that
 the template-based ``to_csv`` and ``to_json`` must match byte for byte.
+The exhaustive knot search scores every first knot of a segmentation, the
+search whose knots the bound-pruned ``calibration._best_knots`` must
+reproduce.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ import io
 import json
 import math
 
+import numpy as np
 from scipy import integrate
 
-from touchcap import capacitance as cap, mechanics
+from touchcap import calibration as cal, capacitance as cap, mechanics
 from touchcap.mechanics import DeflectionState, DeviceGeometry, ModeThresholds
 
 # The integrand steepens sharply as W0 approaches the electrical gap.
@@ -100,6 +104,24 @@ def touch_mode_capacitance_quadrature(geom: DeviceGeometry,
     annulus = _quadrature(geom, lambda r: post_touch_profile(geom, a, r), a)
     return cap.CapacitanceBreakdown(total=touched + annulus, touched_part=touched,
                                     untouched_part=annulus)
+
+
+def best_knots_exhaustive(p: np.ndarray, c: np.ndarray) -> tuple[int, int, int]:
+    """Knot indices of the least-squares hinge fit, scoring every first knot.
+
+    First knots are scored in ascending order, and a later one replaces the
+    best only with an SSE lower by more than the tie width of
+    ``calibration._best_knots``.  O(n^3) time.
+    """
+    n = len(p)
+    tie = n * (cal.SSE_TIE_ULPS * np.finfo(float).eps) ** 2
+    basis = cal._knot_basis(p, c)
+    best = (math.inf, (0, 0, 0))
+    for i in range(cal.MIN_GAP, n - 3 * cal.MIN_GAP):
+        sse, j, k = cal._score_first_knot(p, *basis, i)
+        if sse < best[0] - tie:
+            best = (sse, (i, j, k))
+    return best[1]
 
 
 def cp_curve_csv(curve: cap.CPCurve) -> str:

@@ -2,11 +2,13 @@ import math
 import tracemalloc
 from dataclasses import replace
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import oracles
 from touchcap import calibration as cal, capacitance as cap, mechanics
 from touchcap.calibration import MeasuredSeries
 
@@ -390,6 +392,99 @@ class TestSegmentModes:
             cal.segment_modes(MeasuredSeries(np.arange(15.0), np.full(15, 2e-12)))
 
 
+def random_series(n, seed, rounded):
+    """A noisy sine, on an integer grid with 0.1-step values if ``rounded``."""
+    rng = np.random.default_rng(seed)
+    if rounded:
+        p = np.cumsum(rng.integers(1, 4, n)).astype(float)
+        return p, np.round(np.sin(p / n * 4.0) + 0.3 * rng.standard_normal(n), 1)
+    p = np.cumsum(rng.uniform(0.05, 1.0, n))
+    return p, np.sin(p / p[-1] * 4.0) + 0.3 * rng.standard_normal(n)
+
+
+def sweep_series(geom, thresholds, n):
+    """The n-point 0-60 kPa sweep of ``geom`` as measured data."""
+    curve = cap.sweep_cp_curve(geom, [float(x) for x in np.linspace(0.0, 60e3, n)],
+                               thresholds)
+    return np.array(curve.pressures()), np.array(curve.capacitances())
+
+
+class TestKnotPruning:
+    """The first-knot lower bounds and the best-first search they prune."""
+
+    @staticmethod
+    def assert_bounds_hold(p, c):
+        # Scaled as segment_modes scales the data it searches.
+        p = p / np.max(np.abs(p))
+        c = (c - np.mean(c)) / np.ptp(c)
+        q2, g2, r2 = cal._knot_basis(p, c)
+        bounds = cal._first_knot_bounds(p, r2)
+        for i in range(cal.MIN_GAP, len(p) - 3 * cal.MIN_GAP):
+            assert bounds[i] <= cal._score_first_knot(p, q2, g2, r2, i)[0], i
+
+    @staticmethod
+    def scored_first_knots(data):
+        calls = []
+        score = cal._score_first_knot
+
+        def counted(*args):
+            calls.append(args[-1])
+            return score(*args)
+
+        with mock.patch.object(cal, "_score_first_knot", counted):
+            seg = cal.segment_modes(data)
+        return seg, calls
+
+    @given(st.integers(12, 80), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_bound_below_first_knot_sse(self, n, seed, rounded):
+        p, c = random_series(n, seed, rounded)
+        assume(np.ptp(c) > 0)
+        self.assert_bounds_hold(p, c)
+
+    @pytest.mark.parametrize("shape", ["line", "hinge"])
+    def test_bound_below_first_knot_sse_exact_fits(self, shape):
+        p = np.arange(0.0, 40e3, 1e3)
+        c = 5e-12 + 2e-16 * p
+        if shape == "hinge":
+            c += 6e-16 * np.maximum(p - 17e3, 0.0)
+        self.assert_bounds_hold(p, c)
+
+    @pytest.mark.parametrize("n", [61, 161])
+    def test_bound_below_first_knot_sse_fem_scaled(self, scaled_geometry, config, n):
+        # Nearly a straight line: the bounds sit within rounding of the SSEs.
+        self.assert_bounds_hold(*sweep_series(scaled_geometry, config.thresholds, n))
+
+    @given(st.integers(30, 120), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_exhaustive_oracle(self, n, seed, rounded):
+        p, c = random_series(n, seed, rounded)
+        assume(np.ptp(c) > 0)
+        data = MeasuredSeries(p, c)
+        seg = cal.segment_modes(data)
+        with mock.patch.object(cal, "_best_knots", oracles.best_knots_exhaustive):
+            want = cal.segment_modes(data)
+        assert (seg.boundaries, seg.sse, seg.low_confidence) == \
+            (want.boundaries, want.sse, want.low_confidence)
+
+    def test_golden_sweep_scores_two_first_knots(self, default_geometry, config):
+        seg, calls = self.scored_first_knots(
+            MeasuredSeries(*sweep_series(default_geometry, config.thresholds, 161)))
+        assert seg.boundaries == (7500.0, 15000.0, 29625.0)
+        assert 1 <= len(calls) <= 2
+
+    def test_exact_line_scores_every_first_knot(self):
+        # Every triple fits a line exactly, so no bound exceeds the tie width.
+        p = np.arange(0.0, 30e3, 1e3)
+        data = MeasuredSeries(p, 5e-12 + 2e-16 * p)
+        seg, calls = self.scored_first_knots(data)
+        assert sorted(calls) == list(range(cal.MIN_GAP, len(p) - 3 * cal.MIN_GAP))
+        assert seg.low_confidence
+        # The tie goes to the smallest first knot, in whatever order scored.
+        with mock.patch.object(cal, "_best_knots", oracles.best_knots_exhaustive):
+            assert seg == cal.segment_modes(data)
+
+
 class TestSensitivityLinearity:
     def test_exact_line(self):
         p = np.linspace(10e3, 40e3, 10)
@@ -444,6 +539,10 @@ class TestRiseTime:
     def test_rejects_pressure_data(self):
         with pytest.raises(ValueError):
             cal.rise_time(MeasuredSeries(np.arange(10.0), np.arange(10.0)))
+
+    def test_too_few_samples(self):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            cal.rise_time(MeasuredSeries(np.array([0.0]), np.array([1e-12]), kind="time"))
 
     @given(st.floats(0.1, 50.0), st.floats(-1e-11, 1e-11))
     @settings(max_examples=20, deadline=None)

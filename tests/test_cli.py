@@ -291,6 +291,31 @@ class TestModes:
                          + "".join(f"{i}.0,{7 + i}e-12\n" for i in range(5)))
         assert run(runner, "modes", small).exit_code == 2
 
+    def test_step_response_rise_time(self, runner, tmp_path):
+        # 5 pF stepping to 6 pF along a ramp from 1 s to 2 s: the 10% and
+        # 90% levels are crossed at 1.1 s and 1.9 s.
+        step = tmp_path / "step.csv"
+        rows = [f"{t!r},{5e-12 + 1e-12 * min(max(t - 1.0, 0.0), 1.0)!r}"
+                for t in (i / 100 for i in range(401))]
+        step.write_text("time_s,capacitance_f\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "rise.json"
+        result = run(runner, "modes", step, "--output", out)
+        assert result.exit_code == 0, result.output
+        rise = json.loads(out.read_text())["rise_time_s"]
+        assert list(json.loads(out.read_text())) == ["rise_time_s"]
+        assert rise == pytest.approx(0.8, rel=1e-9)
+        assert f"rise time (s): {rise!r}" in result.output
+
+    def test_flat_time_series_usage_error(self, runner, tmp_path):
+        flat = tmp_path / "flat.csv"
+        flat.write_text("time_s,capacitance_f\n"
+                        + "".join(f"{i / 10!r},5e-12\n" for i in range(50)))
+        out = tmp_path / "rise.json"
+        result = run(runner, "modes", flat, "--output", out)
+        assert result.exit_code == 2
+        assert "no detectable step" in result.output
+        assert not out.exists()
+
 
 class TestConfigHandling:
     def test_missing_config_file(self, runner):
@@ -313,6 +338,16 @@ class TestConfigHandling:
         result = run(runner, "--config", bad, "validate")
         assert result.exit_code == 3
         assert "radius_m must be a number" in result.output
+
+    def test_config_integer_too_large_parse_error(self, runner, tmp_path):
+        doc = json.loads(resources.files("touchcap.data")
+                         .joinpath("default_device.json").read_text())
+        doc["profiles"]["default"]["radius_m"] = 10**400
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        result = run(runner, "--config", bad, "validate")
+        assert result.exit_code == 3
+        assert "radius_m is too large for a float" in result.output
 
     @pytest.mark.parametrize("section,key,value,message", [
         ("solver", "fit_bounds", {"gap": [math.nan, 1e-3]},

@@ -38,6 +38,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
 
+    def test_integer_too_long_to_read(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"profiles": {"default": {"radius_m": ' + "1" * 5000 + "}}}")
+        with pytest.raises(ConfigError, match="JSON.*5000 digits"):
+            load_config(path)
+
 
 class TestParseConfig:
     def minimal(self):
@@ -155,11 +161,15 @@ class TestParseConfig:
          r"solver.fit_bounds.gap must be finite with lo < hi, got \[nan, 0.001\]"),
         (("solver", "fit_bounds", "gap"), [1e-3, 1e-4],
          r"solver.fit_bounds.gap must be finite with lo < hi, got \[0.001, 0.0001\]"),
+        (("profiles", "default", "radius_m"), 10**400,
+         "profiles.default: radius_m is too large for a float: an integer of 401 digits"),
+        (("solver", "fit_bounds", "gap"), [1e-4, 10**400],
+         "solver.fit_bounds.gap is too large for a float: an integer of 401 digits"),
     ], ids=["null_radius", "null_threshold", "text_grid_nodes", "null_grid_nodes",
             "fractional_grid_nodes", "one_bound", "null_bound", "solver_list",
             "layers_number", "profile_number", "bool_radius", "string_gap",
             "text_radius", "bool_grid_nodes", "string_grid_nodes", "nan_bound",
-            "inverted_bounds"])
+            "inverted_bounds", "huge_radius", "huge_bound"])
     def test_malformed_value_named(self, path, value, message):
         doc = self.minimal()
         doc["thresholds"] = {}
