@@ -17,15 +17,13 @@ slope there; mode labels come from ``mechanics.classify_mode``.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import capacitance as cap
-from .mechanics import DeviceGeometry, ModeThresholds
+from .mechanics import DeviceGeometry
 
 # Geometry fields adjustable by the fitter, plus a constant parasitic offset.
 FIT_PARAM_NAMES = ("gap", "builtin_stress", "dielectric_thickness",
@@ -140,9 +138,6 @@ class FitResult:
     iterations: int
     converged: bool
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2) + "\n"
-
 
 @dataclass(frozen=True)
 class ModeSegmentation:
@@ -154,15 +149,12 @@ class ModeSegmentation:
     sse: float
     low_confidence: bool = False
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2) + "\n"
-
 
 def apply_params(geom: DeviceGeometry, params: dict[str, float]) -> tuple[DeviceGeometry, float]:
-    """Geometry with fit parameters applied; returns (geometry, offset)."""
+    """Geometry with fit parameters (``FIT_PARAM_NAMES`` only) applied;
+    returns (geometry, offset)."""
     offset = params.get("parasitic_offset", 0.0)
-    fields = {k: v for k, v in params.items()
-              if k in FIT_PARAM_NAMES and k != "parasitic_offset"}
+    fields = {k: v for k, v in params.items() if k != "parasitic_offset"}
     return replace(geom, **fields), offset
 
 
@@ -218,16 +210,11 @@ def fit_model(data: MeasuredSeries, geom0: DeviceGeometry,
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValueError(f"bounds for {name!r} must be finite with lo < hi")
 
-    start = {
-        "gap": geom0.gap,
-        "builtin_stress": geom0.builtin_stress,
-        "dielectric_thickness": geom0.dielectric_thickness,
-        "dielectric_rel_permittivity": geom0.dielectric_rel_permittivity,
-        "parasitic_offset": 0.0,
-    }
     lo = np.array([bounds[n][0] for n in free_params], dtype=float)
     hi = np.array([bounds[n][1] for n in free_params], dtype=float)
-    x0 = np.clip([start[n] for n in free_params], lo, hi)
+    # Each parameter starts at its geometry field; the offset starts at 0.
+    x0 = np.clip([0.0 if n == "parasitic_offset" else getattr(geom0, n)
+                  for n in free_params], lo, hi)
 
     def params_at(z: np.ndarray) -> dict[str, float]:
         # Exact at both bounds: z = 0 gives lo and z = 1 gives hi.

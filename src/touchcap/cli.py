@@ -10,6 +10,7 @@ error, 3 IO or parse error.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -30,10 +31,8 @@ VALIDATE_MIN_R2 = 1.0 - 1e-9
 
 
 class IOFailure(click.ClickException):
-    exit_code = 3
+    """A file that cannot be read, written or parsed."""
 
-
-class ParseFailure(click.ClickException):
     exit_code = 3
 
 
@@ -65,11 +64,25 @@ def _atomic_write(path: str | Path, text: str) -> None:
         raise IOFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _read_text(path: str | Path) -> str:
+def _read(path: str | Path, parse):
+    """``parse`` applied to the text of ``path``; IOFailure naming the path
+    if it cannot be read or ``parse`` raises ValueError."""
     try:
-        return Path(path).read_text()
+        return parse(Path(path).read_text())
     except OSError as exc:
         raise IOFailure(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise IOFailure(f"{path}: {exc}") from exc
+
+
+def _write_rows(path: str | Path, header: str, rows) -> None:
+    """A headed CSV with each value written as the repr of its float."""
+    lines = [header, *(",".join(repr(float(v)) for v in row) for row in rows)]
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def _write_json(path: str | Path, doc: dict) -> None:
+    _atomic_write(path, json.dumps(doc, indent=2) + "\n")
 
 
 def _echo(ctx: click.Context, message: str) -> None:
@@ -98,7 +111,7 @@ def main(ctx: click.Context, config_path: str | None, quiet: bool) -> None:
     except OSError as exc:
         raise IOFailure(f"cannot read config: {exc}") from exc
     except ConfigError as exc:
-        raise ParseFailure(f"invalid config: {exc}") from exc
+        raise IOFailure(f"invalid config: {exc}") from exc
     ctx.obj = {"config": cfg, "quiet": quiet}
 
 
@@ -196,8 +209,8 @@ def validate(ctx: click.Context, node_counts: tuple[int, ...], profile: str,
 
     p_lo, p_hi = 2e3, 10e3
     lin_pressures = [p_lo + (p_hi - p_lo) * i / 4 for i in range(5)]
-    lin = plate_fd.linearity_check(
-        geom, lin_pressures, plate_fd.RadialGrid(counts[-1], geom.radius))
+    lin = plate_fd.linearity_check(geom, lin_pressures,
+                                   plate_fd.RadialGrid(counts[-1]))
     _echo(ctx, f"linearity R^2 over {p_lo:.0f}-{p_hi:.0f} Pa: "
                f"{lin.r_squared:.12f}")
 
@@ -236,25 +249,20 @@ def fit(ctx: click.Context, data: str, free_params: tuple[str, ...],
     """
     cfg = ctx.obj["config"]
     geom = _geometry(cfg, profile)
-    try:
-        series = calibration.MeasuredSeries.from_csv(_read_text(data))
-    except ValueError as exc:
-        raise ParseFailure(f"{data}: {exc}") from exc
-
+    series = _read(data, calibration.MeasuredSeries.from_csv)
     try:
         result = calibration.fit_model(series, geom, list(free_params),
                                        cfg.solver.fit_bounds)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
 
-    _atomic_write(output, result.to_json())
+    _write_json(output, dataclasses.asdict(result))
     fitted_geom, offset = calibration.apply_params(geom, result.params)
     model = calibration.model_capacitances(fitted_geom, series.abscissa) + offset
-    lines = ["pressure_pa,capacitance_f,model_f,residual_f"]
-    for p, c, m in zip(series.abscissa, series.capacitance, model):
-        lines.append(f"{float(p)!r},{float(c)!r},{float(m)!r},{float(m - c)!r}")
     residual_path = Path(output).with_suffix(".residuals.csv")
-    _atomic_write(residual_path, "\n".join(lines) + "\n")
+    _write_rows(residual_path, "pressure_pa,capacitance_f,model_f,residual_f",
+                zip(series.abscissa, series.capacitance, model,
+                    model - series.capacitance))
 
     for name, value in result.params.items():
         _echo(ctx, f"{name} = {value!r}")
@@ -297,11 +305,8 @@ def servo(ctx: click.Context, pressures: tuple[float, ...],
     geom = _geometry(cfg, profile)
 
     if data_path is not None:
-        try:
-            _, (column,) = calibration.csv_columns(_read_text(data_path),
-                                                   ("pressure_pa",))
-        except ValueError as exc:
-            raise ParseFailure(f"{data_path}: {exc}") from exc
+        _, (column,) = _read(data_path, lambda text: calibration.csv_columns(
+            text, ("pressure_pa",)))
         p_list = column.tolist()
     else:
         p_list = list(pressures)
@@ -312,11 +317,9 @@ def servo(ctx: click.Context, pressures: tuple[float, ...],
         raise CheckFailure(f"P = {exc.pressure} Pa: {exc.cause}") from exc
     except ValueError as exc:  # a negative or non-finite pressure
         raise click.UsageError(str(exc)) from exc
-    lines = ["pressure_pa,capacitance_f,angle_deg"]
-    for p, c in zip(p_list, caps.tolist()):
-        angle = servo_angle(cfg.servo, p)
-        lines.append(f"{float(p)!r},{float(c)!r},{float(angle)!r}")
-    _atomic_write(output, "\n".join(lines) + "\n")
+    _write_rows(output, "pressure_pa,capacitance_f,angle_deg",
+                ((p, c, servo_angle(cfg.servo, p))
+                 for p, c in zip(p_list, caps.tolist())))
     _echo(ctx, f"wrote {len(p_list)} rows to {output}")
 
 
@@ -333,16 +336,13 @@ def modes(ctx: click.Context, data: str, output: str) -> None:
     where the curve changes slope there.  A time_s,capacitance_f CSV gets
     its 10-90% rise time, written as {"rise_time_s": ...}.
     """
-    try:
-        series = calibration.MeasuredSeries.from_csv(_read_text(data))
-    except ValueError as exc:
-        raise ParseFailure(f"{data}: {exc}") from exc
+    series = _read(data, calibration.MeasuredSeries.from_csv)
     if series.kind == "time":
         try:
             rise = calibration.rise_time(series)
         except ValueError as exc:
             raise click.UsageError(str(exc)) from exc
-        _atomic_write(output, json.dumps({"rise_time_s": rise}, indent=2) + "\n")
+        _write_json(output, {"rise_time_s": rise})
         _echo(ctx, f"rise time (s): {rise!r}")
         _echo(ctx, f"wrote {output}")
         return
@@ -350,7 +350,7 @@ def modes(ctx: click.Context, data: str, output: str) -> None:
         seg = calibration.segment_modes(series)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    _atomic_write(output, seg.to_json())
+    _write_json(output, dataclasses.asdict(seg))
     bounds = ", ".join(f"{b!r}" for b in seg.boundaries)
     _echo(ctx, f"boundaries (Pa): {bounds}")
     _echo(ctx, f"segment R^2: "

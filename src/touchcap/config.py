@@ -38,6 +38,7 @@ from pathlib import Path
 
 from .materials import Laminate, MaterialLayer
 from .mechanics import DeviceGeometry, ModeThresholds
+from .plate_fd import RadialGrid
 from .servo import ServoMap
 
 DEFAULT_CONFIG_RESOURCE = "default_device.json"
@@ -53,8 +54,10 @@ class SolverSettings:
     fit_bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.grid_nodes < 16:
-            raise ConfigError("solver.grid_nodes must be >= 16")
+        try:
+            RadialGrid(self.grid_nodes)
+        except ValueError as exc:
+            raise ConfigError(f"solver.grid_nodes: {exc}") from None
         for name, (lo, hi) in self.fit_bounds.items():
             if not -math.inf < lo < hi < math.inf:  # false for NaN too
                 raise ConfigError(f"solver.fit_bounds.{name} must be finite with "

@@ -66,14 +66,6 @@ class Laminate:
         return z
 
 
-# Typical literature values for the default aluminum-on-polyimide stack.
-# Overridable through the device configuration; never baked into formulas.
-DEFAULT_ALUMINUM = MaterialLayer("Al", youngs_modulus=70e9, poisson_ratio=0.35,
-                                 thickness=0.2e-6)
-DEFAULT_POLYIMIDE = MaterialLayer("PI", youngs_modulus=2.5e9, poisson_ratio=0.34,
-                                  thickness=25e-6)
-
-
 def neutral_plane(laminate: Laminate) -> float:
     """Neutral-plane height e above the bottom face.
 

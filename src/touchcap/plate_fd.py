@@ -13,6 +13,11 @@ computed center deflection matches the stencil's exact-arithmetic
 solution to well under 1% of the discretization error; at 3201 nodes
 roundoff is about half the discretization error and at 6401 it
 dominates, so a convergence ladder is roundoff-limited past 1601 nodes.
+
+A grid is a node count from ``MIN_NODE_COUNT`` to ``MAX_NODE_COUNT``
+(16 to 6401); its spacing comes from the geometry's radius.  A count
+outside that range is a ConfigError in ``solver.grid_nodes`` (CLI exit 3)
+and a usage error in ``validate --nodes`` (exit 2).
 """
 
 from __future__ import annotations
@@ -27,27 +32,23 @@ from .materials import neutral_plane
 from .mechanics import DeviceGeometry, checked_pressures
 
 MIN_NODE_COUNT = 16
+# A finer grid gains nothing: at 6401 nodes roundoff already dominates the
+# discretization error (module docstring).  The cap also keeps a count from
+# a config or the command line from sizing arrays without bound.
+MAX_NODE_COUNT = 6401
 
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform radial grid from the center to the clamped edge."""
+    """Uniform radial grid of ``node_count`` nodes from the center to the
+    clamped edge."""
 
     node_count: int
-    radius: float
 
     def __post_init__(self) -> None:
-        if self.node_count < MIN_NODE_COUNT:
-            raise ValueError(f"grid too coarse: need >= {MIN_NODE_COUNT} nodes")
-        if self.radius <= 0:
-            raise ValueError("radius must be > 0")
-
-    @property
-    def spacing(self) -> float:
-        return self.radius / (self.node_count - 1)
-
-    def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.radius, self.node_count)
+        if not MIN_NODE_COUNT <= self.node_count <= MAX_NODE_COUNT:
+            raise ValueError(f"grid nodes must be in [{MIN_NODE_COUNT}, "
+                             f"{MAX_NODE_COUNT}], got {self.node_count}")
 
 
 @dataclass(frozen=True)
@@ -166,15 +167,13 @@ def solve_plate(geom: DeviceGeometry, pressure: float, grid: RadialGrid) -> Plat
     the operator (pure bending model).
     """
     pressure = float(checked_pressures(pressure))
-    if grid.radius != geom.radius:
-        raise ValueError("grid radius must match geometry radius")
-    d_flex = geom.flexural_rigidity
-    dr = grid.spacing
-    rhs = np.full(grid.node_count, pressure / d_flex * dr**4)
+    n = grid.node_count
+    dr = geom.radius / (n - 1)
+    rhs = np.full(n, pressure / geom.flexural_rigidity * dr**4)
     rhs[-1] = 0.0  # w(R) = 0
-    w = _solve_pentadiagonal(_biharmonic_bands(grid.node_count), rhs)
+    w = _solve_pentadiagonal(_biharmonic_bands(n), rhs)
 
-    r = grid.nodes()
+    r = np.linspace(0.0, geom.radius, n)
     d1, d2 = _derivatives(w, dr)
 
     # w'/r is w'' at the center by symmetry (l'Hopital).
@@ -227,12 +226,13 @@ def convergence_study(geom: DeviceGeometry, pressure: float,
                          "undefined at zero load")
     if any(b <= a for a, b in zip(node_counts, node_counts[1:])):
         raise ValueError("node_counts must be increasing")
+    grids = [RadialGrid(n) for n in node_counts]  # every count checked first
     exact = analytic_center_deflection(geom, pressure)
     rows = []
-    for n in node_counts:
-        sol = solve_plate(geom, pressure, RadialGrid(n, geom.radius))
+    for grid in grids:
+        sol = solve_plate(geom, pressure, grid)
         err = abs(sol.center_deflection - exact) / exact
-        rows.append(ConvergenceRow(n, sol.center_deflection, err))
+        rows.append(ConvergenceRow(grid.node_count, sol.center_deflection, err))
     return rows
 
 

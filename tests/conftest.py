@@ -8,8 +8,7 @@ from touchcap.config import load_config
 # these suites check.
 settings.register_profile("touchcap", deadline=None)
 settings.load_profile("touchcap")
-from touchcap.materials import (DEFAULT_ALUMINUM, DEFAULT_POLYIMIDE, Laminate,
-                                MaterialLayer)
+from touchcap.materials import MaterialLayer
 from touchcap.mechanics import DeviceGeometry
 
 
@@ -19,9 +18,9 @@ def config():
 
 
 @pytest.fixture(scope="session")
-def default_laminate():
-    # PI bottom, Al top; 25.2 um total
-    return Laminate((DEFAULT_POLYIMIDE, DEFAULT_ALUMINUM))
+def default_laminate(config):
+    # The bundled default profile's stack: PI bottom, Al top; 25.2 um total
+    return config.geometry("default").laminate
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,6 @@ from touchcap import calibration as cal
 from touchcap import capacitance as cap
 from touchcap import mechanics, plate_fd
 from touchcap.cli import main as cli_main
-from touchcap.materials import DEFAULT_ALUMINUM, DEFAULT_POLYIMIDE, Laminate
 from touchcap.mechanics import DeflectionState, DeviceGeometry
 from touchcap.servo import servo_angle
 
@@ -48,7 +47,7 @@ def test_criterion_01_fd_matches_analytic(scaled_geometry):
 def test_criterion_02_stress_and_deflection_locations(scaled_geometry):
     """Max von Mises in the outermost 5% of radius, max deflection at
     r = 0, for 5 pressures spanning 2-10 kPa."""
-    grid = plate_fd.RadialGrid(201, scaled_geometry.radius)
+    grid = plate_fd.RadialGrid(201)
     ok = True
     for p in np.linspace(2e3, 10e3, 5):
         sol = plate_fd.solve_plate(scaled_geometry, float(p), grid)
@@ -59,18 +58,18 @@ def test_criterion_02_stress_and_deflection_locations(scaled_geometry):
 
 def test_criterion_03_deflection_linearity(scaled_geometry):
     """FD center deflection vs. pressure over 2-10 kPa: R^2 >= 1 - 1e-9."""
-    grid = plate_fd.RadialGrid(201, scaled_geometry.radius)
+    grid = plate_fd.RadialGrid(201)
     lin = plate_fd.linearity_check(
         scaled_geometry, [float(p) for p in np.linspace(2e3, 10e3, 5)], grid)
     ok = lin.r_squared >= 1.0 - 1e-9
     assert report(3, ok, f"(R^2 = {lin.r_squared:.15f})")
 
 
-def test_criterion_04_capacitance_oracle_equivalence():
+def test_criterion_04_capacitance_oracle_equivalence(default_laminate):
     """Closed form vs. adaptive quadrature within 1e-9 relative on 50
     randomized geometry/deflection cases, under 2 s."""
     rng = np.random.default_rng(42)
-    lam = Laminate((DEFAULT_POLYIMIDE, DEFAULT_ALUMINUM))
+    lam = default_laminate
     start = time.perf_counter()
     worst = 0.0
     for _ in range(50):
@@ -110,11 +109,11 @@ def test_criterion_05_touch_onset_continuity(default_geometry):
     assert report(5, ok, f"(onset {p_onset:.1f} Pa, jump {rel:.2e})")
 
 
-def test_criterion_06_large_deflection_solver():
+def test_criterion_06_large_deflection_solver(default_laminate):
     """Implicit-equation residual < 1e-12 relative on 100 random cases;
     small-deflection agreement within 0.1% in the linear regime."""
     rng = np.random.default_rng(3)
-    lam = Laminate((DEFAULT_POLYIMIDE, DEFAULT_ALUMINUM))
+    lam = default_laminate
     ok = True
     worst = 0.0
     for _ in range(100):

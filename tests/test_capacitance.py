@@ -380,10 +380,9 @@ def test_non_finite_pressure_rejected(default_geometry, bad, finite, where):
         cal.model_capacitances(default_geometry, np.array(pressures))
 
 
-def test_oracle_equivalence_random_cases():
+def test_oracle_equivalence_random_cases(default_laminate):
     rng = np.random.default_rng(7)
-    from touchcap.materials import DEFAULT_ALUMINUM, DEFAULT_POLYIMIDE, Laminate
-    lam = Laminate((DEFAULT_POLYIMIDE, DEFAULT_ALUMINUM))
+    lam = default_laminate
     for _ in range(20):
         radius = float(rng.uniform(1e-3, 2e-2))
         gap = float(rng.uniform(50e-6, 800e-6))

@@ -10,12 +10,20 @@ import pytest
 from click.testing import CliRunner
 
 import touchcap
+from touchcap import plate_fd
 from touchcap.cli import main
 
 FIXTURE = resources.files("touchcap.data").joinpath("synthetic_fit.csv")
 FIXTURE_TRUE_GAP = 4.2e-4
-# Sweep outputs frozen from the csv.writer / json.dumps exports.
+# Sweep outputs frozen from the csv.writer / json.dumps exports; the
+# cli_* files frozen from the other commands before their writers were
+# shared.
 GOLDEN = Path(__file__).parent / "golden"
+# 5 pF stepping to 6 pF along a ramp from 1 s to 2 s: the 10% and 90%
+# levels are crossed at 1.1 s and 1.9 s.
+STEP_CSV = "time_s,capacitance_f\n" + "".join(
+    f"{t!r},{5e-12 + 1e-12 * min(max(t - 1.0, 0.0), 1.0)!r}\n"
+    for t in (i / 100 for i in range(401)))
 
 
 @pytest.fixture
@@ -140,6 +148,17 @@ class TestValidate:
     def test_coarse_grid_rejected(self, runner):
         result = run(runner, "validate", "--nodes", 4)
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("nodes", [plate_fd.MAX_NODE_COUNT + 1, 10**400],
+                             ids=["max_plus_one", "400_digits"])
+    def test_fine_grid_rejected(self, runner, monkeypatch, nodes):
+        # Every count is checked before the first solve allocates a grid.
+        def no_solve(*args):
+            raise AssertionError("solve_plate called")
+        monkeypatch.setattr(plate_fd, "solve_plate", no_solve)
+        result = run(runner, "validate", "--nodes", 51, "--nodes", nodes)
+        assert result.exit_code == 2
+        assert f"grid nodes must be in [16, 6401], got {nodes}" in result.output
 
     @pytest.mark.parametrize("value,message", [
         ("nan", "pressure must be finite, got nan"),
@@ -292,12 +311,8 @@ class TestModes:
         assert run(runner, "modes", small).exit_code == 2
 
     def test_step_response_rise_time(self, runner, tmp_path):
-        # 5 pF stepping to 6 pF along a ramp from 1 s to 2 s: the 10% and
-        # 90% levels are crossed at 1.1 s and 1.9 s.
         step = tmp_path / "step.csv"
-        rows = [f"{t!r},{5e-12 + 1e-12 * min(max(t - 1.0, 0.0), 1.0)!r}"
-                for t in (i / 100 for i in range(401))]
-        step.write_text("time_s,capacitance_f\n" + "\n".join(rows) + "\n")
+        step.write_text(STEP_CSV)
         out = tmp_path / "rise.json"
         result = run(runner, "modes", step, "--output", out)
         assert result.exit_code == 0, result.output
@@ -349,6 +364,16 @@ class TestConfigHandling:
         assert result.exit_code == 3
         assert "radius_m is too large for a float" in result.output
 
+    def test_config_grid_nodes_out_of_range_parse_error(self, runner, tmp_path):
+        doc = json.loads(resources.files("touchcap.data")
+                         .joinpath("default_device.json").read_text())
+        doc["solver"]["grid_nodes"] = 10**400
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        result = run(runner, "--config", bad, "validate")
+        assert result.exit_code == 3
+        assert "solver.grid_nodes: grid nodes must be in [16, 6401]" in result.output
+
     @pytest.mark.parametrize("section,key,value,message", [
         ("solver", "fit_bounds", {"gap": [math.nan, 1e-3]},
          "solver.fit_bounds.gap must be finite with lo < hi, got [nan, 0.001]"),
@@ -368,6 +393,33 @@ class TestConfigHandling:
         assert result.exit_code == 3
         assert message in result.output
         assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("args,stdout,files", [
+    (["validate"], "cli_validate.txt", []),
+    (["validate", "--nodes", 101, "--nodes", 201, "--nodes", 401, "--nodes", 801,
+      "--nodes", 1601], "cli_validate_101_1601.txt", []),
+    (["fit", FIXTURE, "--output", "cli_fit.json"], "cli_fit.txt",
+     ["cli_fit.json", "cli_fit.residuals.csv"]),
+    (["servo", "--data", GOLDEN / "default.csv", "--output", "cli_servo_data.csv"],
+     "cli_servo_data.txt", ["cli_servo_data.csv"]),
+    (["servo", 0, 5000, 12000, 25000, 40000, 60000, "--output", "cli_servo_args.csv"],
+     "cli_servo_args.txt", ["cli_servo_args.csv"]),
+    (["modes", GOLDEN / "default.csv", "--output", "cli_modes.json"], "cli_modes.txt",
+     ["cli_modes.json"]),
+    (["modes", "step.csv", "--output", "cli_rise.json"], "cli_rise.txt",
+     ["cli_rise.json"]),
+], ids=["validate", "validate_101_1601", "fit", "servo_data", "servo_args",
+        "modes", "rise_time"])
+def test_golden_outputs(runner, tmp_path, monkeypatch, args, stdout, files):
+    # Relative output paths keep the echoed paths, and so stdout, fixed.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "step.csv").write_text(STEP_CSV)
+    result = run(runner, *args)
+    assert result.exit_code == 0, result.output
+    assert result.output == (GOLDEN / stdout).read_bytes().decode()
+    for name in files:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 # Runs each command through the CLI with scipy made unimportable and
@@ -392,6 +444,18 @@ for args in json.loads(sys.argv[1]):
         codes.append(exc.code)
 print(json.dumps(codes))
 """
+
+
+@pytest.mark.parametrize("module", ["config", "plate_fd", "calibration",
+                                    "capacitance", "cli"])
+def test_module_imports_first(module):
+    # capacitance -> config -> plate_fd -> calibration -> capacitance is an
+    # import cycle; each module must still import first in a fresh interpreter.
+    src = str(Path(touchcap.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", f"import touchcap.{module}"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_import_leaves_scipy_unloaded(tmp_path):

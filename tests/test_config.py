@@ -165,11 +165,16 @@ class TestParseConfig:
          "profiles.default: radius_m is too large for a float: an integer of 401 digits"),
         (("solver", "fit_bounds", "gap"), [1e-4, 10**400],
          "solver.fit_bounds.gap is too large for a float: an integer of 401 digits"),
+        (("solver", "grid_nodes"), 10**400,
+         r"solver.grid_nodes: grid nodes must be in \[16, 6401\], got 1000"),
+        (("solver", "grid_nodes"), 6402,
+         r"solver.grid_nodes: grid nodes must be in \[16, 6401\], got 6402"),
     ], ids=["null_radius", "null_threshold", "text_grid_nodes", "null_grid_nodes",
             "fractional_grid_nodes", "one_bound", "null_bound", "solver_list",
             "layers_number", "profile_number", "bool_radius", "string_gap",
             "text_radius", "bool_grid_nodes", "string_grid_nodes", "nan_bound",
-            "inverted_bounds", "huge_radius", "huge_bound"])
+            "inverted_bounds", "huge_radius", "huge_bound", "huge_grid_nodes",
+            "fine_grid_nodes"])
     def test_malformed_value_named(self, path, value, message):
         doc = self.minimal()
         doc["thresholds"] = {}

@@ -263,33 +263,24 @@ def test_rejects_non_finite_pressure(default_geometry, bad, finite, where):
 
 
 @given(st.floats(0.0, 60e3), st.floats(0.0, 60e3))
-def test_monotone_center_deflection(p1, p2):
-    from touchcap.materials import DEFAULT_ALUMINUM, DEFAULT_POLYIMIDE, Laminate
-    geom = DeviceGeometry(radius=0.01,
-                          laminate=Laminate((DEFAULT_POLYIMIDE, DEFAULT_ALUMINUM)),
-                          gap=400e-6)
+def test_monotone_center_deflection(default_laminate, p1, p2):
+    geom = DeviceGeometry(radius=0.01, laminate=default_laminate, gap=400e-6)
     lo, hi = sorted((p1, p2))
     assert mechanics.large_deflection_center(geom, lo) <= \
         mechanics.large_deflection_center(geom, hi)
 
 
 @given(st.floats(1.0, 60e3))
-def test_large_never_exceeds_small(p):
-    from touchcap.materials import DEFAULT_ALUMINUM, DEFAULT_POLYIMIDE, Laminate
-    geom = DeviceGeometry(radius=0.01,
-                          laminate=Laminate((DEFAULT_POLYIMIDE, DEFAULT_ALUMINUM)),
-                          gap=400e-6)
+def test_large_never_exceeds_small(default_laminate, p):
+    geom = DeviceGeometry(radius=0.01, laminate=default_laminate, gap=400e-6)
     assert mechanics.large_deflection_center(geom, p) <= \
         oracles.small_deflection_center(geom, p)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.floats(10.0, 5e3))
-def test_profile_volume(p):
-    from touchcap.materials import DEFAULT_ALUMINUM, DEFAULT_POLYIMIDE, Laminate
-    geom = DeviceGeometry(radius=0.01,
-                          laminate=Laminate((DEFAULT_POLYIMIDE, DEFAULT_ALUMINUM)),
-                          gap=400e-6)
+def test_profile_volume(default_laminate, p):
+    geom = DeviceGeometry(radius=0.01, laminate=default_laminate, gap=400e-6)
     state = mechanics.solve_state(geom, p)
     if state.touched:
         return

@@ -38,89 +38,88 @@ def dense_oracle(n: int, load: float) -> np.ndarray:
 
 
 class TestGrid:
-    def test_spacing_spans_radius(self):
-        grid = RadialGrid(101, 1e-4)
-        assert grid.spacing * (grid.node_count - 1) == pytest.approx(
-            grid.radius, rel=1e-15, abs=0)
-        nodes = grid.nodes()
-        assert nodes[0] == 0.0
-        assert nodes[-1] == pytest.approx(grid.radius, rel=1e-15, abs=0)
+    def test_spacing_spans_radius(self, scaled_geometry):
+        # The grid is a node count; solve_plate spaces the nodes over the
+        # geometry's radius, so the last node is the clamped edge.
+        sol = plate_fd.solve_plate(scaled_geometry, 10e3, RadialGrid(101))
+        assert len(sol.deflection) == len(sol.von_mises) == 101
+        assert sol.max_von_mises[1] == scaled_geometry.radius
 
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError):
-            RadialGrid(4, 1e-4)
+            RadialGrid(4)
         with pytest.raises(ValueError):
-            RadialGrid(15, 1e-4)
+            RadialGrid(15)
+
+    @pytest.mark.parametrize("n", [plate_fd.MAX_NODE_COUNT + 1, 10**400])
+    def test_rejects_fine_grid(self, n):
+        with pytest.raises(ValueError, match="grid nodes must be in"):
+            RadialGrid(n)
+
+    def test_accepts_range_ends(self):
+        assert RadialGrid(plate_fd.MIN_NODE_COUNT).node_count == 16
+        assert RadialGrid(plate_fd.MAX_NODE_COUNT).node_count == 6401
 
 
 class TestSolvePlate:
     def test_zero_load_zero_solution(self, scaled_geometry):
-        sol = plate_fd.solve_plate(scaled_geometry, 0.0,
-                                   RadialGrid(51, scaled_geometry.radius))
+        sol = plate_fd.solve_plate(scaled_geometry, 0.0, RadialGrid(51))
         assert np.all(sol.deflection == 0.0)
         assert sol.max_von_mises[0] == 0.0
 
     def test_clamped_edge(self, scaled_geometry):
-        sol = plate_fd.solve_plate(scaled_geometry, 10e3,
-                                   RadialGrid(101, scaled_geometry.radius))
+        sol = plate_fd.solve_plate(scaled_geometry, 10e3, RadialGrid(101))
         assert sol.deflection[-1] == 0.0
         # One-sided slope estimate at the edge vanishes vs. interior scale.
-        slope = (sol.deflection[-1] - sol.deflection[-2]) / sol.grid.spacing
-        interior = np.max(np.abs(np.diff(sol.deflection))) / sol.grid.spacing
+        dr = scaled_geometry.radius / (sol.grid.node_count - 1)
+        slope = (sol.deflection[-1] - sol.deflection[-2]) / dr
+        interior = np.max(np.abs(np.diff(sol.deflection))) / dr
         assert abs(slope) < 0.05 * interior
 
     def test_center_matches_analytic(self, scaled_geometry):
-        sol = plate_fd.solve_plate(scaled_geometry, 10e3,
-                                   RadialGrid(201, scaled_geometry.radius))
+        sol = plate_fd.solve_plate(scaled_geometry, 10e3, RadialGrid(201))
         exact = plate_fd.analytic_center_deflection(scaled_geometry, 10e3)
         assert sol.center_deflection == pytest.approx(exact, rel=0.01, abs=0)
 
     def test_profile_shape(self, scaled_geometry):
-        sol = plate_fd.solve_plate(scaled_geometry, 10e3,
-                                   RadialGrid(201, scaled_geometry.radius))
-        r = sol.grid.nodes()
+        sol = plate_fd.solve_plate(scaled_geometry, 10e3, RadialGrid(201))
+        r = np.linspace(0.0, scaled_geometry.radius, sol.grid.node_count)
         shape = (1.0 - (r / scaled_geometry.radius) ** 2) ** 2
         normalized = sol.deflection / sol.center_deflection
         assert np.max(np.abs(normalized - shape)) < 0.005
 
     def test_stress_and_deflection_locations(self, scaled_geometry):
-        sol = plate_fd.solve_plate(scaled_geometry, 10e3,
-                                   RadialGrid(201, scaled_geometry.radius))
+        sol = plate_fd.solve_plate(scaled_geometry, 10e3, RadialGrid(201))
         assert sol.max_von_mises[1] >= 0.95 * scaled_geometry.radius
         assert int(np.argmax(np.abs(sol.deflection))) == 0
 
     def test_linear_scaling_with_pressure(self, scaled_geometry):
-        grid = RadialGrid(101, scaled_geometry.radius)
+        grid = RadialGrid(101)
         w1 = plate_fd.solve_plate(scaled_geometry, 5e3, grid).deflection
         w2 = plate_fd.solve_plate(scaled_geometry, 10e3, grid).deflection
         assert np.allclose(w2, 2.0 * w1, rtol=1e-12, atol=0.0)
 
-    def test_rejects_grid_geometry_mismatch(self, scaled_geometry):
-        with pytest.raises(ValueError):
-            plate_fd.solve_plate(scaled_geometry, 1e3, RadialGrid(51, 1.0))
-
     def test_rejects_negative_pressure(self, scaled_geometry):
         with pytest.raises(ValueError):
-            plate_fd.solve_plate(scaled_geometry, -1.0,
-                                 RadialGrid(51, scaled_geometry.radius))
+            plate_fd.solve_plate(scaled_geometry, -1.0, RadialGrid(51))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_pressure(self, scaled_geometry, bad):
         with pytest.raises(ValueError, match=f"pressure must be finite, got {bad}"):
-            plate_fd.solve_plate(scaled_geometry, bad,
-                                 RadialGrid(51, scaled_geometry.radius))
+            plate_fd.solve_plate(scaled_geometry, bad, RadialGrid(51))
 
     @pytest.mark.parametrize("n", [16, 17, 31, 51, 100, 201, 401])
     def test_banded_matches_dense_oracle(self, scaled_geometry, n):
-        grid = RadialGrid(n, scaled_geometry.radius)
+        grid = RadialGrid(n)
         sol = plate_fd.solve_plate(scaled_geometry, 10e3, grid)
-        load = 10e3 / scaled_geometry.flexural_rigidity * grid.spacing**4
+        dr = scaled_geometry.radius / (n - 1)
+        load = 10e3 / scaled_geometry.flexural_rigidity * dr**4
         expected = dense_oracle(n, load)
         assert sol.deflection[:-1] == pytest.approx(expected[:-1], rel=1e-9, abs=0)
         assert sol.deflection[-1] == expected[-1] == 0.0
 
     def test_memory_linear_in_nodes(self, scaled_geometry):
-        grid = RadialGrid(3201, scaled_geometry.radius)
+        grid = RadialGrid(3201)
         tracemalloc.start()
         try:
             plate_fd.solve_plate(scaled_geometry, 10e3, grid)
@@ -175,20 +174,20 @@ class TestConvergence:
 
 class TestLinearity:
     def test_high_r_squared(self, scaled_geometry):
-        grid = RadialGrid(101, scaled_geometry.radius)
+        grid = RadialGrid(101)
         pressures = [2e3, 4e3, 6e3, 8e3, 10e3]
         lin = plate_fd.linearity_check(scaled_geometry, pressures, grid)
         assert lin.r_squared >= 1.0 - 1e-9
 
     def test_slope_equals_unit_response(self, scaled_geometry):
-        grid = RadialGrid(101, scaled_geometry.radius)
+        grid = RadialGrid(101)
         lin = plate_fd.linearity_check(scaled_geometry,
                                        [2e3, 4e3, 6e3, 8e3, 10e3], grid)
         unit = plate_fd.solve_plate(scaled_geometry, 1.0, grid).center_deflection
         assert lin.slope == pytest.approx(unit, rel=1e-9, abs=0)
 
     def test_rejects_degenerate_pressures(self, scaled_geometry):
-        grid = RadialGrid(51, scaled_geometry.radius)
+        grid = RadialGrid(51)
         with pytest.raises(ValueError):
             plate_fd.linearity_check(scaled_geometry, [1e3, 1e3, 1e3], grid)
         with pytest.raises(ValueError):
