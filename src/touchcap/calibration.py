@@ -31,6 +31,10 @@ FIT_PARAM_NAMES = ("gap", "builtin_stress", "dielectric_thickness",
 # Fewest samples between two segmentation knots, and between a knot and
 # either end of the series.
 MIN_GAP = 2
+# Most samples segment_modes takes.  Its memory grows as n^2, about 67
+# bytes per n^2 at peak (tracemalloc): 64 MB at 1000 samples.  The cap
+# keeps a long CSV from sizing arrays without bound.
+MAX_SEGMENT_SAMPLES = 1000
 # Knot-triple SSEs closer than the SSE of a rounding error of this many
 # ulps in every normalized sample tie: the smallest first knot whose SSE is
 # within this width of the least wins, whatever the order first knots are
@@ -100,8 +104,10 @@ def csv_columns(text: str, *layouts: tuple[str, ...]) -> tuple[tuple[str, ...], 
     columns are ignored.  Returns that layout and one array per name.
     Raises ValueError for an empty CSV, a header that matches no layout,
     and a missing, malformed or non-finite field, naming its line and
-    value.
+    value.  A UTF-8 byte-order mark before the header, which spreadsheets
+    write, is skipped.
     """
+    text = text.removeprefix("\ufeff")
     lines = [(no, line) for no, line in enumerate(text.splitlines(), start=1)
              if line.strip()]
     if not lines:
@@ -490,7 +496,8 @@ def segment_modes(data: MeasuredSeries) -> ModeSegmentation:
 
     Knots are restricted to sample abscissae with at least ``MIN_GAP``
     samples between them and the ends; the search returns the global
-    least-squares optimum in O(n^2) memory (see ``_best_knots``).  Its
+    least-squares optimum in O(n^2) memory (see ``_best_knots``), so a
+    series longer than ``MAX_SEGMENT_SAMPLES`` is a ValueError.  Its
     time is O(n^2) for the first-knot lower bounds plus O(n^2) per first
     knot scored: one or two on a curve with distinct slope changes, and
     every one, O(n^3) in all, only on data fitted to within rounding.
@@ -505,6 +512,9 @@ def segment_modes(data: MeasuredSeries) -> ModeSegmentation:
     n = len(data)
     if n < 12:
         raise ValueError("need at least 12 samples")
+    if n > MAX_SEGMENT_SAMPLES:
+        raise ValueError(f"segmentation takes at most {MAX_SEGMENT_SAMPLES} "
+                         f"samples, got {n}")
     if np.ptp(data.capacitance) == 0.0:
         raise ValueError("degenerate data: capacitance is constant")
     # Normalize for conditioning; knot positions are unaffected.

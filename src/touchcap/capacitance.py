@@ -8,6 +8,10 @@ contact edge (Ko & Wang, "Touch mode capacitive pressure sensors",
 Sens. Actuators A 75, 1999).  The expression is array-valued, so a sweep,
 a fit objective or a servo table is one numpy evaluation.  The tests
 check both forms against adaptive quadrature of the integrals.
+
+A sweep's ``CPCurve`` is stored by column: the pressure, capacitance and
+mode-code arrays of that one evaluation, which ``to_csv`` and
+``to_json`` format without building a per-point object.
 """
 
 from __future__ import annotations
@@ -15,8 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import repeat
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -70,16 +73,34 @@ class CPPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class CPCurve:
-    """Sampled capacitance-pressure characteristic with mode labels."""
+    """Sampled capacitance-pressure characteristic, stored by column.
 
-    points: tuple[CPPoint, ...]
+    ``pressure`` (Pa), ``capacitance`` (F) and ``mode`` (``OperatingMode``
+    codes) hold one entry per point, in sweep order.  ``points`` is the
+    same curve as ``CPPoint`` tuples, built on each access.
+    """
+
+    pressure: tuple[float, ...]
+    capacitance: tuple[float, ...]
+    mode: tuple[int, ...]
     geometry_id: str = ""
 
+    def __post_init__(self) -> None:
+        if not len(self.pressure) == len(self.capacitance) == len(self.mode):
+            raise ValueError(
+                f"column lengths differ: {len(self.pressure)} pressures, "
+                f"{len(self.capacitance)} capacitances, {len(self.mode)} modes")
+
+    @property
+    def points(self) -> tuple[CPPoint, ...]:
+        return tuple(map(CPPoint, self.pressure, self.capacitance,
+                         map(_MODES.__getitem__, self.mode)))
+
     def pressures(self) -> list[float]:
-        return [p.pressure for p in self.points]
+        return list(self.pressure)
 
     def capacitances(self) -> list[float]:
-        return [p.capacitance for p in self.points]
+        return list(self.capacitance)
 
     @cached_property
     def _text(self) -> tuple[list[str], list[str], list[str]]:
@@ -90,10 +111,8 @@ class CPCurve:
         Both exports join these strings, so each float is formatted once
         per curve.
         """
-        if not self.points:
-            return [], [], []
-        p, c, m = zip(*self.points)
-        return list(map(repr, p)), list(map(repr, c)), list(map(MODE_LABELS.__getitem__, m))
+        return (list(map(repr, self.pressure)), list(map(repr, self.capacitance)),
+                list(map(MODE_LABELS.__getitem__, self.mode)))
 
     def to_csv(self) -> str:
         """Header plus one ``pressure,capacitance,mode`` row per point.
@@ -109,32 +128,45 @@ class CPCurve:
                 thresholds: ModeThresholds | None = None) -> str:
         """The curve as a JSON document indented by two spaces.
 
-        ``json.dumps`` writes everything but the points, whose array is
-        spliced in from a fixed per-point template filled with the text
+        The text around the points' items comes from ``_json_frame``,
+        built once per geometry id, geometry and thresholds; the items
+        come from a fixed per-point template filled with the text
         ``to_csv`` also uses, formatted once per curve.  Non-finite
         values are not valid JSON, and a sweep never produces them.
-        The ``geometry`` and ``thresholds`` blocks are written by
-        ``config``, as a profile and a ``thresholds`` section that load
-        back through ``config.parse_config``.
         """
-        doc: dict = {
-            "geometry_id": self.geometry_id,
-            "points": [],
-        }
-        if geom is not None:
-            doc["geometry"] = geometry_doc(geom)
-        if thresholds is not None:
-            doc["thresholds"] = thresholds_doc(thresholds)
-        text = json.dumps(doc, indent=2) + "\n"
-        if not self.points:
-            return text
+        head, tail = _json_frame(self.geometry_id, geom, thresholds,
+                                 id(geom), id(thresholds))
+        if not self.pressure:
+            return head + tail
         points = ",\n".join([
             f'    {{\n      "pressure_pa": {p},\n      "capacitance_f": {c},\n'
             f'      "mode": "{m}"\n    }}'
             for p, c, m in zip(*self._text)])
-        # Only the geometry_id string comes before the key, and a JSON
-        # string holds no raw newline, so the first match is the key.
-        return text.replace('\n  "points": []', f'\n  "points": [\n{points}\n  ]', 1)
+        return f"{head}\n{points}\n  {tail}"
+
+
+@lru_cache(maxsize=32)
+def _json_frame(geometry_id: str, geom: DeviceGeometry | None,
+                thresholds: ModeThresholds | None, *_ids: int) -> tuple[str, str]:
+    """A sweep document's text before and after the items of its points array.
+
+    ``json.dumps(indent=2)`` of the document with an empty points array,
+    cut inside that array's brackets: the head is the text of its first
+    two keys up to the ``[``.  The ``geometry`` and ``thresholds`` blocks
+    are written by ``config``, as a profile and a ``thresholds`` section
+    that load back through ``config.parse_config``.
+
+    Equal geometries can print differently (0 and 0.0, -0.0 and 0.0), so
+    callers add the objects' ids to the cache key: a hit is then the same
+    objects, which the cache keeps alive, so their ids are not reused.
+    """
+    doc: dict = {"geometry_id": geometry_id, "points": []}
+    head = json.dumps(doc, indent=2)[:-len("]\n}")]
+    if geom is not None:
+        doc["geometry"] = geometry_doc(geom)
+    if thresholds is not None:
+        doc["thresholds"] = thresholds_doc(thresholds)
+    return head, json.dumps(doc, indent=2)[len(head):] + "\n"
 
 
 def electrical_gap(geom: DeviceGeometry) -> float:
@@ -261,9 +293,7 @@ def sweep_cp_curve(geom: DeviceGeometry, pressures: list[float],
         raise ValueError("pressures must be strictly increasing")
     w0 = mechanics.large_deflection_center(geom, p)
     disk, annulus = _evaluate(geom, w0, mechanics.contact_edge_u(geom, w0), p)
-    c = disk + annulus
-    modes = map(_MODES.__getitem__, mechanics.mode_labels(geom, w0, thresholds).tolist())
-    # tuple.__new__ skips the Python-level __new__ a NamedTuple runs per point.
-    points = tuple(map(tuple.__new__, repeat(CPPoint),
-                       zip(p.tolist(), c.tolist(), modes)))
-    return CPCurve(points=points, geometry_id=geometry_id)
+    modes = mechanics.mode_labels(geom, w0, thresholds)
+    return CPCurve(pressure=tuple(p.tolist()),
+                   capacitance=tuple((disk + annulus).tolist()),
+                   mode=tuple(modes.tolist()), geometry_id=geometry_id)

@@ -28,6 +28,11 @@ from .servo import servo_angle
 VALIDATE_MAX_REL_ERROR = 0.01
 VALIDATE_MIN_ORDER = 1.8
 VALIDATE_MIN_R2 = 1.0 - 1e-9
+# Most points a sweep may take.  A sweep with both exports peaks at about
+# 620 bytes per point (tracemalloc), so this cap keeps the largest near
+# 60 MB, checked before the pressures are listed.  A point every 0.6 Pa
+# over the default 60 kPa is finer than any plot needs.
+MAX_SWEEP_STEPS = 100_001
 
 
 class IOFailure(click.ClickException):
@@ -120,8 +125,8 @@ def main(ctx: click.Context, config_path: str | None, quiet: bool) -> None:
               help="Sweep start pressure, Pa.")
 @click.option("--p-end", type=float, default=60e3, show_default=True,
               help="Sweep end pressure, Pa.")
-@click.option("--steps", type=int, default=61, show_default=True,
-              help="Number of sample points (>= 2).")
+@click.option("--steps", type=click.IntRange(2, MAX_SWEEP_STEPS), default=61,
+              show_default=True, help="Number of sample points.")
 @click.option("--profile", default="default", show_default=True)
 @click.option("--output", type=click.Path(), default="cp_sweep.csv",
               show_default=True)
@@ -136,8 +141,6 @@ def sweep(ctx: click.Context, p_start: float, p_end: float, steps: int,
     the geometry and thresholds embedded, so a CSV output path may not
     itself end in .json.
     """
-    if steps < 2:
-        raise click.UsageError("--steps must be >= 2")
     for flag, value in (("--p-start", p_start), ("--p-end", p_end)):
         if not math.isfinite(value):
             raise click.UsageError(f"{flag} must be finite, got {value}")
@@ -166,8 +169,8 @@ def sweep(ctx: click.Context, p_start: float, p_end: float, steps: int,
         sidecar = Path(output).with_suffix(".json")
         _atomic_write(sidecar, curve.to_json(geom, cfg.thresholds))
         _echo(ctx, f"sidecar: {sidecar}")
-    modes = sorted({capacitance.MODE_LABELS[pt.mode] for pt in curve.points})
-    _echo(ctx, f"wrote {len(curve.points)} points to {output} "
+    modes = sorted({capacitance.MODE_LABELS[m] for m in curve.mode})
+    _echo(ctx, f"wrote {len(curve.mode)} points to {output} "
                f"(modes: {', '.join(modes)})")
 
 

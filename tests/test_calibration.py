@@ -111,6 +111,14 @@ class TestMeasuredSeries:
         assert s.abscissa.tolist() == [0.0, 1e3]
         assert s.capacitance.tolist() == [7e-12, 8e-12]
 
+    def test_utf8_bom_before_header_skipped(self):
+        text = "pressure_pa,capacitance_f\n0.0,7e-12\n1000.0,7.5e-12\n"
+        plain = MeasuredSeries.from_csv(text)
+        bom = MeasuredSeries.from_csv("\ufeff" + text)
+        assert bom.kind == plain.kind == "pressure"
+        assert bom.abscissa.tolist() == plain.abscissa.tolist()
+        assert bom.capacitance.tolist() == plain.capacitance.tolist()
+
     def test_error_names_physical_line_and_value(self):
         text = "pressure_pa\n\n1.0\n2.0x\n"
         with pytest.raises(ValueError, match="line 4: pressure_pa '2.0x'"):
@@ -386,6 +394,17 @@ class TestSegmentModes:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             cal.segment_modes(MeasuredSeries(np.arange(5.0), np.arange(5.0)))
+
+    def test_too_many_samples_rejected_before_allocating(self, monkeypatch):
+        def no_basis(*args):
+            raise AssertionError("_knot_basis called")
+        monkeypatch.setattr(cal, "_knot_basis", no_basis)
+        n = cal.MAX_SEGMENT_SAMPLES + 1
+        with pytest.raises(ValueError, match=f"at most {n - 1} samples, got {n}"):
+            cal.segment_modes(MeasuredSeries(np.arange(float(n)), np.arange(float(n))))
+        n -= 1
+        with pytest.raises(AssertionError, match="_knot_basis called"):
+            cal.segment_modes(MeasuredSeries(np.arange(float(n)), np.arange(float(n))))
 
     def test_constant_data_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):

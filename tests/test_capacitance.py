@@ -299,15 +299,15 @@ _AWKWARD_FLOATS = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-7, 0.1 + 0.2,
 def test_exports_match_encoder_oracles(default_curve, default_geometry, config,
                                        geometry_id, points, with_geom,
                                        with_thresholds):
-    chosen = {
-        "none": (),
-        "one": default_curve.points[:1],
-        "all_modes": default_curve.points,
-        "awkward": tuple(cap.CPPoint(x, -x, mode)
-                         for x, mode in zip(_AWKWARD_FLOATS,
-                                            list(OperatingMode) * 3)),
+    d = default_curve
+    columns = {
+        "none": ((), (), ()),
+        "one": (d.pressure[:1], d.capacitance[:1], d.mode[:1]),
+        "all_modes": (d.pressure, d.capacitance, d.mode),
+        "awkward": (_AWKWARD_FLOATS, tuple(-x for x in _AWKWARD_FLOATS),
+                    tuple(OperatingMode(i % 4) for i in range(len(_AWKWARD_FLOATS)))),
     }[points]
-    curve = cap.CPCurve(points=chosen, geometry_id=geometry_id)
+    curve = cap.CPCurve(*columns, geometry_id=geometry_id)
     geom = default_geometry if with_geom else None
     thresholds = config.thresholds if with_thresholds else None
     assert curve.to_csv() == oracles.cp_curve_csv(curve)
@@ -321,7 +321,8 @@ class TestExportText:
     def test_bytes_independent_of_call_order(self, default_curve, default_geometry,
                                              config):
         def fresh():
-            return cap.CPCurve(points=default_curve.points, geometry_id="default")
+            return cap.CPCurve(default_curve.pressure, default_curve.capacitance,
+                               default_curve.mode, geometry_id="default")
 
         th = config.thresholds
         json_first = fresh()
@@ -333,6 +334,49 @@ class TestExportText:
         other = fresh()
         assert other.to_csv() == csv_text
         assert other.to_json(default_geometry, th) == json_text
+
+    @pytest.mark.parametrize("order", ["copy_first", "original_first"])
+    def test_json_frame_same_for_equal_distinct_geometries(
+            self, default_curve, default_geometry, config, order):
+        copy = replace(default_geometry, laminate=replace(default_geometry.laminate))
+        thresholds = replace(config.thresholds)
+        assert copy == default_geometry and copy is not default_geometry
+        pairs = [(copy, thresholds), (default_geometry, config.thresholds)]
+        if order == "original_first":
+            pairs.reverse()
+        cap._json_frame.cache_clear()
+        texts = [default_curve.to_json(g, th) for g, th in pairs]
+        assert texts[0] == texts[1] == \
+            oracles.cp_curve_json(default_curve, default_geometry, config.thresholds)
+
+    @pytest.mark.parametrize("first,second", [(0.0, -0.0), (-0.0, 0.0), (0.0, 0),
+                                              (0, 0.0)])
+    def test_json_frame_keeps_equal_values_that_print_differently(
+            self, default_curve, default_geometry, first, second):
+        # 0 == 0.0 == -0.0, yet json writes "0", "0.0" and "-0.0".
+        for stress in (first, second):
+            geom = replace(default_geometry, builtin_stress=stress)
+            assert default_curve.to_json(geom) == \
+                oracles.cp_curve_json(default_curve, geom)
+
+    def test_views_match_columns(self, default_curve):
+        d = default_curve
+        assert d.pressures() == list(d.pressure)
+        assert d.capacitances() == list(d.capacitance)
+        assert d.points == tuple(cap.CPPoint(p, c, OperatingMode(m))
+                                 for p, c, m in zip(d.pressure, d.capacitance, d.mode))
+        assert len(d.points) == len(d.pressure) == 61
+
+    def test_list_views_are_copies(self, default_curve):
+        text = default_curve.to_csv()
+        default_curve.pressures().append(1.0)
+        default_curve.capacitances().clear()
+        assert len(default_curve.pressure) == len(default_curve.capacitance) == 61
+        assert default_curve.to_csv() == text
+
+    def test_rejects_columns_of_different_lengths(self):
+        with pytest.raises(ValueError, match="column lengths differ"):
+            cap.CPCurve((0.0, 1.0), (1e-12,), (0, 0))
 
     def test_csv_and_json_carry_the_same_float_strings(self, default_curve):
         rows = [line.split(",") for line in default_curve.to_csv().splitlines()[1:]]

@@ -10,8 +10,8 @@ import pytest
 from click.testing import CliRunner
 
 import touchcap
-from touchcap import plate_fd
-from touchcap.cli import main
+from touchcap import calibration, capacitance, plate_fd
+from touchcap.cli import MAX_SWEEP_STEPS, main
 
 FIXTURE = resources.files("touchcap.data").joinpath("synthetic_fit.csv")
 FIXTURE_TRUE_GAP = 4.2e-4
@@ -60,6 +60,26 @@ class TestSweep:
                      "--output", tmp_path / "x.csv")
         assert result.exit_code == 2
         assert "steps" in result.output
+
+    @pytest.mark.parametrize("steps", [MAX_SWEEP_STEPS + 1, 10**400],
+                             ids=["max_plus_one", "400_digits"])
+    def test_too_many_steps_usage_error(self, runner, tmp_path, monkeypatch, steps):
+        # The count is checked before the pressures are listed.
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep_cp_curve called")
+        monkeypatch.setattr(capacitance, "sweep_cp_curve", no_sweep)
+        result = run(runner, "sweep", "--steps", steps, "--output", tmp_path / "x.csv")
+        assert result.exit_code == 2
+        assert f"{steps} is not in the range 2<=x<={MAX_SWEEP_STEPS}" in result.output
+        assert list(tmp_path.iterdir()) == []
+
+    def test_most_steps_accepted(self, runner, tmp_path, monkeypatch):
+        def counted(geom, pressures, **kwargs):
+            raise AssertionError(f"sweep of {len(pressures)} points")
+        monkeypatch.setattr(capacitance, "sweep_cp_curve", counted)
+        result = run(runner, "sweep", "--steps", MAX_SWEEP_STEPS,
+                     "--output", tmp_path / "x.csv")
+        assert str(result.exception) == f"sweep of {MAX_SWEEP_STEPS} points"
 
     def test_unknown_profile_usage_error(self, runner, tmp_path):
         result = run(runner, "sweep", "--profile", "missing",
@@ -197,6 +217,19 @@ class TestFit:
         assert len(residuals) == 29
         assert "mode boundaries" in result.output
 
+    def test_too_many_samples_skips_segmentation(self, runner, tmp_path, monkeypatch):
+        def no_basis(*args):
+            raise AssertionError("_knot_basis called")
+        monkeypatch.setattr(calibration, "_knot_basis", no_basis)
+        n = calibration.MAX_SEGMENT_SAMPLES + 1
+        data = tmp_path / "sweep.csv"
+        assert run(runner, "--quiet", "sweep", "--steps", n,
+                   "--output", data).exit_code == 0
+        result = run(runner, "fit", data, "--output", tmp_path / "fit.json")
+        assert result.exit_code == 0, result.output
+        assert (f"segmentation skipped: segmentation takes at most {n - 1} "
+                f"samples, got {n}\n") in result.output
+
     def test_malformed_csv_names_line(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("pressure_pa,capacitance_f\n0.0,7e-12\nhello,1\n")
@@ -310,6 +343,20 @@ class TestModes:
                          + "".join(f"{i}.0,{7 + i}e-12\n" for i in range(5)))
         assert run(runner, "modes", small).exit_code == 2
 
+    def test_too_many_samples_usage_error(self, runner, tmp_path, monkeypatch):
+        def no_basis(*args):
+            raise AssertionError("_knot_basis called")
+        monkeypatch.setattr(calibration, "_knot_basis", no_basis)
+        n = calibration.MAX_SEGMENT_SAMPLES + 1
+        data = tmp_path / "long.csv"
+        data.write_text("pressure_pa,capacitance_f\n"
+                        + "".join(f"{i}.0,{7 + i / n!r}e-12\n" for i in range(n)))
+        out = tmp_path / "modes.json"
+        result = run(runner, "modes", data, "--output", out)
+        assert result.exit_code == 2
+        assert f"got {n}" in result.output
+        assert not out.exists()
+
     def test_step_response_rise_time(self, runner, tmp_path):
         step = tmp_path / "step.csv"
         step.write_text(STEP_CSV)
@@ -420,6 +467,27 @@ def test_golden_outputs(runner, tmp_path, monkeypatch, args, stdout, files):
     assert result.output == (GOLDEN / stdout).read_bytes().decode()
     for name in files:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("data,args", [
+    (GOLDEN / "default.csv", ["servo", "--data", "in.csv", "--output", "out.csv"]),
+    (GOLDEN / "default.csv", ["modes", "in.csv", "--output", "out.json"]),
+    (FIXTURE, ["fit", "in.csv", "--output", "out.json"]),
+], ids=["servo", "modes", "fit"])
+def test_utf8_bom_before_header(runner, tmp_path, monkeypatch, data, args):
+    # Spreadsheets save "CSV UTF-8" with a byte-order mark before the header.
+    outputs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        work = tmp_path / ("bom" if bom else "plain")
+        work.mkdir()
+        monkeypatch.chdir(work)
+        (work / "in.csv").write_bytes(bom + data.read_bytes())
+        result = run(runner, *args)
+        assert result.exit_code == 0, result.output
+        outputs.append((result.output, {p.name: p.read_bytes()
+                                        for p in work.iterdir() if p.name != "in.csv"}))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][1]) == (2 if args[0] == "fit" else 1)
 
 
 # Runs each command through the CLI with scipy made unimportable and
