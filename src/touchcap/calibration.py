@@ -9,10 +9,10 @@ continuous 4-piece linear fit of a measured curve by an exact search over
 knot triples, and extracts sensitivity, linearity and 10-90% rise time.
 The search scores one first knot at a time (one rank-one update per
 triple, O(n^2) memory) in ascending order of a lower bound on its SSE,
-the two outer pieces fitted without continuity, and stops once no bound
-left can come within the tie width of the least SSE found.  The fit's knots
-coincide with operating-mode boundaries only where the curve changes
-slope there; mode labels come from ``mechanics.classify_mode``.
+the two outer pieces fitted without continuity, and stops once no first
+knot left can change the winner.  The fit's knots coincide with
+operating-mode boundaries only where the curve changes slope there; mode
+labels come from ``mechanics.classify_mode``.
 """
 
 from __future__ import annotations
@@ -465,30 +465,37 @@ def _best_knots(p: np.ndarray, c: np.ndarray) -> tuple[int, int, int]:
     """Knot indices (i, j, k) of the least-squares hinge fit, searched exactly.
 
     First knots are scored by ``_score_first_knot``, O(n^2) each, in
-    ascending order of their lower bounds from ``_first_knot_bounds``.
-    The search stops once the next bound exceeds the least SSE found by
-    more than the tie width, since no first knot left can then come within
-    it.  The smallest first knot whose SSE is within the tie width of the
-    least wins, whatever the order of scoring.  Time is O(n^2) for the
-    bounds plus O(n^2) per first knot scored.  A curve with well-separated
-    slope changes scores one or two, and only data fitted to within the
-    bounds' rounding margin, such as a line, scores every first knot in
-    O(n^3).
+    ascending order of their lower bounds from ``_first_knot_bounds``,
+    each clamped at 0 (an SSE is never negative) and rounded down to a
+    multiple of the tie width (the tie rule cannot tell bounds apart
+    within it), equal bounds smallest index first.  The smallest first
+    knot whose SSE is within the tie width of the least wins, whatever the
+    order of scoring.  The search stops once no first knot left can change
+    the winner: the next bound is more than the tie width above the least
+    SSE, or every first knot left has a larger index than the winner and
+    the next bound is at most the tie width below the winner's SSE.  Time
+    is O(n^2) for the bounds plus O(n^2) per first knot scored: one or two
+    on a curve with well-separated slope changes, one on a line.
     """
     n = len(p)
     tie = n * (SSE_TIE_ULPS * np.finfo(float).eps) ** 2  # c spans a unit range
     q2, g2, r2 = _knot_basis(p, c)
-    bounds = _first_knot_bounds(p, r2)
-    first = np.arange(MIN_GAP, n - 3 * MIN_GAP)
-    least = np.inf
-    scored = []
-    for i in first[np.argsort(bounds[first], kind="stable")].tolist():
-        if bounds[i] > least + tie:
+    bounds = np.maximum(_first_knot_bounds(p, r2)[MIN_GAP:n - 3 * MIN_GAP], 0.0)
+    queue = sorted(zip((bounds - np.fmod(bounds, tie)).tolist(),
+                       range(MIN_GAP, n - 3 * MIN_GAP)))  # (bound, first knot)
+    least, scored = math.inf, []
+    for pos, (bound, i) in enumerate(queue):
+        if bound > least + tie:
             break
         sse, j, k = _score_first_knot(p, q2, g2, r2, i)
         scored.append((sse, (i, j, k)))
         least = min(least, sse)
-    return min(knots for sse, knots in scored if sse <= least + tie)
+        winner, winner_sse = min((knots, s) for s, knots in scored if s <= least + tie)
+        rest = queue[pos + 1:]
+        if (rest and winner[0] < min(r[1] for r in rest)
+                and winner_sse <= rest[0][0] + tie):
+            break
+    return winner
 
 
 def segment_modes(data: MeasuredSeries) -> ModeSegmentation:
@@ -499,9 +506,7 @@ def segment_modes(data: MeasuredSeries) -> ModeSegmentation:
     least-squares optimum in O(n^2) memory (see ``_best_knots``), so a
     series longer than ``MAX_SEGMENT_SAMPLES`` is a ValueError.  Its
     time is O(n^2) for the first-knot lower bounds plus O(n^2) per first
-    knot scored: one or two on a curve with distinct slope changes, and
-    every one, O(n^3) in all, only on data fitted to within rounding.
-    Deterministic by construction.
+    knot scored.  Deterministic by construction.
 
     The knots mark the SSE-optimal slope changes.  They coincide with
     operating-mode boundaries only where the curve changes slope there;

@@ -124,8 +124,7 @@ class CPCurve:
         return "pressure_pa,capacitance_f,mode\n" + "".join([
             f"{p},{c},{m}\n" for p, c, m in zip(*self._text)])
 
-    def to_json(self, geom: DeviceGeometry | None = None,
-                thresholds: ModeThresholds | None = None) -> str:
+    def to_json(self, geom: DeviceGeometry, thresholds: ModeThresholds) -> str:
         """The curve as a JSON document indented by two spaces.
 
         The text around the points' items comes from ``_json_frame``,
@@ -146,8 +145,8 @@ class CPCurve:
 
 
 @lru_cache(maxsize=32)
-def _json_frame(geometry_id: str, geom: DeviceGeometry | None,
-                thresholds: ModeThresholds | None, *_ids: int) -> tuple[str, str]:
+def _json_frame(geometry_id: str, geom: DeviceGeometry,
+                thresholds: ModeThresholds, *_ids: int) -> tuple[str, str]:
     """A sweep document's text before and after the items of its points array.
 
     ``json.dumps(indent=2)`` of the document with an empty points array,
@@ -162,10 +161,8 @@ def _json_frame(geometry_id: str, geom: DeviceGeometry | None,
     """
     doc: dict = {"geometry_id": geometry_id, "points": []}
     head = json.dumps(doc, indent=2)[:-len("]\n}")]
-    if geom is not None:
-        doc["geometry"] = geometry_doc(geom)
-    if thresholds is not None:
-        doc["thresholds"] = thresholds_doc(thresholds)
+    doc["geometry"] = geometry_doc(geom)
+    doc["thresholds"] = thresholds_doc(thresholds)
     return head, json.dumps(doc, indent=2)[len(head):] + "\n"
 
 
@@ -279,11 +276,10 @@ def capacitances(geom: DeviceGeometry, pressures) -> np.ndarray:
 
 
 def sweep_cp_curve(geom: DeviceGeometry, pressures: list[float],
-                   thresholds: ModeThresholds = ModeThresholds(),
-                   geometry_id: str = "") -> CPCurve:
+                   thresholds: ModeThresholds, geometry_id: str = "") -> CPCurve:
     """Capacitance-pressure curve with per-point mode labels.
 
-    Capacitance and modes come from one array evaluation of the same W0.
+    Capacitance and modes come from one array evaluation of W0 and u.
     Raises ValueError for non-finite, negative or non-increasing
     pressures and SweepPointError for the first point outside the
     model's domain.
@@ -292,8 +288,9 @@ def sweep_cp_curve(geom: DeviceGeometry, pressures: list[float],
     if np.any(np.diff(p) <= 0):
         raise ValueError("pressures must be strictly increasing")
     w0 = mechanics.large_deflection_center(geom, p)
-    disk, annulus = _evaluate(geom, w0, mechanics.contact_edge_u(geom, w0), p)
-    modes = mechanics.mode_labels(geom, w0, thresholds)
+    u = mechanics.contact_edge_u(geom, w0)
+    disk, annulus = _evaluate(geom, w0, u, p)
+    modes = mechanics.mode_labels(geom, w0, u, thresholds)
     return CPCurve(pressure=tuple(p.tolist()),
                    capacitance=tuple((disk + annulus).tolist()),
                    mode=tuple(modes.tolist()), geometry_id=geometry_id)

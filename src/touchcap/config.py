@@ -25,14 +25,15 @@ transition at 5.03 kPa and touch at 8.49 kPa, not the paper's 8/10 kPa.
 Every numeric value must be a JSON number.  One key table per section maps
 JSON keys to dataclass fields both ways, so a sweep sidecar's ``geometry``
 and ``thresholds`` blocks (``geometry_doc``, ``thresholds_doc``) load back
-as a profile and a ``thresholds`` section.
+as a profile and a ``thresholds`` section; ``DeviceGeometry`` owns the
+profile defaults, and ``ModeThresholds`` the threshold defaults.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -87,12 +88,11 @@ class DeviceConfig:
 _LAYER_KEYS = (("youngs_modulus", "youngs_modulus_pa", None),
                ("poisson_ratio", "poisson_ratio", None),
                ("thickness", "thickness_m", None))
-_PROFILE_KEYS = (("radius", "radius_m", None),
-                 ("gap", "gap_m", None),
-                 ("builtin_stress", "builtin_stress_pa", 0.0),
-                 ("dielectric_thickness", "dielectric_thickness_m", 0.0),
-                 ("dielectric_rel_permittivity", "dielectric_rel_permittivity", 1.0),
-                 ("medium_rel_permittivity", "medium_rel_permittivity", 1.0))
+_PROFILE_KEYS = tuple(
+    (f.name, {"radius": "radius_m", "gap": "gap_m", "builtin_stress": "builtin_stress_pa",
+              "dielectric_thickness": "dielectric_thickness_m"}.get(f.name, f.name),
+     None if f.default is MISSING else f.default)
+    for f in fields(DeviceGeometry) if f.name != "laminate")
 # Missing keys take the uncalibrated ModeThresholds defaults (module docstring).
 _THRESHOLD_KEYS = tuple((f.name, f.name, f.default) for f in fields(ModeThresholds))
 _SERVO_KEYS = (("p_min", "pressure_min_pa", 10e3),

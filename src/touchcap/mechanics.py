@@ -125,12 +125,6 @@ class DeflectionState:
         return self.contact_radius > 0.0
 
 
-def _stress_term(geom: DeviceGeometry) -> float:
-    """Dimensionless built-in stress stiffening sigma*h*R^2 / (16 D)."""
-    return (geom.builtin_stress * geom.thickness * geom.radius**2
-            / (16.0 * geom.flexural_rigidity))
-
-
 def checked_pressures(pressure: float | np.ndarray) -> np.ndarray:
     """Pressures as a float array; ValueError naming a non-finite or negative one."""
     p = np.asarray(pressure, dtype=float)
@@ -140,6 +134,22 @@ def checked_pressures(pressure: float | np.ndarray) -> np.ndarray:
             raise ValueError(f"pressure must be finite, got {float(p[~finite][0])}")
         raise ValueError("pressure must be >= 0")
     return p
+
+
+def _cubic_coefficients(geom: DeviceGeometry) -> tuple[float, float]:
+    """(c1, c3) of c3 W0^3 + c1 W0 = q: c1 = 1 + sigma h R^2 / (16 D), the
+    built-in stress stiffening, and c3 = K / h^2, the cubic stiffening."""
+    return (1.0 + (geom.builtin_stress * geom.thickness * geom.radius**2
+                   / (16.0 * geom.flexural_rigidity)),
+            STIFFENING_COEFF / geom.thickness**2)
+
+
+def linear_center_deflection(geom: DeviceGeometry,
+                             pressure: float | np.ndarray) -> float | np.ndarray:
+    """Linear center deflection P R^4 / (64 D), the load term of the cubic;
+    pressures taken and checked as ``large_deflection_center`` takes them."""
+    q = checked_pressures(pressure) * geom.radius**4 / (64.0 * geom.flexural_rigidity)
+    return float(q) if q.ndim == 0 else q
 
 
 def large_deflection_center(geom: DeviceGeometry,
@@ -159,10 +169,8 @@ def large_deflection_center(geom: DeviceGeometry,
     Takes a scalar (returns a float) or an array of pressures (returns an
     array); raises ValueError for a negative or non-finite pressure.
     """
-    p = checked_pressures(pressure)
-    q = p * geom.radius**4 / (64.0 * geom.flexural_rigidity)
-    c1 = 1.0 + _stress_term(geom)
-    c3 = STIFFENING_COEFF / geom.thickness**2
+    q = linear_center_deflection(geom, pressure)
+    c1, c3 = _cubic_coefficients(geom)
     ratio = c1 / c3
     w = 2.0 * math.sqrt(ratio / 3.0) * np.sinh(
         np.arcsinh(1.5 * (q / c3) / ratio * math.sqrt(3.0 / ratio)) / 3.0)
@@ -174,8 +182,7 @@ def pressure_for_center_deflection(geom: DeviceGeometry, w0: float) -> float:
     """Exact inverse of the large-deflection relation: P such that W0(P) = w0."""
     if w0 < 0:
         raise ValueError("w0 must be >= 0")
-    c1 = 1.0 + _stress_term(geom)
-    c3 = STIFFENING_COEFF / geom.thickness**2
+    c1, c3 = _cubic_coefficients(geom)
     return (c3 * w0**3 + c1 * w0) * 64.0 * geom.flexural_rigidity / geom.radius**4
 
 
@@ -203,11 +210,7 @@ def contact_radius(geom: DeviceGeometry,
     at a = R sqrt(1 - sqrt(g / W0)); zero while W0 <= g.  Continuous at
     onset and strictly increasing with pressure once positive.
     """
-    return _radius_of_contact(geom, large_deflection_center(geom, pressure))
-
-
-def _radius_of_contact(geom: DeviceGeometry,
-                       w0: float | np.ndarray) -> float | np.ndarray:
+    w0 = large_deflection_center(geom, pressure)
     a = geom.radius * np.sqrt(1.0 - contact_edge_u(geom, w0))
     return float(a) if np.ndim(a) == 0 else a
 
@@ -215,20 +218,18 @@ def _radius_of_contact(geom: DeviceGeometry,
 def solve_state(geom: DeviceGeometry, pressure: float) -> DeflectionState:
     """Deflection state at one pressure; W0 capped at the travel when touching."""
     w0 = large_deflection_center(geom, pressure)
-    return DeflectionState(pressure=pressure,
-                           center_deflection=min(w0, geom.travel),
-                           contact_radius=_radius_of_contact(geom, w0))
+    return DeflectionState(pressure, min(w0, geom.travel), contact_radius(geom, pressure))
 
 
-def mode_labels(geom: DeviceGeometry, w0: np.ndarray,
+def mode_labels(geom: DeviceGeometry, w0: np.ndarray, u: np.ndarray,
                 thresholds: ModeThresholds) -> np.ndarray:
-    """Operating-mode codes (``OperatingMode`` values) of unconstrained deflections W0.
+    """Operating-mode codes of unconstrained deflections W0 and contact edges u.
 
     The one statement of the mode rule: normal while W0 is below
     transition_fraction * g, then transition, touch and saturation by the
-    contact-radius fraction a/R.
+    contact-radius fraction a/R = sqrt(1 - u), u from ``contact_edge_u``.
     """
-    a_frac = _radius_of_contact(geom, w0) / geom.radius
+    a_frac = np.sqrt(1.0 - u)
     return np.where(
         w0 < thresholds.transition_fraction * geom.travel, OperatingMode.NORMAL,
         np.where(a_frac < thresholds.touch_onset_fraction, OperatingMode.TRANSITION,
@@ -237,7 +238,8 @@ def mode_labels(geom: DeviceGeometry, w0: np.ndarray,
 
 
 def classify_mode(geom: DeviceGeometry, pressure: float,
-                  thresholds: ModeThresholds = ModeThresholds()) -> OperatingMode:
+                  thresholds: ModeThresholds) -> OperatingMode:
     """Operating mode at one pressure under the given thresholds."""
     w0 = large_deflection_center(geom, pressure)
-    return OperatingMode(int(mode_labels(geom, w0, thresholds)))
+    return OperatingMode(int(mode_labels(geom, w0, contact_edge_u(geom, w0),
+                                         thresholds)))

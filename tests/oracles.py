@@ -109,19 +109,17 @@ def touch_mode_capacitance_quadrature(geom: DeviceGeometry,
 def best_knots_exhaustive(p: np.ndarray, c: np.ndarray) -> tuple[int, int, int]:
     """Knot indices of the least-squares hinge fit, scoring every first knot.
 
-    First knots are scored in ascending order, and a later one replaces the
-    best only with an SSE lower by more than the tie width of
-    ``calibration._best_knots``.  O(n^3) time.
+    The tie rule of ``calibration._best_knots``: of every first knot whose
+    SSE is within the tie width of the least, the smallest wins.  O(n^3)
+    time.
     """
     n = len(p)
     tie = n * (cal.SSE_TIE_ULPS * np.finfo(float).eps) ** 2
     basis = cal._knot_basis(p, c)
-    best = (math.inf, (0, 0, 0))
-    for i in range(cal.MIN_GAP, n - 3 * cal.MIN_GAP):
-        sse, j, k = cal._score_first_knot(p, *basis, i)
-        if sse < best[0] - tie:
-            best = (sse, (i, j, k))
-    return best[1]
+    scored = {i: cal._score_first_knot(p, *basis, i)
+              for i in range(cal.MIN_GAP, n - 3 * cal.MIN_GAP)}
+    least = min(sse for sse, _, _ in scored.values())
+    return min((i, j, k) for i, (sse, j, k) in scored.items() if sse <= least + tie)
 
 
 def cp_curve_csv(curve: cap.CPCurve) -> str:
@@ -134,19 +132,17 @@ def cp_curve_csv(curve: cap.CPCurve) -> str:
     return buf.getvalue()
 
 
-def cp_curve_json(curve: cap.CPCurve, geom: DeviceGeometry | None = None,
-                  thresholds: ModeThresholds | None = None) -> str:
+def cp_curve_json(curve: cap.CPCurve, geom: DeviceGeometry,
+                  thresholds: ModeThresholds) -> str:
     """``CPCurve.to_json`` as one ``json.dumps(indent=2)`` of the whole document."""
-    doc: dict = {
+    doc = {
         "geometry_id": curve.geometry_id,
         "points": [
             {"pressure_pa": p.pressure, "capacitance_f": p.capacitance,
              "mode": p.mode.name.lower()}
             for p in curve.points
         ],
-    }
-    if geom is not None:
-        doc["geometry"] = {
+        "geometry": {
             "radius_m": geom.radius,
             "gap_m": geom.gap,
             "builtin_stress_pa": geom.builtin_stress,
@@ -158,11 +154,11 @@ def cp_curve_json(curve: cap.CPCurve, geom: DeviceGeometry | None = None,
                  "poisson_ratio": l.poisson_ratio, "thickness_m": l.thickness}
                 for l in geom.laminate.layers
             ],
-        }
-    if thresholds is not None:
-        doc["thresholds"] = {
+        },
+        "thresholds": {
             "transition_fraction": thresholds.transition_fraction,
             "touch_onset_fraction": thresholds.touch_onset_fraction,
             "saturation_fraction": thresholds.saturation_fraction,
-        }
+        },
+    }
     return json.dumps(doc, indent=2) + "\n"

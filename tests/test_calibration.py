@@ -492,16 +492,38 @@ class TestKnotPruning:
         assert seg.boundaries == (7500.0, 15000.0, 29625.0)
         assert 1 <= len(calls) <= 2
 
-    def test_exact_line_scores_every_first_knot(self):
-        # Every triple fits a line exactly, so no bound exceeds the tie width.
+    def test_exact_line_scores_smallest_first_knot_only(self):
+        # Every triple fits a line exactly, so every bound rounds down to 0
+        # and every SSE ties: the smallest first knot is scored first and wins.
         p = np.arange(0.0, 30e3, 1e3)
         data = MeasuredSeries(p, 5e-12 + 2e-16 * p)
         seg, calls = self.scored_first_knots(data)
-        assert sorted(calls) == list(range(cal.MIN_GAP, len(p) - 3 * cal.MIN_GAP))
+        assert calls == [cal.MIN_GAP]
         assert seg.low_confidence
         # The tie goes to the smallest first knot, in whatever order scored.
         with mock.patch.object(cal, "_best_knots", oracles.best_knots_exhaustive):
             assert seg == cal.segment_modes(data)
+
+    @pytest.mark.parametrize("bounds", [(0.0, 0.0, 0.0), (2.0, 1.0, 0.0)],
+                             ids=["index_order", "reverse_order"])
+    def test_tie_rule_chain(self, bounds):
+        """SSEs 2.0, 1.1 and 0.2 tie widths at first knots 2, 3 and 4 chain:
+        3 is within the tie width of the least and 2 is not, so 3 wins in
+        either scoring order, in the search and in the oracle."""
+        n = 11  # first knots 2, 3 and 4
+        tie = n * (cal.SSE_TIE_ULPS * np.finfo(float).eps) ** 2
+        sse = {2: 2.0 * tie, 3: 1.1 * tie, 4: 0.2 * tie}
+        lower = np.full(n, np.inf)
+        lower[2:5] = np.array(bounds) * tie
+
+        def score(p, q2, g2, r2, i):
+            return sse[i], i + cal.MIN_GAP, i + 2 * cal.MIN_GAP
+
+        p = np.linspace(0.0, 1.0, n)
+        with mock.patch.object(cal, "_score_first_knot", score), \
+                mock.patch.object(cal, "_first_knot_bounds", lambda p, c: lower):
+            assert cal._best_knots(p, p * p) == (3, 5, 7)
+            assert oracles.best_knots_exhaustive(p, p * p) == (3, 5, 7)
 
 
 class TestSensitivityLinearity:

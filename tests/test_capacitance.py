@@ -10,7 +10,7 @@ from touchcap import calibration as cal
 from touchcap import capacitance as cap
 from touchcap import mechanics
 from touchcap.capacitance import EPSILON_0, SweepPointError, TouchStateError
-from touchcap.mechanics import DeflectionState, OperatingMode
+from touchcap.mechanics import DeflectionState, ModeThresholds, OperatingMode
 
 import oracles
 
@@ -211,11 +211,12 @@ class TestSweep:
         above = cap.capacitance_at(default_geometry, p_on * (1.0 + 1e-9))
         assert above == pytest.approx(below, rel=1e-6, abs=0)
 
-    def test_rejects_unsorted_pressures(self, default_geometry):
+    def test_rejects_unsorted_pressures(self, default_geometry, config):
+        th = config.thresholds
         with pytest.raises(ValueError):
-            cap.sweep_cp_curve(default_geometry, [0.0, 2.0, 1.0])
+            cap.sweep_cp_curve(default_geometry, [0.0, 2.0, 1.0], th)
         with pytest.raises(ValueError):
-            cap.sweep_cp_curve(default_geometry, [-1.0, 2.0])
+            cap.sweep_cp_curve(default_geometry, [-1.0, 2.0], th)
 
     @pytest.mark.parametrize("profile,p_end", [("default", 100e3),
                                                ("dielectric_50um", 100e3),
@@ -232,17 +233,18 @@ class TestSweep:
         assert [pt.mode for pt in curve.points] == \
             [mechanics.classify_mode(geom, p, th) for p in pressures]
 
-    def test_rejects_non_finite_before_ordering(self, default_geometry):
+    def test_rejects_non_finite_before_ordering(self, default_geometry, config):
         # [0, inf, inf] is also non-increasing; the error must name inf.
         with pytest.raises(ValueError, match="finite, got inf"):
-            cap.sweep_cp_curve(default_geometry, [0.0, math.inf, math.inf])
+            cap.sweep_cp_curve(default_geometry, [0.0, math.inf, math.inf],
+                               config.thresholds)
 
     def test_point_error_carries_index(self, bare_geometry):
         # Bare gap device enters touch with no dielectric: the failing
         # point index must be reported.
         p_on = mechanics.touch_onset_pressure(bare_geometry)
         with pytest.raises(SweepPointError) as err:
-            cap.sweep_cp_curve(bare_geometry, [0.0, p_on * 2.0])
+            cap.sweep_cp_curve(bare_geometry, [0.0, p_on * 2.0], ModeThresholds())
         assert err.value.index == 1
 
     def test_point_error_is_a_value_error(self):
@@ -258,7 +260,7 @@ class TestSweep:
         causes = set()
         for p in pressures:
             try:
-                cap.sweep_cp_curve(bare_geometry, [0.0, p])
+                cap.sweep_cp_curve(bare_geometry, [0.0, p], ModeThresholds())
             except SweepPointError as err:
                 assert (err.index, err.pressure) == (1, p)
                 causes.add(type(err.cause))
@@ -294,11 +296,13 @@ _AWKWARD_FLOATS = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-7, 0.1 + 0.2,
     "", "default", 'say "hi", then \\ back', '"points": []',
     '\n  "points": []', "\u00d810 mm \u2014 Kapton \u2603"])
 @pytest.mark.parametrize("points", ["none", "one", "all_modes", "awkward"])
-@pytest.mark.parametrize("with_geom,with_thresholds", [
+@pytest.mark.parametrize("default_profile,calibrated", [
     (True, True), (False, True), (True, False), (False, False)])
-def test_exports_match_encoder_oracles(default_curve, default_geometry, config,
-                                       geometry_id, points, with_geom,
-                                       with_thresholds):
+def test_exports_match_encoder_oracles(default_curve, config, geometry_id, points,
+                                       default_profile, calibrated):
+    """Both exports against the encoders, for the default or the airgap
+    profile's geometry block and the config's calibrated or the generic
+    ``ModeThresholds()`` thresholds block."""
     d = default_curve
     columns = {
         "none": ((), (), ()),
@@ -308,8 +312,8 @@ def test_exports_match_encoder_oracles(default_curve, default_geometry, config,
                     tuple(OperatingMode(i % 4) for i in range(len(_AWKWARD_FLOATS)))),
     }[points]
     curve = cap.CPCurve(*columns, geometry_id=geometry_id)
-    geom = default_geometry if with_geom else None
-    thresholds = config.thresholds if with_thresholds else None
+    geom = config.geometry("default" if default_profile else "airgap")
+    thresholds = config.thresholds if calibrated else ModeThresholds()
     assert curve.to_csv() == oracles.cp_curve_csv(curve)
     assert curve.to_json(geom, thresholds) == \
         oracles.cp_curve_json(curve, geom, thresholds)
@@ -352,12 +356,12 @@ class TestExportText:
     @pytest.mark.parametrize("first,second", [(0.0, -0.0), (-0.0, 0.0), (0.0, 0),
                                               (0, 0.0)])
     def test_json_frame_keeps_equal_values_that_print_differently(
-            self, default_curve, default_geometry, first, second):
+            self, default_curve, default_geometry, config, first, second):
         # 0 == 0.0 == -0.0, yet json writes "0", "0.0" and "-0.0".
         for stress in (first, second):
             geom = replace(default_geometry, builtin_stress=stress)
-            assert default_curve.to_json(geom) == \
-                oracles.cp_curve_json(default_curve, geom)
+            assert default_curve.to_json(geom, config.thresholds) == \
+                oracles.cp_curve_json(default_curve, geom, config.thresholds)
 
     def test_views_match_columns(self, default_curve):
         d = default_curve
@@ -378,9 +382,10 @@ class TestExportText:
         with pytest.raises(ValueError, match="column lengths differ"):
             cap.CPCurve((0.0, 1.0), (1e-12,), (0, 0))
 
-    def test_csv_and_json_carry_the_same_float_strings(self, default_curve):
+    def test_csv_and_json_carry_the_same_float_strings(self, default_curve,
+                                                       default_geometry, config):
         rows = [line.split(",") for line in default_curve.to_csv().splitlines()[1:]]
-        lines = default_curve.to_json().splitlines()
+        lines = default_curve.to_json(default_geometry, config.thresholds).splitlines()
 
         def values(key):
             prefix = f'      "{key}": '
@@ -412,14 +417,14 @@ class TestExportText:
 @given(bad=st.sampled_from([math.nan, math.inf, -math.inf]),
        finite=st.lists(st.floats(0.0, 60e3), max_size=6, unique=True),
        where=st.integers(0, 6))
-def test_non_finite_pressure_rejected(default_geometry, bad, finite, where):
+def test_non_finite_pressure_rejected(default_geometry, config, bad, finite, where):
     finite = sorted(finite)
     pressures = finite[:where] + [bad] + finite[where:]
     message = f"finite, got {bad}"
     with pytest.raises(ValueError, match=message):
         cap.capacitance_at(default_geometry, bad)
     with pytest.raises(ValueError, match=message):
-        cap.sweep_cp_curve(default_geometry, pressures)
+        cap.sweep_cp_curve(default_geometry, pressures, config.thresholds)
     with pytest.raises(ValueError, match=message):
         cal.model_capacitances(default_geometry, np.array(pressures))
 

@@ -357,6 +357,25 @@ class TestModes:
         assert f"got {n}" in result.output
         assert not out.exists()
 
+    def test_long_line_scores_one_first_knot(self, runner, tmp_path, monkeypatch):
+        # Every first knot fits a straight line to within the tie width; the
+        # search settles on the smallest without scoring the others.
+        n = calibration.MAX_SEGMENT_SAMPLES
+        data = tmp_path / "line.csv"
+        data.write_text("pressure_pa,capacitance_f\n"
+                        + "".join(f"{i}.0,{5e-12 + 2e-16 * i!r}\n" for i in range(n)))
+        calls = []
+        score = calibration._score_first_knot
+
+        def counted(*args):
+            calls.append(args[-1])
+            return score(*args)
+
+        monkeypatch.setattr(calibration, "_score_first_knot", counted)
+        result = run(runner, "modes", data, "--output", tmp_path / "modes.json")
+        assert result.exit_code == 0, result.output
+        assert calls == [calibration.MIN_GAP]
+
     def test_step_response_rise_time(self, runner, tmp_path):
         step = tmp_path / "step.csv"
         step.write_text(STEP_CSV)

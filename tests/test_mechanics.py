@@ -59,6 +59,25 @@ class TestSmallDeflection:
             oracles.small_deflection_center(bare_geometry, -1.0)
 
 
+class TestLinearCenterDeflection:
+    def test_matches_unstressed_oracle(self, bare_geometry):
+        for p in (0.0, 1e-3, 5e3, 60e3):
+            w = mechanics.linear_center_deflection(bare_geometry, p)
+            assert type(w) is float
+            assert w == oracles.small_deflection_center(bare_geometry, p)
+
+    def test_array_matches_scalar(self, default_geometry):
+        pressures = np.linspace(0.0, 80e3, 81)
+        assert mechanics.linear_center_deflection(default_geometry, pressures).tolist() \
+            == [mechanics.linear_center_deflection(default_geometry, p)
+                for p in pressures.tolist()]
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_pressure(self, bare_geometry, bad):
+        with pytest.raises(ValueError, match="pressure must be"):
+            mechanics.linear_center_deflection(bare_geometry, bad)
+
+
 class TestLargeDeflection:
     def test_zero_load(self, bare_geometry):
         assert mechanics.large_deflection_center(bare_geometry, 0.0) == 0.0
@@ -183,14 +202,16 @@ class TestSolveState:
 
 class TestClassifyMode:
     def test_zero_pressure_normal(self, bare_geometry):
-        assert mechanics.classify_mode(bare_geometry, 0.0) is OperatingMode.NORMAL
+        assert mechanics.classify_mode(bare_geometry, 0.0, ModeThresholds()) \
+            is OperatingMode.NORMAL
 
     def test_mid_contact_is_touch(self, bare_geometry):
         # Construct the pressure putting a/R exactly at 0.3.
         g = bare_geometry.travel
         w0 = g / (1.0 - 0.3**2) ** 2
         p = mechanics.pressure_for_center_deflection(bare_geometry, w0)
-        assert mechanics.classify_mode(bare_geometry, p) is OperatingMode.TOUCH
+        assert mechanics.classify_mode(bare_geometry, p, ModeThresholds()) \
+            is OperatingMode.TOUCH
 
     def test_default_device_boundaries(self, default_geometry, config):
         # Calibrated device: normal through ~8 kPa, transition to ~10 kPa,

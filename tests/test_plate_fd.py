@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from touchcap import cli, plate_fd
+from touchcap import cli, mechanics, plate_fd
 from touchcap.plate_fd import RadialGrid
 
 
@@ -78,7 +78,7 @@ class TestSolvePlate:
 
     def test_center_matches_analytic(self, scaled_geometry):
         sol = plate_fd.solve_plate(scaled_geometry, 10e3, RadialGrid(201))
-        exact = plate_fd.analytic_center_deflection(scaled_geometry, 10e3)
+        exact = mechanics.linear_center_deflection(scaled_geometry, 10e3)
         assert sol.center_deflection == pytest.approx(exact, rel=0.01, abs=0)
 
     def test_profile_shape(self, scaled_geometry):
