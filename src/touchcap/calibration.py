@@ -7,12 +7,14 @@ bounded Levenberg-Marquardt in numpy alone (one array evaluation of the
 model per trial point and per Jacobian column), finds the SSE-optimal
 continuous 4-piece linear fit of a measured curve by an exact search over
 knot triples, and extracts sensitivity, linearity and 10-90% rise time.
-The search scores one first knot at a time (one rank-one update per
-triple, O(n^2) memory) in ascending order of a lower bound on its SSE,
-the two outer pieces fitted without continuity, and stops once no first
-knot left can change the winner.  The fit's knots coincide with
-operating-mode boundaries only where the curve changes slope there; mode
-labels come from ``mechanics.classify_mode``.
+The search splits each triple at its middle knot into two hinged lines,
+takes their SSEs and values at the split from two O(n^2) tables, and
+scores one first knot at a time (the two SSEs plus the cost of making the
+lines meet) in ascending order of a lower bound on its SSE, the same sum
+without that cost; it stops once no first knot left can change the
+winner.  The fit's knots coincide with operating-mode boundaries only
+where the curve changes slope there; mode labels come from
+``mechanics.mode_labels``.
 """
 
 from __future__ import annotations
@@ -31,15 +33,17 @@ FIT_PARAM_NAMES = ("gap", "builtin_stress", "dielectric_thickness",
 # Fewest samples between two segmentation knots, and between a knot and
 # either end of the series.
 MIN_GAP = 2
-# Most samples segment_modes takes.  Its memory grows as n^2, about 67
-# bytes per n^2 at peak (tracemalloc): 64 MB at 1000 samples.  The cap
+# Most samples segment_modes takes.  Its memory grows as n^2, about 72
+# bytes per n^2 at peak (tracemalloc): 72 MB at 1000 samples.  The cap
 # keeps a long CSV from sizing arrays without bound.
 MAX_SEGMENT_SAMPLES = 1000
 # Knot-triple SSEs closer than the SSE of a rounding error of this many
 # ulps in every normalized sample tie: the smallest first knot whose SSE is
 # within this width of the least wins, whatever the order first knots are
-# scored in.  This settles the knots of a series that every triple fits
-# exactly: for a straight line, a knot at the search edge.
+# scored in.  This settles the knots of a straight line, which every
+# triple fits exactly: a knot at the search edge.  Where several but not
+# all triples fit exactly, their computed SSEs differ by rounding (about
+# 1e-16 on the normalized data), so the pick among them follows rounding.
 SSE_TIE_ULPS = 16
 # Damped steps a fit may try before it reports no convergence.
 MAX_FIT_ITERATIONS = 100
@@ -316,149 +320,122 @@ def _piecewise_design(p: np.ndarray, b1: float, b2: float, b3: float) -> np.ndar
     ])
 
 
-def _knot_basis(p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What scoring any first knot starts from: an orthonormal basis q2 of
-    [1, p], every hinge h_m = max(p - p_m, 0) projected off it (column m of
-    g2), and the residual r2 of c off it."""
-    n = len(p)
-    q2, _ = np.linalg.qr(np.column_stack([np.ones(n), p]))
-    g2 = np.maximum(p[:, None] - p[None, :], 0.0)
-    g2 -= q2 @ (q2.T @ g2)
-    r2 = c - q2 @ (q2.T @ c)
-    return q2, g2, r2
-
-
-def _score_first_knot(p: np.ndarray, q2: np.ndarray, g2: np.ndarray,
-                      r2: np.ndarray, i: int) -> tuple[float, int, int]:
-    """Least SSE over every admissible (j, k) with first knot i, and its j, k.
-
-    Each first knot i completes an orthonormal basis Q3 = [q2, u] of
-    [1, p, h_i], leaving the residual r3 of c.  Every later hinge projected
-    off Q3 is a column g_m.  Adding g_j as the unit vector q4_j lowers the
-    SSE by (q4_j . r3)^2; adding h_k after it lowers it by num^2/den, with
-    num = h_k . r3 - (q4_j . h_k)(q4_j . r3) and
-    den = g_k . g_k - (q4_j . h_k)^2.  The cross terms q4_j . h_k come from
-    reversed cumulative sums, q . h_k = S(q p)[k] - p_k S(q)[k], so all
-    (j, k) pairs take O(n^2) time and memory.  Among equal SSEs the
-    smallest j, then k, wins.
-    """
-    n = len(p)
-    u = g2[:, i] - q2 @ (q2.T @ g2[:, i])  # a second pass keeps u off q2
-    u /= np.sqrt(u @ u)
-    r3 = r2 - u * (u @ r2)
-    # Candidates i + MIN_GAP .. n - MIN_GAP - 1: the first m are the j
-    # choices and the last m (offset MIN_GAP) the k choices, so the
-    # admissible k >= j + MIN_GAP is the upper triangle of an m x m block.
-    g = g2[:, i + MIN_GAP:n - MIN_GAP]
-    g = g - np.outer(u, u @ g)
-    gg = np.einsum("lm,lm->m", g, g)
-    hr = g.T @ r3  # h_m . r3, since r3 is orthogonal to Q3
-    m = len(gg) - MIN_GAP
-    norm = np.sqrt(gg[:m])
-    q4 = g[:, :m] / norm
-    q4r = hr[:m] / norm
-    # h_k is zero on samples before k, so the sums start at the first k.
-    tail = q4[i + 2 * MIN_GAP:]
-    p_tail = p[i + 2 * MIN_GAP:, None]
-    s_q = np.cumsum(tail[::-1], axis=0)[::-1][:m]
-    s_qp = np.cumsum((p_tail * tail)[::-1], axis=0)[::-1][:m]
-    cross = (s_qp - p_tail[:m] * s_q).T  # [j, k] = q4_j . h_k
-    num = hr[MIN_GAP:] - cross * q4r[:, None]
-    den = gg[MIN_GAP:] - cross * cross
-    drop = np.divide(num * num, den, out=np.full((m, m), -np.inf),
-                     where=np.triu(np.ones((m, m), dtype=bool)))
-    sse = (float(r3 @ r3) - q4r * q4r)[:, None] - drop
-    pos = int(np.argmin(sse))
-    a, b = divmod(pos, m)
-    return float(sse.flat[pos]), i + MIN_GAP + a, i + 2 * MIN_GAP + b
-
-
-def _hinge_sse_bounds(p: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """T[m, j] <= the least-squares SSE of a line hinged at p_m, fitted to
-    samples 0..j, for every m < j (entries with m >= j mean nothing);
-    O(n^2) time and memory.
+def _hinge_tables(p: np.ndarray, c: np.ndarray,
+                  past: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row j, column m: the least-squares line hinged at p_m, fitted to
+    samples 0..j, for every j < n - past; O(n^2) time and memory.  Returns
+    its SSE, its value v at the anchor x = p[j + past], and s = x.G^-1 x
+    there, G the normal matrix.  The SSE is inf where the hinge is fewer
+    than ``MIN_GAP`` samples before the anchor.
 
     With u = p - p_m, the basis (min(u, 0), max(u, 0), 1) spans
     [1, p, h_m], and its first two columns are orthogonal, so the normal
-    matrix [[L2, 0, L1], [0, R2, R1], [L1, R1, j + 1]] takes its left-piece
-    entries (samples 0..m) per m and its right-piece entries (samples
-    m+1..j) per (m, j), each from prefix sums of 1, p, p^2, c, pc and c^2.
-    A closed-form Cholesky solve gives the SSE, c.c - z.z, elementwise.
-    Its last pivot is at least 1 in exact arithmetic, since sample m is 1
-    in the third column and 0 in the others.
-
-    Rounding margin, with |p| <= 1 as segment_modes scales it: a prefix sum
-    of f is off by at most (n - 1) eps sum|f| (Higham, Accuracy and
-    Stability of Numerical Algorithms, sec. 4.2), so a difference of two,
-    multiplied by p_m and combined as above, is off by at most
-    gamma = 3 n eps times the sum over all samples of |x_a x_b|, |x_a c| or
-    c^2, where |x| <= (|p| + |p_m|, |p| + |p_m|, 1) <= (2, 2, 1).  To first
-    order the SSE moves by w.dG w - 2 w.db + d(c.c) at the least-squares
-    coefficients w, which is at most
-    gamma sum_l (|c_l| + 2|w_-| + 2|w_+| + |w_1|)^2
-    <= 4 gamma (c.c + n (4 w_-^2 + 4 w_+^2 + w_1^2)).  The Cholesky solve
-    and the final subtraction add a few eps of the same sums.  Twice this
-    is subtracted, which also covers the rounding of the first-knot SSEs
-    the bounds are compared with.  An entry with a NaN or non-positive
-    pivot is -inf.
+    matrix is [[L2, 0, L1], [0, R2, R1], [L1, R1, j + 1]].  Its left-piece
+    entries (samples 0..m) come per m from prefix sums of p and p^2; with
+    p_0 = 0 <= p their rounding is O(n eps) relative to L2 >= p_m^2.  Its
+    right-piece entries (samples m+1..j) are running sums down the hinge
+    h_m itself, so they keep their relative accuracy however close the
+    samples are to p_m.  Its Cholesky factor L gives z = L^-1 X.c and
+    y = L^-1 (0, x - p_m, 1) elementwise: the SSE is c.c - z.z, v = y.z
+    and s = y.y.  The last pivot is at least 1 in exact arithmetic, since
+    sample m is 1 in the third column and 0 in the others; an entry whose
+    pivot rounding leaves non-positive is NaN.
     """
     n = len(p)
+    rows = n - past
     count = np.arange(1.0, n + 1.0)
     sp, spp, sc, spc, scc = (np.cumsum(f) for f in (p, p * p, c, p * c, c * c))
+    col = slice(None, rows), None  # a prefix sum as a column, one row per j
     with np.errstate(invalid="ignore", divide="ignore"):
-        # Left piece, samples 0..m, per m (rows).
-        a = np.sqrt(spp - p * (2.0 * sp - p * count))[:, None]
-        z1 = (spc - p * sc)[:, None] / a
-        e1 = (sp - p * count)[:, None] / a
-        # Right piece, samples m+1..j, per (m, j).
+        # Left piece, samples 0..m, per m.
+        a = np.sqrt(spp - p * (2.0 * sp - p * count))
+        z1 = (spc - p * sc) / a
+        e1 = (sp - p * count) / a
+        # Right piece, samples m+1..j, per (j, m), from running sums of h_m.
         # (Each n x n array is deleted once used, to keep the peak down.)
-        pm = p[:, None]
-        s1 = sp - sp[:, None]
-        r1 = s1 - pm * (count - count[:, None])
-        b = np.sqrt((spp - spp[:, None]) - pm * (s1 + r1))
-        del s1
-        e2 = r1 / b
-        del r1
-        z2 = ((spc - spc[:, None]) - pm * (sc - sc[:, None])) / b
-        d = np.sqrt(count - e1 * e1 - e2 * e2)
-        z3 = (sc - e1 * z1 - e2 * z2) / d
-        bound = scc - z1 * z1 - z2 * z2 - z3 * z3
-        w1 = z3 / d
-        del z3, d
-        w_plus = (z2 - e2 * w1) / b
-        del z2, e2, b
-        w_minus = (z1 - e1 * w1) / a
-        bound -= (24.0 * n * np.finfo(float).eps
-                  * (scc[-1] + n * (4.0 * (w_minus**2 + w_plus**2) + w1**2)))
-    bound[np.isnan(bound)] = -np.inf
-    return bound
+        h = np.maximum(p[:rows, None] - p, 0.0)
+        b = np.sqrt(np.cumsum(h * h, axis=0))
+        e2 = np.cumsum(h, axis=0) / b
+        z2 = np.cumsum(h * c[:rows, None], axis=0) / b
+        del h
+        d = np.sqrt(count[col] - e1 * e1 - e2 * e2)
+        z3 = (sc[col] - e1 * z1 - e2 * z2) / d
+        y2 = (p[past:, None] - p) / b
+        del b
+        e2 *= y2  # y3 = (1 - e2 y2) / d, without a further n x n temporary
+        y3 = (1.0 - e2) / d
+        del e2, d
+        v = y2 * z2 + y3 * z3
+        y2 *= y2
+        y3 *= y3
+        s = y2 + y3
+        del y2, y3
+        sse = scc[col] - z1 * z1 - z2 * z2 - z3 * z3
+    sse[np.arange(n) > np.arange(rows)[:, None] + (past - MIN_GAP)] = np.inf
+    return sse, v, s
 
 
-def _first_knot_bounds(p: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """LB[i] <= the least SSE of any admissible knot triple with first knot i.
+def _knot_tables(p: np.ndarray, c: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The two hinge tables every knot triple is scored from.
 
-    On samples 0..j the spline with knots (i, j, k) is a line hinged at p_i
-    alone, and on samples j+1..n-1 a line hinged at p_k, so its SSE is at
-    least A(i, j) + B(j, k), the two pieces fitted without continuity at
-    p_j.  LB[i] is the least A(i, j) + min_k B(j, k) under the
-    ``MIN_GAP`` rules of the search.  B is the table of A on the reversed
-    series: hinge k there has index n-1-k, and samples j+1..n-1 are samples
-    0..n-2-j.  Inadmissible first knots get inf.
+    Split at its middle knot p_j, the spline with knots (i, j, k) is a line
+    hinged at p_i on samples 0..j and a line hinged at p_k on samples
+    j+1..n-1 that meet at p_j.  Returns (A, vA, sA) indexed [j, i] for the
+    left piece and (B, vB, sB) indexed [j, k] for the right, each fitted
+    alone, with its value at p_j and s there (see ``_hinge_tables``).  B
+    is the table of the reversed series p_{n-1} - p: hinge k there has
+    index n-1-k, samples j+1..n-1 are samples 0..n-2-j, and p_j is one
+    sample past them.  Expects p_0 = 0 <= p.  c is first replaced by its
+    residual off [1, p], which every piece spans; the SSEs are unchanged
+    and the prefix sums smaller.
     """
-    n = len(p)
-    row = np.arange(n)[:, None]
-    j = np.arange(n - 1)[None, :]
-    # B(j, k) is at row n-1-k and column n-2-j of the reversed table, whose
-    # columns are read backward so that column j holds B(j, .); the rows
-    # admit k from j + MIN_GAP to n - 1 - MIN_GAP.
-    usable = (row >= MIN_GAP) & (row <= n - 1 - MIN_GAP - j)
-    b_min = np.where(usable, _hinge_sse_bounds(-p[::-1], c[::-1])[:, n - 2::-1],
-                     np.inf).min(axis=0)
-    # A(i, j) is at row i, for j from i + MIN_GAP to n - 1 - 2 MIN_GAP.
-    usable = (row >= MIN_GAP) & (j >= row + MIN_GAP) & (j < n - 2 * MIN_GAP)
-    fwd = _hinge_sse_bounds(p, c)[:, :n - 1]
-    with np.errstate(invalid="ignore"):  # -inf + inf off the admissible pairs
-        return np.where(usable, fwd + b_min, np.inf).min(axis=1)
+    q2, _ = np.linalg.qr(np.column_stack([np.ones(len(p)), p]))
+    c = c - q2 @ (q2.T @ c)
+    right = _hinge_tables(p[-1] - p[::-1], c[::-1], 1)
+    return _hinge_tables(p, c, 0), tuple(t[::-1, ::-1] for t in right)
+
+
+def _score_first_knot(tables: tuple[tuple[np.ndarray, ...], ...],
+                      i: int) -> tuple[float, int, int]:
+    """Least SSE over every admissible (j, k) with first knot i, and its j, k.
+
+    A least-squares fit held to a value at one point costs its free SSE
+    plus (value - v)^2 / s, so holding the two pieces of ``_knot_tables``
+    to one value at p_j gives SSE(i, j, k) = A + B + (vA - vB)^2 / (sA + sB),
+    elementwise over (j, k) in O(n^2) time and memory.  A NaN scores inf.
+    Among equal SSEs the smallest j, then k, wins.
+    """
+    (a, va, sa), (b, vb, sb) = tables
+    n = b.shape[1]
+    js = slice(i + MIN_GAP, n - 2 * MIN_GAP)
+    ks = slice(i + 2 * MIN_GAP, n - MIN_GAP)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cost = vb[js, ks] - va[js, i, None]
+        cost *= cost
+        den = sb[js, ks] + sa[js, i, None]
+        cost /= den
+        sse = np.add(b[js, ks], a[js, i, None], out=den)  # inf where k < j + MIN_GAP
+        sse += cost
+    sse[np.isnan(sse)] = np.inf
+    a_pos, b_pos = divmod(int(np.argmin(sse)), sse.shape[1])
+    return float(sse[a_pos, b_pos]), i + MIN_GAP + a_pos, i + 2 * MIN_GAP + b_pos
+
+
+def _first_knot_bounds(tables: tuple[tuple[np.ndarray, ...], ...]) -> np.ndarray:
+    """LB[i] <= the SSE ``_score_first_knot`` gives first knot i.
+
+    LB[i] is the least A + B over its admissible (j, k): the score without
+    its non-negative continuity term, so the bound holds in floating point
+    by construction.  A NaN bound is -inf.  Only the entries of admissible
+    first knots, ``MIN_GAP`` to n - 1 - 3 ``MIN_GAP``, mean anything.
+    """
+    (a, _, _), (b, _, _) = tables
+    n = b.shape[1]
+    b_min = b[:, :n - MIN_GAP].min(axis=1)[:n - 2 * MIN_GAP, None]
+    with np.errstate(invalid="ignore"):
+        lower = (a[:n - 2 * MIN_GAP] + b_min).min(axis=0)
+    lower[np.isnan(lower)] = -np.inf
+    return lower
 
 
 def _best_knots(p: np.ndarray, c: np.ndarray) -> tuple[int, int, int]:
@@ -474,20 +451,20 @@ def _best_knots(p: np.ndarray, c: np.ndarray) -> tuple[int, int, int]:
     the winner: the next bound is more than the tie width above the least
     SSE, or every first knot left has a larger index than the winner and
     the next bound is at most the tie width below the winner's SSE.  Time
-    is O(n^2) for the bounds plus O(n^2) per first knot scored: one or two
+    is O(n^2) for the tables plus O(n^2) per first knot scored: one or two
     on a curve with well-separated slope changes, one on a line.
     """
     n = len(p)
     tie = n * (SSE_TIE_ULPS * np.finfo(float).eps) ** 2  # c spans a unit range
-    q2, g2, r2 = _knot_basis(p, c)
-    bounds = np.maximum(_first_knot_bounds(p, r2)[MIN_GAP:n - 3 * MIN_GAP], 0.0)
+    tables = _knot_tables(p, c)
+    bounds = np.maximum(_first_knot_bounds(tables)[MIN_GAP:n - 3 * MIN_GAP], 0.0)
     queue = sorted(zip((bounds - np.fmod(bounds, tie)).tolist(),
                        range(MIN_GAP, n - 3 * MIN_GAP)))  # (bound, first knot)
     least, scored = math.inf, []
     for pos, (bound, i) in enumerate(queue):
         if bound > least + tie:
             break
-        sse, j, k = _score_first_knot(p, q2, g2, r2, i)
+        sse, j, k = _score_first_knot(tables, i)
         scored.append((sse, (i, j, k)))
         least = min(least, sse)
         winner, winner_sse = min((knots, s) for s, knots in scored if s <= least + tie)
@@ -505,12 +482,12 @@ def segment_modes(data: MeasuredSeries) -> ModeSegmentation:
     samples between them and the ends; the search returns the global
     least-squares optimum in O(n^2) memory (see ``_best_knots``), so a
     series longer than ``MAX_SEGMENT_SAMPLES`` is a ValueError.  Its
-    time is O(n^2) for the first-knot lower bounds plus O(n^2) per first
-    knot scored.  Deterministic by construction.
+    time is O(n^2) for the tables and first-knot lower bounds plus O(n^2)
+    per first knot scored.  Deterministic by construction.
 
     The knots mark the SSE-optimal slope changes.  They coincide with
     operating-mode boundaries only where the curve changes slope there;
-    the modes themselves are labelled by ``mechanics.classify_mode``.
+    the points of a sweep are labelled by ``mechanics.mode_labels``.
     """
     if data.kind != "pressure":
         raise ValueError("segment_modes needs pressure-capacitance data")
@@ -522,11 +499,13 @@ def segment_modes(data: MeasuredSeries) -> ModeSegmentation:
                          f"samples, got {n}")
     if np.ptp(data.capacitance) == 0.0:
         raise ValueError("degenerate data: capacitance is constant")
-    # Normalize for conditioning; knot positions are unaffected.
-    p_scale = float(np.max(np.abs(data.abscissa))) or 1.0
+    # Normalize for conditioning; knot positions are unaffected.  Pressures
+    # are shifted as well as scaled: the hinge space is shift-invariant, but
+    # prefix sums of p^2 are not.
+    p0, p_span = data.abscissa[0], data.abscissa[-1] - data.abscissa[0]
     c_shift = float(np.mean(data.capacitance))
     c_scale = float(np.ptp(data.capacitance))
-    i, j, k = _best_knots(data.abscissa / p_scale,
+    i, j, k = _best_knots((data.abscissa - p0) / p_span,
                           (data.capacitance - c_shift) / c_scale)
     # Re-solve the winning triple unnormalized for exact reporting.
     p = data.abscissa

@@ -23,6 +23,7 @@ and a usage error in ``validate --nodes`` (exit 2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,8 +214,10 @@ def convergence_study(geom: DeviceGeometry, pressure: float,
                       node_counts: list[int]) -> list[ConvergenceRow]:
     """Center-deflection error against ``linear_center_deflection`` per grid size.
 
-    The relative error is undefined at zero load, so the pressure must be
-    finite and > 0.
+    The relative error is undefined at zero load and lost to underflow
+    where the reference deflection is subnormal, so a pressure that is not
+    finite and > 0, or whose reference deflection is below
+    ``sys.float_info.min``, is a ValueError.
     """
     if float(checked_pressures(pressure)) == 0.0:
         raise ValueError("pressure must be > 0: the relative error is "
@@ -223,6 +226,10 @@ def convergence_study(geom: DeviceGeometry, pressure: float,
         raise ValueError("node_counts must be increasing")
     grids = [RadialGrid(n) for n in node_counts]  # every count checked first
     exact = linear_center_deflection(geom, pressure)
+    if exact < sys.float_info.min:
+        raise ValueError(f"pressure {pressure!r} Pa is too small: the reference "
+                         f"deflection {exact!r} m is below the smallest normal "
+                         f"float {sys.float_info.min!r}")
     rows = []
     for grid in grids:
         sol = solve_plate(geom, pressure, grid)

@@ -115,8 +115,8 @@ def best_knots_exhaustive(p: np.ndarray, c: np.ndarray) -> tuple[int, int, int]:
     """
     n = len(p)
     tie = n * (cal.SSE_TIE_ULPS * np.finfo(float).eps) ** 2
-    basis = cal._knot_basis(p, c)
-    scored = {i: cal._score_first_knot(p, *basis, i)
+    tables = cal._knot_tables(p, c)
+    scored = {i: cal._score_first_knot(tables, i)
               for i in range(cal.MIN_GAP, n - 3 * cal.MIN_GAP)}
     least = min(sse for sse, _, _ in scored.values())
     return min((i, j, k) for i, (sse, j, k) in scored.items() if sse <= least + tie)

@@ -1,7 +1,9 @@
+import json
 import math
 import tracemalloc
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -306,6 +308,19 @@ def piecewise(p, boundaries, slopes, c0=5e-12):
     return c
 
 
+def bruteforce_sse(p, c):
+    """Least lstsq SSE of the hinge fit over every admissible knot triple."""
+    n = len(p)
+    best = math.inf
+    for i in range(2, n - 6):
+        for j in range(i + 2, n - 4):
+            for k in range(j + 2, n - 2):
+                design = cal._piecewise_design(p, p[i], p[j], p[k])
+                coef, _, _, _ = np.linalg.lstsq(design, c, rcond=None)
+                best = min(best, float(np.sum((design @ coef - c) ** 2)))
+    return best
+
+
 class TestSegmentModes:
     def test_exact_recovery_on_grid(self):
         p = np.arange(0.0, 61e3, 1e3)
@@ -327,19 +342,8 @@ class TestSegmentModes:
         rng = np.random.default_rng(11)
         p = np.linspace(0.0, 1.0, 18)
         c = np.sin(3.0 * p) + 0.05 * rng.standard_normal(len(p))
-        data = MeasuredSeries(p, c)
-        seg = cal.segment_modes(data)
-
-        best = math.inf
-        n = len(p)
-        for i in range(2, n - 6):
-            for j in range(i + 2, n - 4):
-                for k in range(j + 2, n - 2):
-                    design = cal._piecewise_design(p, p[i], p[j], p[k])
-                    coef, _, _, _ = np.linalg.lstsq(design, c, rcond=None)
-                    sse = float(np.sum((design @ coef - c) ** 2))
-                    best = min(best, sse)
-        assert seg.sse == pytest.approx(best, rel=1e-9, abs=1e-12)
+        seg = cal.segment_modes(MeasuredSeries(p, c))
+        assert seg.sse == pytest.approx(bruteforce_sse(p, c), rel=1e-9, abs=1e-12)
 
     @given(st.integers(12, 25), st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -358,14 +362,38 @@ class TestSegmentModes:
             c = np.sin(p / p[-1] * 4.0) + 0.3 * rng.standard_normal(n)
         assume(np.ptp(c) > 0)
         seg = cal.segment_modes(MeasuredSeries(p, c))
-        best = math.inf
-        for i in range(2, n - 6):
-            for j in range(i + 2, n - 4):
-                for k in range(j + 2, n - 2):
-                    design = cal._piecewise_design(p, p[i], p[j], p[k])
-                    coef, _, _, _ = np.linalg.lstsq(design, c, rcond=None)
-                    best = min(best, float(np.sum((design @ coef - c) ** 2)))
-        assert seg.sse == pytest.approx(best, rel=1e-9, abs=0)
+        assert seg.sse == pytest.approx(bruteforce_sse(p, c), rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("offset", [0.0, 101325.0, 1e6, 1e9, 1e12])
+    def test_pressure_offset_keeps_knots(self, default_geometry, config, offset):
+        """Adding a constant to every pressure moves no knot."""
+        p, c = sweep_series(default_geometry, config.thresholds, 161)
+        c = c + 2e-15 * np.random.default_rng(7).standard_normal(len(p))
+        want = cal.segment_modes(MeasuredSeries(p, c))
+        seg = cal.segment_modes(MeasuredSeries(p + offset, c))
+        assert (np.searchsorted(p + offset, seg.boundaries).tolist()
+                == np.searchsorted(p, want.boundaries).tolist())
+
+    @given(st.integers(12, 25), st.integers(0, 2**32 - 1), st.data(),
+           st.sampled_from([None, 1e6, 1e9]))
+    @settings(max_examples=40, deadline=None)
+    def test_near_coincident_pressures(self, n, seed, data, separation):
+        """Samples 1e-12 of the span apart, or two clusters 1e6 or 1e9
+        apart, give an admissible triple of the brute-force SSE."""
+        p, c = near_coincident_series(n, seed, data.draw(st.integers(1, n - 1)),
+                                      separation)
+        seg = cal.segment_modes(MeasuredSeries(p, c))
+        assert_admissible(p, seg)
+        assert seg.sse == pytest.approx(bruteforce_sse(p, c), rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("separation", [None, 1e6], ids=["close_pair", "clusters"])
+    def test_near_coincident_pressures_long(self, separation):
+        p, c = near_coincident_series(161, 5, 80, separation)
+        data = MeasuredSeries(p, c)
+        seg = cal.segment_modes(data)
+        assert_admissible(p, seg)
+        with mock.patch.object(cal, "_best_knots", oracles.best_knots_exhaustive):
+            assert seg == cal.segment_modes(data)
 
     def test_default_sweep_golden(self, default_geometry, config):
         """Knots of the 161-point 0-60 kPa default sweep, frozen from a
@@ -396,19 +424,42 @@ class TestSegmentModes:
             cal.segment_modes(MeasuredSeries(np.arange(5.0), np.arange(5.0)))
 
     def test_too_many_samples_rejected_before_allocating(self, monkeypatch):
-        def no_basis(*args):
-            raise AssertionError("_knot_basis called")
-        monkeypatch.setattr(cal, "_knot_basis", no_basis)
+        def no_tables(*args):
+            raise AssertionError("_knot_tables called")
+        monkeypatch.setattr(cal, "_knot_tables", no_tables)
         n = cal.MAX_SEGMENT_SAMPLES + 1
         with pytest.raises(ValueError, match=f"at most {n - 1} samples, got {n}"):
             cal.segment_modes(MeasuredSeries(np.arange(float(n)), np.arange(float(n))))
         n -= 1
-        with pytest.raises(AssertionError, match="_knot_basis called"):
+        with pytest.raises(AssertionError, match="_knot_tables called"):
             cal.segment_modes(MeasuredSeries(np.arange(float(n)), np.arange(float(n))))
 
     def test_constant_data_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             cal.segment_modes(MeasuredSeries(np.arange(15.0), np.full(15, 2e-12)))
+
+
+def near_coincident_series(n, seed, q, separation=None):
+    """A noisy sine on n increasing pressures, with samples q-1 and q 1e-12
+    of the span apart or, given a ``separation``, samples q on that much
+    further from the rest."""
+    rng = np.random.default_rng(seed)
+    p = np.cumsum(rng.uniform(0.05, 1.0, n))
+    if separation is None:
+        p[q:] -= p[q] - p[q - 1] - 1e-12 * (p[-1] - p[0])
+    else:
+        p[q:] += separation
+    return p, np.sin(4.0 * np.arange(n) / n) + 0.3 * rng.standard_normal(n)
+
+
+def assert_admissible(p, seg):
+    """Knots at sample pressures, ``MIN_GAP`` apart and from the ends, and a
+    finite SSE."""
+    i, j, k = np.searchsorted(p, seg.boundaries).tolist()
+    assert p[[i, j, k]].tolist() == list(seg.boundaries)
+    gap = cal.MIN_GAP
+    assert gap <= i and i + gap <= j and j + gap <= k and k <= len(p) - 1 - gap
+    assert math.isfinite(seg.sse)
 
 
 def random_series(n, seed, rounded):
@@ -428,18 +479,53 @@ def sweep_series(geom, thresholds, n):
     return np.array(curve.pressures()), np.array(curve.capacitances())
 
 
+KNOTS_GOLDEN = Path(__file__).parent / "golden" / "segment_knots.json"
+
+
+def golden_knot_series(config):
+    """(name, pressures, capacitances) of the series whose segmentations
+    ``golden/segment_knots.json`` freezes: 41-161-point 0-60 kPa sweeps of
+    three profiles with 2e-15 F Gaussian noise, and seeded noisy sines."""
+    rng = np.random.default_rng(15)
+    for profile in ("default", "dielectric_50um", "fem_scaled"):
+        for n in (41, 81, 121, 161):
+            p, c = sweep_series(config.geometry(profile), config.thresholds, n)
+            for rep in range(2):
+                yield f"{profile}/{n}/{rep}", p, c + 2e-15 * rng.standard_normal(n)
+    for seed in range(16):
+        yield (f"sine/{seed}", *random_series(12 + 7 * seed, seed, seed % 2 == 1))
+
+
+def segmentation_record(seg):
+    """The fields of a segmentation the knot golden file holds."""
+    return {"boundaries": list(seg.boundaries), "sse": repr(seg.sse),
+            "slopes": list(seg.slopes), "low_confidence": seg.low_confidence}
+
+
+def test_knots_match_golden(config):
+    """Knots, SSE, slopes and confidence of 40 series, exactly as frozen."""
+    want = json.loads(KNOTS_GOLDEN.read_text())
+    got = {name: segmentation_record(cal.segment_modes(MeasuredSeries(p, c)))
+           for name, p, c in golden_knot_series(config)}
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name] == want[name], name
+
+
 class TestKnotPruning:
     """The first-knot lower bounds and the best-first search they prune."""
 
     @staticmethod
-    def assert_bounds_hold(p, c):
-        # Scaled as segment_modes scales the data it searches.
-        p = p / np.max(np.abs(p))
-        c = (c - np.mean(c)) / np.ptp(c)
-        q2, g2, r2 = cal._knot_basis(p, c)
-        bounds = cal._first_knot_bounds(p, r2)
+    def tables(p, c):
+        """The knot tables of (p, c), scaled as segment_modes scales the
+        data it searches."""
+        return cal._knot_tables((p - p[0]) / (p[-1] - p[0]), (c - np.mean(c)) / np.ptp(c))
+
+    def assert_bounds_hold(self, p, c):
+        tables = self.tables(p, c)
+        bounds = cal._first_knot_bounds(tables)
         for i in range(cal.MIN_GAP, len(p) - 3 * cal.MIN_GAP):
-            assert bounds[i] <= cal._score_first_knot(p, q2, g2, r2, i)[0], i
+            assert bounds[i] <= cal._score_first_knot(tables, i)[0], i
 
     @staticmethod
     def scored_first_knots(data):
@@ -473,6 +559,17 @@ class TestKnotPruning:
     def test_bound_below_first_knot_sse_fem_scaled(self, scaled_geometry, config, n):
         # Nearly a straight line: the bounds sit within rounding of the SSEs.
         self.assert_bounds_hold(*sweep_series(scaled_geometry, config.thresholds, n))
+
+    def test_nan_entry_leaves_first_knot_unbounded(self):
+        """A NaN table entry, a pivot lost to rounding, bounds its first
+        knot by -inf and scores inf, so the first knot is still scored."""
+        tables = self.tables(*random_series(30, 1, False))
+        sse, j, k = cal._score_first_knot(tables, 5)
+        tables[0][0][j, 5] = np.nan  # A(5, j)
+        bounds = cal._first_knot_bounds(tables)
+        assert bounds[5] == -np.inf and np.isfinite(bounds[6])
+        rescored = cal._score_first_knot(tables, 5)
+        assert rescored[1] != j and rescored[0] > sse
 
     @given(st.integers(30, 120), st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -516,12 +613,12 @@ class TestKnotPruning:
         lower = np.full(n, np.inf)
         lower[2:5] = np.array(bounds) * tie
 
-        def score(p, q2, g2, r2, i):
+        def score(tables, i):
             return sse[i], i + cal.MIN_GAP, i + 2 * cal.MIN_GAP
 
         p = np.linspace(0.0, 1.0, n)
         with mock.patch.object(cal, "_score_first_knot", score), \
-                mock.patch.object(cal, "_first_knot_bounds", lambda p, c: lower):
+                mock.patch.object(cal, "_first_knot_bounds", lambda tables: lower):
             assert cal._best_knots(p, p * p) == (3, 5, 7)
             assert oracles.best_knots_exhaustive(p, p * p) == (3, 5, 7)
 

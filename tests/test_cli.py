@@ -183,7 +183,9 @@ class TestValidate:
     @pytest.mark.parametrize("value,message", [
         ("nan", "pressure must be finite, got nan"),
         ("inf", "pressure must be finite, got inf"),
-        ("0", "pressure must be > 0")])
+        ("0", "pressure must be > 0"),
+        ("1e-308", "pressure 1e-308 Pa is too small"),
+        ("1e-300", "is below the smallest normal float")])
     def test_bad_pressure_usage_error(self, runner, value, message):
         result = run(runner, "validate", "--pressure", value)
         assert result.exit_code == 2
@@ -218,9 +220,9 @@ class TestFit:
         assert "mode boundaries" in result.output
 
     def test_too_many_samples_skips_segmentation(self, runner, tmp_path, monkeypatch):
-        def no_basis(*args):
-            raise AssertionError("_knot_basis called")
-        monkeypatch.setattr(calibration, "_knot_basis", no_basis)
+        def no_tables(*args):
+            raise AssertionError("_knot_tables called")
+        monkeypatch.setattr(calibration, "_knot_tables", no_tables)
         n = calibration.MAX_SEGMENT_SAMPLES + 1
         data = tmp_path / "sweep.csv"
         assert run(runner, "--quiet", "sweep", "--steps", n,
@@ -344,9 +346,9 @@ class TestModes:
         assert run(runner, "modes", small).exit_code == 2
 
     def test_too_many_samples_usage_error(self, runner, tmp_path, monkeypatch):
-        def no_basis(*args):
-            raise AssertionError("_knot_basis called")
-        monkeypatch.setattr(calibration, "_knot_basis", no_basis)
+        def no_tables(*args):
+            raise AssertionError("_knot_tables called")
+        monkeypatch.setattr(calibration, "_knot_tables", no_tables)
         n = calibration.MAX_SEGMENT_SAMPLES + 1
         data = tmp_path / "long.csv"
         data.write_text("pressure_pa,capacitance_f\n"

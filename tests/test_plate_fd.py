@@ -166,7 +166,9 @@ class TestConvergence:
         (math.nan, "pressure must be finite, got nan"),
         (math.inf, "pressure must be finite, got inf"),
         (0.0, "pressure must be > 0"),
-        (-1.0, "pressure must be >= 0")])
+        (-1.0, "pressure must be >= 0"),
+        (1e-308, "deflection 0.0 m is below the smallest normal float"),
+        (1e-300, "pressure 1e-300 Pa is too small")])
     def test_rejects_bad_pressure(self, scaled_geometry, bad, message):
         with pytest.raises(ValueError, match=message):
             plate_fd.convergence_study(scaled_geometry, bad, [51, 101])
