@@ -1,4 +1,8 @@
-"""Touch-mode capacitive pressure sensor modeling and calibration toolkit."""
+"""Touch-mode capacitive pressure sensor modeling and calibration toolkit.
+
+Modules import in one direction only: materials -> mechanics -> {servo,
+plate_fd} -> config -> capacitance -> calibration -> cli.
+"""
 
 from .materials import Laminate, MaterialLayer, flexural_rigidity, neutral_plane
 from .mechanics import (DeviceGeometry, DeflectionState, ModeThresholds,

@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import capacitance as cap
+from .materials import line_fit
 from .mechanics import DeviceGeometry
 
 # Geometry fields adjustable by the fitter, plus a constant parasitic offset.
@@ -333,7 +334,7 @@ def _hinge_tables(p: np.ndarray, c: np.ndarray,
     matrix is [[L2, 0, L1], [0, R2, R1], [L1, R1, j + 1]].  Its left-piece
     entries (samples 0..m) come per m from prefix sums of p and p^2; with
     p_0 = 0 <= p their rounding is O(n eps) relative to L2 >= p_m^2.  Its
-    right-piece entries (samples m+1..j) are running sums down the hinge
+    right-piece entries (samples m+1..j) are running sums along the hinge
     h_m itself, so they keep their relative accuracy however close the
     samples are to p_m.  Its Cholesky factor L gives z = L^-1 X.c and
     y = L^-1 (0, x - p_m, 1) elementwise: the SSE is c.c - z.z, v = y.z
@@ -345,22 +346,22 @@ def _hinge_tables(p: np.ndarray, c: np.ndarray,
     rows = n - past
     count = np.arange(1.0, n + 1.0)
     sp, spp, sc, spc, scc = (np.cumsum(f) for f in (p, p * p, c, p * c, c * c))
-    col = slice(None, rows), None  # a prefix sum as a column, one row per j
     with np.errstate(invalid="ignore", divide="ignore"):
-        # Left piece, samples 0..m, per m.
+        # Left piece, samples 0..m, per m, as a column.
         a = np.sqrt(spp - p * (2.0 * sp - p * count))
-        z1 = (spc - p * sc) / a
-        e1 = (sp - p * count) / a
-        # Right piece, samples m+1..j, per (j, m), from running sums of h_m.
+        z1 = ((spc - p * sc) / a)[:, None]
+        e1 = ((sp - p * count) / a)[:, None]
+        # Right piece, samples m+1..j, per (m, j), from running sums of h_m
+        # along contiguous rows; the tables are returned transposed to [j, m].
         # (Each n x n array is deleted once used, to keep the peak down.)
-        h = np.maximum(p[:rows, None] - p, 0.0)
-        b = np.sqrt(np.cumsum(h * h, axis=0))
-        e2 = np.cumsum(h, axis=0) / b
-        z2 = np.cumsum(h * c[:rows, None], axis=0) / b
+        h = np.maximum(p[:rows] - p[:, None], 0.0)
+        b = np.sqrt(np.cumsum(h * h, axis=1))
+        e2 = np.cumsum(h, axis=1) / b
+        z2 = np.cumsum(h * c[:rows], axis=1) / b
         del h
-        d = np.sqrt(count[col] - e1 * e1 - e2 * e2)
-        z3 = (sc[col] - e1 * z1 - e2 * z2) / d
-        y2 = (p[past:, None] - p) / b
+        d = np.sqrt(count[:rows] - e1 * e1 - e2 * e2)
+        z3 = (sc[:rows] - e1 * z1 - e2 * z2) / d
+        y2 = (p[past:] - p[:, None]) / b
         del b
         e2 *= y2  # y3 = (1 - e2 y2) / d, without a further n x n temporary
         y3 = (1.0 - e2) / d
@@ -370,9 +371,9 @@ def _hinge_tables(p: np.ndarray, c: np.ndarray,
         y3 *= y3
         s = y2 + y3
         del y2, y3
-        sse = scc[col] - z1 * z1 - z2 * z2 - z3 * z3
-    sse[np.arange(n) > np.arange(rows)[:, None] + (past - MIN_GAP)] = np.inf
-    return sse, v, s
+        sse = scc[:rows] - z1 * z1 - z2 * z2 - z3 * z3
+    sse[np.arange(n)[:, None] > np.arange(rows) + (past - MIN_GAP)] = np.inf
+    return sse.T, v.T, s.T
 
 
 def _knot_tables(p: np.ndarray, c: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -502,14 +503,10 @@ def segment_modes(data: MeasuredSeries) -> ModeSegmentation:
     # Normalize for conditioning; knot positions are unaffected.  Pressures
     # are shifted as well as scaled: the hinge space is shift-invariant, but
     # prefix sums of p^2 are not.
-    p0, p_span = data.abscissa[0], data.abscissa[-1] - data.abscissa[0]
-    c_shift = float(np.mean(data.capacitance))
-    c_scale = float(np.ptp(data.capacitance))
-    i, j, k = _best_knots((data.abscissa - p0) / p_span,
-                          (data.capacitance - c_shift) / c_scale)
+    p, c = data.abscissa, data.capacitance
+    i, j, k = _best_knots((p - p[0]) / (p[-1] - p[0]),
+                          (c - float(np.mean(c))) / float(np.ptp(c)))
     # Re-solve the winning triple unnormalized for exact reporting.
-    p = data.abscissa
-    c = data.capacitance
     design = _piecewise_design(p, p[i], p[j], p[k])
     coef, _, _, _ = np.linalg.lstsq(design, c, rcond=None)
     fitted = design @ coef
@@ -544,18 +541,6 @@ def sensitivity_linearity(data: MeasuredSeries,
     return slope, r2
 
 
-def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares line through (x, y): slope, intercept and R^2.
-
-    R^2 is 1 when y has no spread about its mean.
-    """
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    tss = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / tss if tss > 0 else 1.0
-    return float(slope), float(intercept), r2
-
-
 def rise_time(data: MeasuredSeries) -> float:
     """10-90% rise time of a single step response.
 
@@ -567,8 +552,7 @@ def rise_time(data: MeasuredSeries) -> float:
         raise ValueError("rise_time needs time-capacitance data")
     if len(data) < 2:
         raise ValueError("need at least 2 samples")
-    t = data.abscissa
-    c = data.capacitance
+    t, c = data.abscissa, data.capacitance
     n = len(c)
     head = max(1, n // 10)
     baseline = float(np.median(c[:head]))

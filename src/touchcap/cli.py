@@ -148,6 +148,9 @@ def sweep(ctx: click.Context, p_start: float, p_end: float, steps: int,
         raise click.UsageError("need --p-start < --p-end")
     if p_start < 0:
         raise click.UsageError("--p-start must be >= 0")
+    if not math.isfinite((p_end - p_start) * (steps - 1)):
+        raise click.UsageError("the pressure grid overflows: (--p-end - --p-start)"
+                               " * (--steps - 1) is not finite")
     if fmt == "csv" and Path(output).suffix == ".json":
         raise click.UsageError(
             f"--output {output} is also the path of the JSON sidecar; "
@@ -356,8 +359,7 @@ def modes(ctx: click.Context, data: str, output: str) -> None:
     _write_json(output, dataclasses.asdict(seg))
     bounds = ", ".join(f"{b!r}" for b in seg.boundaries)
     _echo(ctx, f"boundaries (Pa): {bounds}")
-    _echo(ctx, f"segment R^2: "
-               + ", ".join(f"{r:.4f}" for r in seg.r_squared))
+    _echo(ctx, "segment R^2: " + ", ".join(f"{r:.4f}" for r in seg.r_squared))
     if seg.low_confidence:
         _echo(ctx, "warning: boundary pinned to the search edge; "
                    "data may contain fewer than four regimes")

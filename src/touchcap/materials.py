@@ -2,13 +2,17 @@
 
 The diaphragm is a one- or two-layer laminate (e.g. aluminum-coated
 polyimide).  Bending stiffness is the per-layer stiffness integral about
-the modulus-weighted neutral plane.
+the modulus-weighted neutral plane.  The module also holds the package's
+generic numeric helpers, ``check_finite`` and ``line_fit``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 
 def check_finite(obj: object, names: tuple[str, ...], where: str = "") -> None:
@@ -17,6 +21,24 @@ def check_finite(obj: object, names: tuple[str, ...], where: str = "") -> None:
         value = getattr(obj, name)
         if not math.isfinite(value):
             raise ValueError(f"{where}{name} must be finite, got {value}")
+
+
+class LineFit(NamedTuple):
+    slope: float
+    intercept: float
+    r_squared: float
+
+
+def line_fit(x: np.ndarray, y: np.ndarray) -> LineFit:
+    """Least-squares line through (x, y): slope, intercept and R^2.
+
+    R^2 is 1 when y has no spread about its mean.
+    """
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    tss = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - float(np.sum(resid**2)) / tss if tss > 0 else 1.0
+    return LineFit(float(slope), float(intercept), r2)
 
 
 @dataclass(frozen=True)
@@ -76,8 +98,7 @@ def neutral_plane(laminate: Laminate) -> float:
     if len(laminate.layers) == 1:
         return laminate.layers[0].thickness / 2.0
     z = laminate.interfaces()
-    num = 0.0
-    den = 0.0
+    num = den = 0.0
     for i, layer in enumerate(laminate.layers):
         w = layer.youngs_modulus / (1.0 - layer.poisson_ratio)
         num += w * layer.thickness * 0.5 * (z[i] + z[i + 1])

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import line_fit
-from .materials import neutral_plane
+from .materials import LineFit, line_fit, neutral_plane
 from .mechanics import DeviceGeometry, checked_pressures, linear_center_deflection
 
 MIN_NODE_COUNT = 16
@@ -249,20 +248,13 @@ def observed_orders(rows: list[ConvergenceRow]) -> list[float]:
     return orders
 
 
-@dataclass(frozen=True)
-class LinearityResult:
-    slope: float  # m/Pa
-    intercept: float
-    r_squared: float
-
-
 def linearity_check(geom: DeviceGeometry, pressures: list[float],
-                    grid: RadialGrid) -> LinearityResult:
-    """Least-squares line through (P, center deflection) samples."""
+                    grid: RadialGrid) -> LineFit:
+    """Least-squares line through (P, center deflection) samples; slope in m/Pa."""
     if len(pressures) < 3:
         raise ValueError("need at least 3 pressures")
     if max(pressures) == min(pressures):
         raise ValueError("degenerate fit: pressures all equal")
     p = np.asarray(pressures, dtype=float)
     w = np.array([solve_plate(geom, pi, grid).center_deflection for pi in p])
-    return LinearityResult(*line_fit(p, w))
+    return line_fit(p, w)

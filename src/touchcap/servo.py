@@ -26,7 +26,6 @@ class ServoMap:
 
 def servo_angle(servo_map: ServoMap, pressure: float) -> float:
     """Servo angle for a pressure, clamped to the map's angle range."""
-    span = servo_map.p_max - servo_map.p_min
-    frac = (pressure - servo_map.p_min) / span
+    frac = (pressure - servo_map.p_min) / (servo_map.p_max - servo_map.p_min)
     frac = min(1.0, max(0.0, frac))
     return servo_map.angle_min + (servo_map.angle_max - servo_map.angle_min) * frac

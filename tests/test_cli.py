@@ -1,8 +1,10 @@
+import ast
 import json
 import math
 import os
 import subprocess
 import sys
+from graphlib import CycleError, TopologicalSorter
 from importlib import resources
 from pathlib import Path
 
@@ -105,6 +107,14 @@ class TestSweep:
         result = run(runner, "sweep", flag, value, "--output", tmp_path / "x.csv")
         assert result.exit_code == 2
         assert f"{flag} must be finite, got {value}" in result.output
+
+    def test_grid_overflow_usage_error(self, runner, tmp_path):
+        # Finite inputs whose grid spacing times a step index overflows.
+        result = run(runner, "sweep", "--p-end", "1e308", "--steps", 3,
+                     "--output", tmp_path / "x.csv")
+        assert result.exit_code == 2
+        assert "(--p-end - --p-start) * (--steps - 1) is not finite" in result.output
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
                              ids=["umask022", "umask077"])
@@ -535,11 +545,37 @@ print(json.dumps(codes))
 """
 
 
+def _intra_package_imports() -> dict[str, set[str]]:
+    """Module -> the touchcap modules it imports, read from the source."""
+    package = Path(touchcap.__file__).resolve().parent
+    graph = {}
+    for path in package.glob("*.py"):
+        edges = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:  # from .x import ...
+                    edges.add(node.module.partition(".")[0])
+                else:  # from . import x
+                    edges.update(alias.name for alias in node.names)
+        graph[path.stem] = edges
+    return graph
+
+
+def test_package_imports_have_no_cycle():
+    # The modules import in one direction (touchcap/__init__.py docstring).
+    graph = _intra_package_imports()
+    assert "plate_fd" in graph["config"]  # the parser sees real edges
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        pytest.fail("import cycle: " + " -> ".join(reversed(exc.args[1])))
+
+
 @pytest.mark.parametrize("module", ["config", "plate_fd", "calibration",
                                     "capacitance", "cli"])
 def test_module_imports_first(module):
-    # capacitance -> config -> plate_fd -> calibration -> capacitance is an
-    # import cycle; each module must still import first in a fresh interpreter.
+    # Each module must import first in a fresh interpreter.  An import cycle
+    # can break that for some entry points (test_package_imports_have_no_cycle).
     src = str(Path(touchcap.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", f"import touchcap.{module}"],
                           capture_output=True, text=True,

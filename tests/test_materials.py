@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from touchcap.materials import (Laminate, MaterialLayer, flexural_rigidity,
-                                neutral_plane)
+from touchcap.materials import (Laminate, LineFit, MaterialLayer,
+                                flexural_rigidity, line_fit, neutral_plane)
 
 # Golden values for the default Al-on-PI stack, frozen from independent
 # numerical integration of the weighted-centroid and stiffness integrals.
@@ -162,3 +163,14 @@ def test_layer_order_swap_preserves_rigidity(bottom, top):
     # Mirroring the stack mirrors the neutral plane.
     assert neutral_plane(rev) == pytest.approx(
         fwd.total_thickness - neutral_plane(fwd), rel=1e-9, abs=0)
+
+
+def test_line_fit_fields():
+    x = np.array([0.0, 1.0, 2.0, 3.0])
+    fit = line_fit(x, 2.0 * x + 1.0)
+    assert isinstance(fit, LineFit)
+    assert fit.slope == pytest.approx(2.0, rel=1e-12)
+    assert fit.intercept == pytest.approx(1.0, rel=1e-12)
+    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+    # y with no spread about its mean is fitted exactly: R^2 is 1.
+    assert line_fit(x, np.full(4, 5.0)).r_squared == 1.0
