@@ -1,7 +1,8 @@
 """Touch-mode capacitive pressure sensor modeling and calibration toolkit.
 
-Modules import in one direction only: materials -> mechanics -> {servo,
-plate_fd} -> config -> capacitance -> calibration -> cli.
+Modules import in one direction only: materials -> mechanics -> servo ->
+config -> capacitance -> calibration -> cli, and plate_fd (materials,
+mechanics) is imported by cli alone.
 """
 
 from .materials import Laminate, MaterialLayer, flexural_rigidity, neutral_plane

@@ -502,12 +502,12 @@ def segment_modes(data: MeasuredSeries) -> ModeSegmentation:
         raise ValueError("degenerate data: capacitance is constant")
     # Normalize for conditioning; knot positions are unaffected.  Pressures
     # are shifted as well as scaled: the hinge space is shift-invariant, but
-    # prefix sums of p^2 are not.
+    # prefix sums of p^2 and the [1, p] columns of the re-solve are not.
     p, c = data.abscissa, data.capacitance
-    i, j, k = _best_knots((p - p[0]) / (p[-1] - p[0]),
-                          (c - float(np.mean(c))) / float(np.ptp(c)))
-    # Re-solve the winning triple unnormalized for exact reporting.
-    design = _piecewise_design(p, p[i], p[j], p[k])
+    q = p - p[0]
+    i, j, k = _best_knots(q / q[-1], (c - float(np.mean(c))) / float(np.ptp(c)))
+    # Re-solve the winning triple unscaled for exact reporting.
+    design = _piecewise_design(q, q[i], q[j], q[k])
     coef, _, _, _ = np.linalg.lstsq(design, c, rcond=None)
     fitted = design @ coef
     sse = float(np.sum((fitted - c) ** 2))

@@ -24,7 +24,9 @@ from .config import ConfigError, DeviceConfig, load_config
 from .mechanics import DeviceGeometry
 from .servo import servo_angle
 
-# cmd_validate pass thresholds, matched to the solver's design targets.
+# cmd_validate pass thresholds, matched to the solver's design targets,
+# and the grid ladder it runs without --nodes.
+VALIDATE_NODES = (51, 101, 201)
 VALIDATE_MAX_REL_ERROR = 0.01
 VALIDATE_MIN_ORDER = 1.8
 VALIDATE_MIN_R2 = 1.0 - 1e-9
@@ -180,7 +182,7 @@ def sweep(ctx: click.Context, p_start: float, p_end: float, steps: int,
 @main.command()
 @click.option("--nodes", "node_counts", type=int, multiple=True,
               help="Grid node counts for the convergence study (default: "
-                   "solver.grid_nodes and its halvings, 51 101 201 bundled).")
+                   f"{' '.join(map(str, VALIDATE_NODES))}).")
 @click.option("--profile", default="fem_scaled", show_default=True)
 @click.option("--pressure", type=float, default=10e3, show_default=True,
               help="Load pressure for the convergence study, Pa.")
@@ -193,12 +195,7 @@ def validate(ctx: click.Context, node_counts: tuple[int, ...], profile: str,
     check and exits nonzero if any threshold is missed.
     """
     cfg = ctx.obj["config"]
-    if node_counts:
-        counts = sorted(node_counts)
-    else:
-        g = cfg.solver.grid_nodes
-        counts = [n for n in ((g - 1) // 4 + 1, (g - 1) // 2 + 1, g)
-                  if n >= plate_fd.MIN_NODE_COUNT]
+    counts = sorted(node_counts or VALIDATE_NODES)
     geom = _geometry(cfg, profile)
     try:
         rows = plate_fd.convergence_study(geom, pressure, counts)
@@ -258,7 +255,7 @@ def fit(ctx: click.Context, data: str, free_params: tuple[str, ...],
     series = _read(data, calibration.MeasuredSeries.from_csv)
     try:
         result = calibration.fit_model(series, geom, list(free_params),
-                                       cfg.solver.fit_bounds)
+                                       cfg.fit_bounds)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
 

@@ -1,14 +1,15 @@
 """Device configuration: JSON schema with explicit SI units in field names.
 
 A config document carries named device profiles (geometry plus material
-layers), mode thresholds, servo-map endpoints and solver settings.  The
-bundled default encodes the full-scale device (1 cm sensing radius,
-25 um PI + 0.2 um Al diaphragm, about 400 um separation gap) alongside
-the scaled validation geometry and an uncalibrated air-gap variant.  Its
-thresholds encode the paper's mode boundaries (normal 0-8 kPa, transition
-8-10 kPa, touch 10-40 kPa, saturation above) on the default profile's
-model response, each fraction read off the model's own relations and
-rounded down to 4 digits:
+layers), mode thresholds, servo-map endpoints and ``fit``'s parameter
+bounds (``solver.fit_bounds``).  The bundled default encodes the
+full-scale device (1 cm sensing radius, 25 um PI + 0.2 um Al diaphragm,
+about 400 um separation gap) alongside the scaled validation geometry
+and an uncalibrated air-gap variant.  Its thresholds encode the paper's
+mode boundaries (normal 0-8 kPa, transition 8-10 kPa, touch 10-40 kPa,
+saturation above) on the default profile's model response, each
+fraction read off the model's own relations and rounded down to 4
+digits:
 
 - transition_fraction = W0(8 kPa) / travel = 0.96246 -> 0.9624
 - touch_onset_fraction = a(10 kPa) / R = 0.24167 -> 0.2416
@@ -17,29 +18,26 @@ rounded down to 4 digits:
 The paper gives the ranges but no physical definition of transition, so
 these values are a calibration to them, not a derivation.
 
-A config without a ``thresholds`` block (or without one of its keys)
-falls back to the generic ``ModeThresholds`` defaults.  They are not
-calibrated to any geometry: on the default profile they put normal ->
-transition at 5.03 kPa and touch at 8.49 kPa, not the paper's 8/10 kPa.
+The ``thresholds`` block and its three keys are required: no fraction is
+generic, so a config that leaves one out is a ConfigError naming the key.
 
 Every numeric value must be a JSON number.  One key table per section maps
 JSON keys to dataclass fields both ways, so a sweep sidecar's ``geometry``
 and ``thresholds`` blocks (``geometry_doc``, ``thresholds_doc``) load back
 as a profile and a ``thresholds`` section; ``DeviceGeometry`` owns the
-profile defaults, and ``ModeThresholds`` the threshold defaults.
+profile defaults.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
 from .materials import Laminate, MaterialLayer
 from .mechanics import DeviceGeometry, ModeThresholds
-from .plate_fd import RadialGrid
 from .servo import ServoMap
 
 DEFAULT_CONFIG_RESOURCE = "default_device.json"
@@ -50,27 +48,11 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class SolverSettings:
-    grid_nodes: int = 201
-    fit_bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        try:
-            RadialGrid(self.grid_nodes)
-        except ValueError as exc:
-            raise ConfigError(f"solver.grid_nodes: {exc}") from None
-        for name, (lo, hi) in self.fit_bounds.items():
-            if not -math.inf < lo < hi < math.inf:  # false for NaN too
-                raise ConfigError(f"solver.fit_bounds.{name} must be finite with "
-                                  f"lo < hi, got [{lo}, {hi}]")
-
-
-@dataclass(frozen=True)
 class DeviceConfig:
     profiles: dict[str, DeviceGeometry]
     thresholds: ModeThresholds
     servo: ServoMap
-    solver: SolverSettings
+    fit_bounds: dict[str, tuple[float, float]]  # solver.fit_bounds: name -> (lo, hi)
 
     def geometry(self, profile: str = "default") -> DeviceGeometry:
         try:
@@ -93,8 +75,7 @@ _PROFILE_KEYS = tuple(
               "dielectric_thickness": "dielectric_thickness_m"}.get(f.name, f.name),
      None if f.default is MISSING else f.default)
     for f in fields(DeviceGeometry) if f.name != "laminate")
-# Missing keys take the uncalibrated ModeThresholds defaults (module docstring).
-_THRESHOLD_KEYS = tuple((f.name, f.name, f.default) for f in fields(ModeThresholds))
+_THRESHOLD_KEYS = tuple((f.name, f.name, None) for f in fields(ModeThresholds))
 _SERVO_KEYS = (("p_min", "pressure_min_pa", 10e3),
                ("p_max", "pressure_max_pa", 40e3),
                ("angle_min", "angle_min_deg", 0.0),
@@ -176,10 +157,13 @@ def _parse_geometry(doc, where: str) -> DeviceGeometry:
 
 
 def _parse_section(doc: dict, name: str, cls, keys):
-    """The optional top-level section ``name`` read into ``cls``."""
+    """The top-level section ``name`` read into ``cls``; a missing section
+    or key without a default is a ConfigError naming the key."""
     section = _object(doc.get(name, {}), name)
     try:
         return cls(**_read(section, keys))
+    except KeyError as exc:
+        raise ConfigError(f"{name}: missing field {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
@@ -194,33 +178,39 @@ def parse_config(doc: dict) -> DeviceConfig:
     thresholds = _parse_section(doc, "thresholds", ModeThresholds, _THRESHOLD_KEYS)
     servo = _parse_section(doc, "servo", ServoMap, _SERVO_KEYS)
 
+    # A "grid_nodes" or "quadrature_rel_tol" key from older configs is
+    # ignored: validate's ladder is a CLI constant and every capacitance
+    # is a closed form.
     so = _object(doc.get("solver", {}), "solver")
-    nodes = so.get("grid_nodes", SolverSettings.grid_nodes)
-    if not (_is_number(nodes) and (isinstance(nodes, int) or nodes.is_integer())):
-        raise ConfigError(f"solver.grid_nodes must be a whole number, got {nodes!r}")
     bounds = {}
     for name, pair in _object(so.get("fit_bounds", {}), "solver.fit_bounds").items():
+        where = f"solver.fit_bounds.{name}"
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                 and all(map(_is_number, pair))):
-            raise ConfigError(f"solver.fit_bounds.{name} must be a [lo, hi] pair "
-                              f"of numbers, got {pair!r}")
-        bounds[name] = tuple(_float(v, f"solver.fit_bounds.{name}") for v in pair)
-    # A "quadrature_rel_tol" key from older configs is ignored: every
-    # capacitance is a closed form.
-    solver = SolverSettings(grid_nodes=int(nodes), fit_bounds=bounds)
+            raise ConfigError(f"{where} must be a [lo, hi] pair of numbers, got {pair!r}")
+        lo, hi = (_float(v, where) for v in pair)
+        if not -math.inf < lo < hi < math.inf:  # false for NaN too
+            raise ConfigError(f"{where} must be finite with lo < hi, got [{lo}, {hi}]")
+        bounds[name] = (lo, hi)
     return DeviceConfig(profiles=profiles, thresholds=thresholds,
-                        servo=servo, solver=solver)
+                        servo=servo, fit_bounds=bounds)
 
 
 def load_config(path: str | Path | None = None) -> DeviceConfig:
-    """Load a config file, or the bundled default when no path is given."""
+    """Load a config file, or the bundled default when no path is given.
+    A file is read as UTF-8, the encoding JSON requires."""
     if path is None:
         text = resources.files("touchcap.data").joinpath(
-            DEFAULT_CONFIG_RESOURCE).read_text()
+            DEFAULT_CONFIG_RESOURCE).read_text(encoding="utf-8")
     else:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+    # ValueError: not JSON, or an integer too long to read; RecursionError:
+    # arrays or objects nested too deep to read.
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer too long to read
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     return parse_config(doc)

@@ -83,15 +83,16 @@ class ModeThresholds:
     touch_onset_fraction / saturation_fraction: contact radius fractions
     a/R bounding the touch regime.
 
-    The defaults are generic.  The bundled config calibrates all three to
-    the paper's 8/10/40 kPa boundaries on its default profile:
-    transition_fraction = W0(8 kPa)/travel, touch_onset_fraction =
-    a(10 kPa)/R and saturation_fraction = a(40 kPa)/R, each rounded down.
+    No fraction is generic, so none has a default.  The bundled config
+    calibrates all three to the paper's 8/10/40 kPa boundaries on its
+    default profile: transition_fraction = W0(8 kPa)/travel,
+    touch_onset_fraction = a(10 kPa)/R and saturation_fraction =
+    a(40 kPa)/R, each rounded down.
     """
 
-    transition_fraction: float = 2.0 / 3.0
-    touch_onset_fraction: float = 0.05
-    saturation_fraction: float = 0.6
+    transition_fraction: float
+    touch_onset_fraction: float
+    saturation_fraction: float
 
     def __post_init__(self) -> None:
         check_finite(self, ("transition_fraction", "touch_onset_fraction",

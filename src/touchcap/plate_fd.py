@@ -16,8 +16,7 @@ dominates, so a convergence ladder is roundoff-limited past 1601 nodes.
 
 A grid is a node count from ``MIN_NODE_COUNT`` to ``MAX_NODE_COUNT``
 (16 to 6401); its spacing comes from the geometry's radius.  A count
-outside that range is a ConfigError in ``solver.grid_nodes`` (CLI exit 3)
-and a usage error in ``validate --nodes`` (exit 2).
+outside that range is a usage error in ``validate --nodes`` (exit 2).
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .mechanics import DeviceGeometry, checked_pressures, linear_center_deflecti
 MIN_NODE_COUNT = 16
 # A finer grid gains nothing: at 6401 nodes roundoff already dominates the
 # discretization error (module docstring).  The cap also keeps a count from
-# a config or the command line from sizing arrays without bound.
+# the command line from sizing arrays without bound.
 MAX_NODE_COUNT = 6401
 
 

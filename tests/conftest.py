@@ -9,7 +9,7 @@ from touchcap.config import load_config
 settings.register_profile("touchcap", deadline=None)
 settings.load_profile("touchcap")
 from touchcap.materials import MaterialLayer
-from touchcap.mechanics import DeviceGeometry
+from touchcap.mechanics import DeviceGeometry, ModeThresholds
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +31,14 @@ def default_geometry(config):
 @pytest.fixture(scope="session")
 def scaled_geometry(config):
     return config.geometry("fem_scaled")
+
+
+@pytest.fixture(scope="session")
+def generic_thresholds():
+    """Fractions calibrated to no geometry: on the default profile they put
+    normal -> transition at 5.03 kPa and touch at 8.49 kPa."""
+    return ModeThresholds(transition_fraction=2.0 / 3.0, touch_onset_fraction=0.05,
+                          saturation_fraction=0.6)
 
 
 @pytest.fixture(scope="session")

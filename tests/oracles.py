@@ -2,7 +2,8 @@
 
 The linear small-deflection center deflection and the clamped-plate
 profile check the large-deflection root and the shape the capacitance
-closed form integrates.  The quadrature oracles integrate 2 pi eps0 r dr / gap(r) over the
+closed form integrates.  The exact center deflection of a tensioned
+clamped plate checks the model's built-in stress term.  The quadrature oracles integrate 2 pi eps0 r dr / gap(r) over the
 deflected profile with ``scipy.integrate.quad``, independently of the
 atanh closed form in ``touchcap.capacitance``.  scipy is a test-only
 dependency, so these live with the tests.  The export oracles write a
@@ -21,7 +22,7 @@ import json
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from touchcap import calibration as cal, capacitance as cap, mechanics
 from touchcap.mechanics import DeflectionState, DeviceGeometry, ModeThresholds
@@ -67,6 +68,24 @@ def small_deflection_center(geom: DeviceGeometry, pressure: float) -> float:
     stress = (geom.builtin_stress * geom.thickness * geom.radius**2
               / (16.0 * geom.flexural_rigidity))
     return load / (1.0 + stress)
+
+
+def tensioned_plate_center(geom: DeviceGeometry, pressure: float) -> float:
+    """Exact linear center deflection of the clamped plate under built-in
+    tension N = sigma h, the solution of D lap^2 w - N lap w = P:
+
+        w(0) = (P / 2N) [R^2/2 - R (I0(kR) - 1) / (k I1(kR))],  k^2 = N / D.
+
+    It tends to P R^4 / (64 D) (1 - 5 (kR)^2 / 72) as kR -> 0 and to
+    P R^2 / (4N) (1 - 2 / kR) as kR -> oo.  The exponentially scaled
+    Bessel functions keep it finite at kR = 87.8 (the default profile).
+    As kR -> 0 the bracket cancels: it keeps about 8 digits at kR = 0.03.
+    """
+    tension = geom.builtin_stress * geom.thickness
+    k = math.sqrt(tension / geom.flexural_rigidity)
+    x = k * geom.radius
+    ratio = (special.i0e(x) - math.exp(-x)) / special.i1e(x)  # (I0 - 1) / I1
+    return pressure / (2.0 * tension) * (geom.radius**2 / 2.0 - geom.radius * ratio / k)
 
 
 def deflection_profile(state: DeflectionState, geom: DeviceGeometry, r: float) -> float:

@@ -210,7 +210,7 @@ def test_criterion_08_calibration_recovery(default_geometry, config):
     clean = cal.model_capacitances(truth, p)
 
     noiseless = cal.fit_model(cal.MeasuredSeries(p, clean), default_geometry,
-                              ["gap"], config.solver.fit_bounds)
+                              ["gap"], config.fit_bounds)
     clean_err = abs(noiseless.params["gap"] - true_gap) / true_gap
 
     errs = []
@@ -218,7 +218,7 @@ def test_criterion_08_calibration_recovery(default_geometry, config):
         rng = np.random.default_rng(1000 + seed)
         noisy = clean * (1.0 + 0.01 * rng.standard_normal(len(p)))
         result = cal.fit_model(cal.MeasuredSeries(p, noisy), default_geometry,
-                               ["gap"], config.solver.fit_bounds)
+                               ["gap"], config.fit_bounds)
         errs.append(abs(result.params["gap"] - true_gap) / true_gap)
     median_err = float(np.median(errs))
     elapsed = time.perf_counter() - start

@@ -135,7 +135,7 @@ class TestFitModel:
         p = np.linspace(500.0, 8e3, 8)
         data = MeasuredSeries(p, cal.model_capacitances(truth, p))
         result = cal.fit_model(data, default_geometry, ["gap"],
-                               config.solver.fit_bounds)
+                               config.fit_bounds)
         assert result.converged
         assert result.params["gap"] == pytest.approx(true_gap, rel=1e-3, abs=0)
         assert result.residual_norm < 1e-16
@@ -158,7 +158,7 @@ class TestFitModel:
 
         monkeypatch.setattr(cal, "model_capacitances", faulty)
         with pytest.raises(TypeError, match="bug"):
-            cal.fit_model(data, default_geometry, ["gap"], config.solver.fit_bounds)
+            cal.fit_model(data, default_geometry, ["gap"], config.fit_bounds)
 
     def test_objective_scores_domain_errors_infinite(self, default_geometry,
                                                      config, monkeypatch):
@@ -175,7 +175,7 @@ class TestFitModel:
 
         monkeypatch.setattr(cal, "model_capacitances", outside)
         result = cal.fit_model(data, default_geometry, ["gap"],
-                               config.solver.fit_bounds)
+                               config.fit_bounds)
         assert result.converged
 
     def test_trial_without_model_value_is_rejected(self, default_geometry,
@@ -184,7 +184,7 @@ class TestFitModel:
         p = np.linspace(500.0, 8e3, 8)
         truth = replace(default_geometry, gap=4.1e-4)
         data = MeasuredSeries(p, cal.model_capacitances(truth, p))
-        bounds = config.solver.fit_bounds
+        bounds = config.fit_bounds
         want = cal.fit_model(data, default_geometry, ["gap"], bounds)
         real = cal.model_capacitances
         calls = []
@@ -212,7 +212,7 @@ class TestFitModel:
     @pytest.mark.parametrize("free", CLI_FREE_SETS, ids="+".join)
     def test_matches_nelder_mead_oracle(self, bundled_series, default_geometry,
                                         config, free):
-        bounds = config.solver.fit_bounds
+        bounds = config.fit_bounds
         result = cal.fit_model(bundled_series, default_geometry, list(free), bounds)
         want, want_rms = nelder_mead_fit(bundled_series, default_geometry, free,
                                          bounds)
@@ -224,12 +224,12 @@ class TestFitModel:
 
     def test_few_iterations(self, bundled_series, default_geometry, config):
         result = cal.fit_model(bundled_series, default_geometry,
-                               ["gap", "builtin_stress"], config.solver.fit_bounds)
+                               ["gap", "builtin_stress"], config.fit_bounds)
         assert result.converged
         assert result.iterations <= 20
 
     def test_active_upper_bound_held_exactly(self, default_geometry, config):
-        bounds = config.solver.fit_bounds
+        bounds = config.fit_bounds
         hi = bounds["gap"][1]
         p = np.linspace(500.0, 8e3, 8)
         data = MeasuredSeries(
@@ -257,26 +257,26 @@ class TestFitModel:
         p = np.array([0.5, 1.5, 2.0, 2.5]) * p_on
         data = MeasuredSeries(p, np.full(4, 7e-12))
         with pytest.raises(ValueError, match=f"P = {float(p[1])} Pa: .*dielectric"):
-            cal.fit_model(data, bare_geometry, ["gap"], config.solver.fit_bounds)
+            cal.fit_model(data, bare_geometry, ["gap"], config.fit_bounds)
 
     def test_deterministic(self, default_geometry, config):
         p = np.linspace(500.0, 8e3, 6)
         data = MeasuredSeries(
             p, cal.model_capacitances(default_geometry, p) * 1.01)
-        a = cal.fit_model(data, default_geometry, ["gap"], config.solver.fit_bounds)
-        b = cal.fit_model(data, default_geometry, ["gap"], config.solver.fit_bounds)
+        a = cal.fit_model(data, default_geometry, ["gap"], config.fit_bounds)
+        b = cal.fit_model(data, default_geometry, ["gap"], config.fit_bounds)
         assert a == b
 
     def test_rejects_empty_free_params(self, default_geometry, config):
         data = MeasuredSeries(np.linspace(1.0, 4.0, 4), np.full(4, 1e-12))
         with pytest.raises(ValueError):
-            cal.fit_model(data, default_geometry, [], config.solver.fit_bounds)
+            cal.fit_model(data, default_geometry, [], config.fit_bounds)
 
     def test_rejects_unknown_param(self, default_geometry, config):
         data = MeasuredSeries(np.linspace(1.0, 4.0, 4), np.full(4, 1e-12))
         with pytest.raises(ValueError, match="unknown"):
             cal.fit_model(data, default_geometry, ["radius"],
-                          config.solver.fit_bounds)
+                          config.fit_bounds)
 
     def test_rejects_missing_bounds(self, default_geometry):
         data = MeasuredSeries(np.linspace(1.0, 4.0, 4), np.full(4, 1e-12))
@@ -288,7 +288,7 @@ class TestFitModel:
                               kind="time")
         with pytest.raises(ValueError):
             cal.fit_model(data, default_geometry, ["gap"],
-                          config.solver.fit_bounds)
+                          config.fit_bounds)
 
 
 def piecewise(p, boundaries, slopes, c0=5e-12):
@@ -309,13 +309,15 @@ def piecewise(p, boundaries, slopes, c0=5e-12):
 
 
 def bruteforce_sse(p, c):
-    """Least lstsq SSE of the hinge fit over every admissible knot triple."""
+    """Least lstsq SSE of the hinge fit over every admissible knot triple,
+    on pressures shifted to start at 0 as ``segment_modes`` re-solves them."""
     n = len(p)
+    q = p - p[0]
     best = math.inf
     for i in range(2, n - 6):
         for j in range(i + 2, n - 4):
             for k in range(j + 2, n - 2):
-                design = cal._piecewise_design(p, p[i], p[j], p[k])
+                design = cal._piecewise_design(q, q[i], q[j], q[k])
                 coef, _, _, _ = np.linalg.lstsq(design, c, rcond=None)
                 best = min(best, float(np.sum((design @ coef - c) ** 2)))
     return best
@@ -366,13 +368,16 @@ class TestSegmentModes:
 
     @pytest.mark.parametrize("offset", [0.0, 101325.0, 1e6, 1e9, 1e12])
     def test_pressure_offset_keeps_knots(self, default_geometry, config, offset):
-        """Adding a constant to every pressure moves no knot."""
+        """Adding a constant to every pressure moves no knot and changes
+        neither the SSE nor the slopes reported."""
         p, c = sweep_series(default_geometry, config.thresholds, 161)
         c = c + 2e-15 * np.random.default_rng(7).standard_normal(len(p))
         want = cal.segment_modes(MeasuredSeries(p, c))
         seg = cal.segment_modes(MeasuredSeries(p + offset, c))
         assert (np.searchsorted(p + offset, seg.boundaries).tolist()
                 == np.searchsorted(p, want.boundaries).tolist())
+        assert seg.sse == pytest.approx(want.sse, rel=1e-9, abs=0)
+        assert seg.slopes == pytest.approx(want.slopes, rel=1e-9, abs=0)
 
     @given(st.integers(12, 25), st.integers(0, 2**32 - 1), st.data(),
            st.sampled_from([None, 1e6, 1e9]))

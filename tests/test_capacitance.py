@@ -10,7 +10,7 @@ from touchcap import calibration as cal
 from touchcap import capacitance as cap
 from touchcap import mechanics
 from touchcap.capacitance import EPSILON_0, SweepPointError, TouchStateError
-from touchcap.mechanics import DeflectionState, ModeThresholds, OperatingMode
+from touchcap.mechanics import DeflectionState, OperatingMode
 
 import oracles
 
@@ -239,18 +239,19 @@ class TestSweep:
             cap.sweep_cp_curve(default_geometry, [0.0, math.inf, math.inf],
                                config.thresholds)
 
-    def test_point_error_carries_index(self, bare_geometry):
+    def test_point_error_carries_index(self, bare_geometry, generic_thresholds):
         # Bare gap device enters touch with no dielectric: the failing
         # point index must be reported.
         p_on = mechanics.touch_onset_pressure(bare_geometry)
         with pytest.raises(SweepPointError) as err:
-            cap.sweep_cp_curve(bare_geometry, [0.0, p_on * 2.0], ModeThresholds())
+            cap.sweep_cp_curve(bare_geometry, [0.0, p_on * 2.0], generic_thresholds)
         assert err.value.index == 1
 
     def test_point_error_is_a_value_error(self):
         assert issubclass(SweepPointError, ValueError)
 
-    def test_rejected_point_raises_its_cause_pointwise(self, bare_geometry):
+    def test_rejected_point_raises_its_cause_pointwise(self, bare_geometry,
+                                                       generic_thresholds):
         # Just above onset a bare device first sits at the gap, then in
         # contact without a dielectric: both causes must occur.
         pressures = [mechanics.touch_onset_pressure(bare_geometry)]
@@ -260,7 +261,7 @@ class TestSweep:
         causes = set()
         for p in pressures:
             try:
-                cap.sweep_cp_curve(bare_geometry, [0.0, p], ModeThresholds())
+                cap.sweep_cp_curve(bare_geometry, [0.0, p], generic_thresholds)
             except SweepPointError as err:
                 assert (err.index, err.pressure) == (1, p)
                 causes.add(type(err.cause))
@@ -298,11 +299,11 @@ _AWKWARD_FLOATS = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-7, 0.1 + 0.2,
 @pytest.mark.parametrize("points", ["none", "one", "all_modes", "awkward"])
 @pytest.mark.parametrize("default_profile,calibrated", [
     (True, True), (False, True), (True, False), (False, False)])
-def test_exports_match_encoder_oracles(default_curve, config, geometry_id, points,
-                                       default_profile, calibrated):
+def test_exports_match_encoder_oracles(default_curve, config, generic_thresholds,
+                                       geometry_id, points, default_profile, calibrated):
     """Both exports against the encoders, for the default or the airgap
-    profile's geometry block and the config's calibrated or the generic
-    ``ModeThresholds()`` thresholds block."""
+    profile's geometry block and the config's calibrated or a generic
+    thresholds block."""
     d = default_curve
     columns = {
         "none": ((), (), ()),
@@ -313,7 +314,7 @@ def test_exports_match_encoder_oracles(default_curve, config, geometry_id, point
     }[points]
     curve = cap.CPCurve(*columns, geometry_id=geometry_id)
     geom = config.geometry("default" if default_profile else "airgap")
-    thresholds = config.thresholds if calibrated else ModeThresholds()
+    thresholds = config.thresholds if calibrated else generic_thresholds
     assert curve.to_csv() == oracles.cp_curve_csv(curve)
     assert curve.to_json(geom, thresholds) == \
         oracles.cp_curve_json(curve, geom, thresholds)

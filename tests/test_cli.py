@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 import touchcap
 from touchcap import calibration, capacitance, plate_fd
-from touchcap.cli import MAX_SWEEP_STEPS, main
+from touchcap.cli import MAX_SWEEP_STEPS, VALIDATE_NODES, main
 
 FIXTURE = resources.files("touchcap.data").joinpath("synthetic_fit.csv")
 FIXTURE_TRUE_GAP = 4.2e-4
@@ -202,7 +202,8 @@ class TestValidate:
         assert message in result.output
         assert "PASS" not in result.output
 
-    def test_ladder_ends_at_config_grid_nodes(self, runner, tmp_path):
+    def test_ladder_ignores_config_grid_nodes(self, runner, tmp_path):
+        # A grid_nodes key in an older config does not set the ladder.
         doc = json.loads(resources.files("touchcap.data")
                          .joinpath("default_device.json").read_text())
         doc["solver"]["grid_nodes"] = 401
@@ -212,7 +213,8 @@ class TestValidate:
         assert result.exit_code == 0, result.output
         nodes = [int(line.split()[0]) for line in result.output.splitlines()
                  if line.split() and line.split()[0].isdigit()]
-        assert nodes == [101, 201, 401]
+        assert nodes == [51, 101, 201] == list(VALIDATE_NODES)
+        assert result.output == run(runner, "validate").output
 
 
 class TestFit:
@@ -442,15 +444,29 @@ class TestConfigHandling:
         assert result.exit_code == 3
         assert "radius_m is too large for a float" in result.output
 
-    def test_config_grid_nodes_out_of_range_parse_error(self, runner, tmp_path):
+    def test_non_utf8_config_parse_error(self, runner, tmp_path):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe" + json.dumps({"profiles": {}}).encode("utf-16-le"))
+        result = run(runner, "--config", bad, "sweep")
+        assert result.exit_code == 3
+        assert f"invalid config: {bad} is not UTF-8 text" in result.output
+
+    @pytest.mark.parametrize("drop,key", [
+        (None, "transition_fraction"),
+        ("touch_onset_fraction", "touch_onset_fraction"),
+    ], ids=["no_block", "no_onset"])
+    def test_missing_threshold_parse_error(self, runner, tmp_path, drop, key):
         doc = json.loads(resources.files("touchcap.data")
                          .joinpath("default_device.json").read_text())
-        doc["solver"]["grid_nodes"] = 10**400
+        if drop is None:
+            del doc["thresholds"]
+        else:
+            del doc["thresholds"][drop]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        result = run(runner, "--config", bad, "validate")
+        result = run(runner, "--config", bad, "sweep")
         assert result.exit_code == 3
-        assert "solver.grid_nodes: grid nodes must be in [16, 6401]" in result.output
+        assert f"invalid config: thresholds: missing field '{key}'" in result.output
 
     @pytest.mark.parametrize("section,key,value,message", [
         ("solver", "fit_bounds", {"gap": [math.nan, 1e-3]},
@@ -564,7 +580,7 @@ def _intra_package_imports() -> dict[str, set[str]]:
 def test_package_imports_have_no_cycle():
     # The modules import in one direction (touchcap/__init__.py docstring).
     graph = _intra_package_imports()
-    assert "plate_fd" in graph["config"]  # the parser sees real edges
+    assert "mechanics" in graph["config"]  # the parser sees real edges
     try:
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -44,6 +45,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="JSON.*5000 digits"):
             load_config(path)
 
+    def test_nesting_too_deep_to_read(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ConfigError, match="JSON.*recursion"):
+            load_config(path)
+
 
 class TestParseConfig:
     def minimal(self):
@@ -55,15 +62,16 @@ class TestParseConfig:
                     "layers": [{"name": "PI", "youngs_modulus_pa": 2.5e9,
                                 "poisson_ratio": 0.34, "thickness_m": 25e-6}],
                 }
-            }
+            },
+            "thresholds": {"transition_fraction": 0.9, "touch_onset_fraction": 0.2,
+                           "saturation_fraction": 0.6},
         }
 
     def test_minimal_parses_with_defaults(self):
         cfg = parse_config(self.minimal())
-        assert cfg.thresholds.touch_onset_fraction == 0.05
-        assert cfg.thresholds == ModeThresholds()
+        assert cfg.thresholds == ModeThresholds(0.9, 0.2, 0.6)
         assert cfg.servo.p_max == 40e3
-        assert cfg.solver.grid_nodes == 201
+        assert cfg.fit_bounds == {}
 
     def test_missing_profiles(self):
         with pytest.raises(ConfigError, match="profiles"):
@@ -87,15 +95,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="poisson"):
             parse_config(doc)
 
-    def test_partial_thresholds_take_dataclass_defaults(self):
+    @pytest.mark.parametrize("drop,key", [
+        (None, "transition_fraction"),
+        ("transition_fraction", "transition_fraction"),
+        ("touch_onset_fraction", "touch_onset_fraction"),
+        ("saturation_fraction", "saturation_fraction"),
+    ], ids=["no_block", "no_transition", "no_onset", "no_saturation"])
+    def test_missing_threshold_named(self, drop, key):
+        # No fraction is generic: a missing block or key is an error.
         doc = self.minimal()
-        doc["thresholds"] = {"saturation_fraction": 0.7}
-        assert parse_config(doc).thresholds == ModeThresholds(saturation_fraction=0.7)
+        if drop is None:
+            del doc["thresholds"]
+        else:
+            del doc["thresholds"][drop]
+        with pytest.raises(ConfigError, match=f"thresholds: missing field '{key}'"):
+            parse_config(doc)
 
     def test_legacy_quadrature_key_still_loads(self):
+        # Neither older solver key is read, whatever its value.
         doc = self.minimal()
-        doc["solver"] = {"grid_nodes": 101, "quadrature_rel_tol": 1e-10}
-        assert parse_config(doc).solver.grid_nodes == 101
+        doc["solver"] = {"grid_nodes": "abc", "quadrature_rel_tol": 1e-10,
+                         "fit_bounds": {"gap": [1e-4, 1e-3]}}
+        assert parse_config(doc) == replace(parse_config(self.minimal()),
+                                            fit_bounds={"gap": (1e-4, 1e-3)})
 
     @given(st.sampled_from([
                (("profiles", "default"), "radius_m", "radius"),
@@ -113,7 +135,6 @@ class TestParseConfig:
     def test_non_finite_value_named(self, where, bad):
         path, key, field = where
         doc = self.minimal()
-        doc["thresholds"] = {}
         doc["servo"] = {}
         node = doc
         for step in path:
@@ -126,8 +147,8 @@ class TestParseConfig:
 
     def test_bad_solver_settings(self):
         doc = self.minimal()
-        doc["solver"] = {"grid_nodes": 4}
-        with pytest.raises(ConfigError, match="grid_nodes"):
+        doc["solver"] = {"fit_bounds": [[1e-4, 1e-3]]}
+        with pytest.raises(ConfigError, match="solver.fit_bounds must be an object"):
             parse_config(doc)
 
     @pytest.mark.parametrize("path,value,message", [
@@ -135,10 +156,6 @@ class TestParseConfig:
          "profiles.default: radius_m must be a number, got None"),
         (("thresholds", "transition_fraction"), None,
          "thresholds: transition_fraction must be a number, got None"),
-        (("solver", "grid_nodes"), "abc", "solver.grid_nodes must be a whole number"),
-        (("solver", "grid_nodes"), None, "solver.grid_nodes must be a whole number"),
-        (("solver", "grid_nodes"), 201.7,
-         "solver.grid_nodes must be a whole number, got 201.7"),
         (("solver", "fit_bounds", "gap"), [1e-4],
          r"solver.fit_bounds.gap must be a \[lo, hi\] pair"),
         (("solver", "fit_bounds", "gap"), [1e-4, None],
@@ -153,10 +170,6 @@ class TestParseConfig:
          "profiles.default: gap_m must be a number, got '4.2e-4'"),
         (("profiles", "default", "radius_m"), "abc",
          "profiles.default: radius_m must be a number, got 'abc'"),
-        (("solver", "grid_nodes"), True,
-         "solver.grid_nodes must be a whole number, got True"),
-        (("solver", "grid_nodes"), "301",
-         "solver.grid_nodes must be a whole number, got '301'"),
         (("solver", "fit_bounds", "gap"), [math.nan, 1e-3],
          r"solver.fit_bounds.gap must be finite with lo < hi, got \[nan, 0.001\]"),
         (("solver", "fit_bounds", "gap"), [1e-3, 1e-4],
@@ -165,19 +178,11 @@ class TestParseConfig:
          "profiles.default: radius_m is too large for a float: an integer of 401 digits"),
         (("solver", "fit_bounds", "gap"), [1e-4, 10**400],
          "solver.fit_bounds.gap is too large for a float: an integer of 401 digits"),
-        (("solver", "grid_nodes"), 10**400,
-         r"solver.grid_nodes: grid nodes must be in \[16, 6401\], got 1000"),
-        (("solver", "grid_nodes"), 6402,
-         r"solver.grid_nodes: grid nodes must be in \[16, 6401\], got 6402"),
-    ], ids=["null_radius", "null_threshold", "text_grid_nodes", "null_grid_nodes",
-            "fractional_grid_nodes", "one_bound", "null_bound", "solver_list",
+    ], ids=["null_radius", "null_threshold", "one_bound", "null_bound", "solver_list",
             "layers_number", "profile_number", "bool_radius", "string_gap",
-            "text_radius", "bool_grid_nodes", "string_grid_nodes", "nan_bound",
-            "inverted_bounds", "huge_radius", "huge_bound", "huge_grid_nodes",
-            "fine_grid_nodes"])
+            "text_radius", "nan_bound", "inverted_bounds", "huge_radius", "huge_bound"])
     def test_malformed_value_named(self, path, value, message):
         doc = self.minimal()
-        doc["thresholds"] = {}
         doc["solver"] = {"fit_bounds": {}}
         node = doc
         for step in path[:-1]:
@@ -185,11 +190,6 @@ class TestParseConfig:
         node[path[-1]] = value
         with pytest.raises(ConfigError, match=message):
             parse_config(json.loads(json.dumps(doc)))
-
-    def test_whole_float_grid_nodes_accepted(self):
-        doc = self.minimal()
-        doc["solver"] = {"grid_nodes": 101.0}
-        assert parse_config(doc).solver.grid_nodes == 101
 
     @pytest.mark.parametrize("profile", ["default", "airgap", "dielectric_50um",
                                          "fem_scaled"])

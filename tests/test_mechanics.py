@@ -59,6 +59,43 @@ class TestSmallDeflection:
             oracles.small_deflection_center(bare_geometry, -1.0)
 
 
+class TestTensionedPlateOracle:
+    """The exact tensioned-plate deflection in its two limits, and the
+    model's small-load excess over it on the default profile."""
+
+    @staticmethod
+    def with_kr(geom, kr):
+        """``geom`` with the built-in stress that puts kR = R sqrt(N/D) at ``kr``."""
+        return replace(geom, builtin_stress=kr**2 * geom.flexural_rigidity
+                       / (geom.radius**2 * geom.thickness))
+
+    @pytest.mark.parametrize("kr", [0.1, 0.2, 0.3])
+    def test_bending_limit(self, default_geometry, kr):
+        g = self.with_kr(default_geometry, kr)
+        plate = g.radius**4 / (64.0 * g.flexural_rigidity)
+        assert oracles.tensioned_plate_center(g, 1.0) == pytest.approx(
+            plate * (1.0 - 5.0 * kr**2 / 72.0), rel=kr**4 / 100.0, abs=0)
+
+    @pytest.mark.parametrize("kr", [1e4, 1e5, 1e6])
+    def test_membrane_limit(self, default_geometry, kr):
+        g = self.with_kr(default_geometry, kr)
+        membrane = g.radius**2 / (4.0 * g.builtin_stress * g.thickness)
+        assert oracles.tensioned_plate_center(g, 1.0) == pytest.approx(
+            membrane * (1.0 - 2.0 / kr), rel=2.0 / kr**2, abs=0)
+
+    def test_model_excess_on_default(self, default_geometry):
+        # The model's factor 1 / (1 + (kR)^2 / 16) has the exact leading
+        # term in both limits and stiffens too little between them.
+        # Frozen, not a bound.
+        g = default_geometry
+        kr = g.radius * math.sqrt(g.builtin_stress * g.thickness / g.flexural_rigidity)
+        excess = (mechanics.large_deflection_center(g, 1.0)
+                  / oracles.tensioned_plate_center(g, 1.0) - 1.0)
+        print(f"ORACLE built-in stress: model/exact - 1 = {excess:+.4%} "
+              f"at 1 Pa (kR = {kr:.1f})")
+        assert excess == pytest.approx(0.02131651, rel=1e-6, abs=0)
+
+
 class TestLinearCenterDeflection:
     def test_matches_unstressed_oracle(self, bare_geometry):
         for p in (0.0, 1e-3, 5e3, 60e3):
@@ -201,16 +238,16 @@ class TestSolveState:
 
 
 class TestClassifyMode:
-    def test_zero_pressure_normal(self, bare_geometry):
-        assert mechanics.classify_mode(bare_geometry, 0.0, ModeThresholds()) \
+    def test_zero_pressure_normal(self, bare_geometry, generic_thresholds):
+        assert mechanics.classify_mode(bare_geometry, 0.0, generic_thresholds) \
             is OperatingMode.NORMAL
 
-    def test_mid_contact_is_touch(self, bare_geometry):
+    def test_mid_contact_is_touch(self, bare_geometry, generic_thresholds):
         # Construct the pressure putting a/R exactly at 0.3.
         g = bare_geometry.travel
         w0 = g / (1.0 - 0.3**2) ** 2
         p = mechanics.pressure_for_center_deflection(bare_geometry, w0)
-        assert mechanics.classify_mode(bare_geometry, p, ModeThresholds()) \
+        assert mechanics.classify_mode(bare_geometry, p, generic_thresholds) \
             is OperatingMode.TOUCH
 
     def test_default_device_boundaries(self, default_geometry, config):
@@ -240,19 +277,23 @@ class TestClassifyMode:
 
 
 class TestThresholdValidation:
-    def test_rejects_bad_transition(self):
+    def test_rejects_bad_transition(self, generic_thresholds):
         with pytest.raises(ValueError):
-            ModeThresholds(transition_fraction=1.5)
+            replace(generic_thresholds, transition_fraction=1.5)
 
-    def test_rejects_unordered_contact_fractions(self):
+    def test_rejects_unordered_contact_fractions(self, generic_thresholds):
         with pytest.raises(ValueError):
-            ModeThresholds(touch_onset_fraction=0.7, saturation_fraction=0.6)
+            replace(generic_thresholds, touch_onset_fraction=0.7, saturation_fraction=0.6)
 
     @given(st.sampled_from(["transition_fraction", "touch_onset_fraction",
                             "saturation_fraction"]), NON_FINITE)
-    def test_rejects_non_finite(self, field, bad):
+    def test_rejects_non_finite(self, generic_thresholds, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be finite, got {bad}"):
-            ModeThresholds(**{field: bad})
+            replace(generic_thresholds, **{field: bad})
+
+    def test_no_field_defaults(self):
+        with pytest.raises(TypeError, match="missing 3 required"):
+            ModeThresholds()
 
 
 class TestGeometryValidation:
