@@ -11,10 +11,10 @@ The search splits each triple at its middle knot into two hinged lines,
 takes their SSEs and values at the split from two O(n^2) tables, and
 scores one first knot at a time (the two SSEs plus the cost of making the
 lines meet) in ascending order of a lower bound on its SSE, the same sum
-without that cost; it stops once no first knot left can change the
-winner.  The fit's knots coincide with operating-mode boundaries only
-where the curve changes slope there; mode labels come from
-``mechanics.mode_labels``.
+without that cost; it stops at the first knot whose bound cannot beat the
+best triple found.  The fit's knots coincide with operating-mode
+boundaries only where the curve changes slope there; mode labels come
+from ``mechanics.mode_labels``.
 """
 
 from __future__ import annotations
@@ -38,13 +38,14 @@ MIN_GAP = 2
 # bytes per n^2 at peak (tracemalloc): 72 MB at 1000 samples.  The cap
 # keeps a long CSV from sizing arrays without bound.
 MAX_SEGMENT_SAMPLES = 1000
-# Knot-triple SSEs closer than the SSE of a rounding error of this many
-# ulps in every normalized sample tie: the smallest first knot whose SSE is
-# within this width of the least wins, whatever the order first knots are
-# scored in.  This settles the knots of a straight line, which every
-# triple fits exactly: a knot at the search edge.  Where several but not
-# all triples fit exactly, their computed SSEs differ by rounding (about
-# 1e-16 on the normalized data), so the pick among them follows rounding.
+# The tie width is the SSE of a rounding error of this many ulps in every
+# normalized sample.  Knot triples are ordered by the bin of their SSE,
+# floor(max(SSE, 0) / tie width), then by knot index, so among triples
+# whose SSEs share a bin the smallest first knot wins.  This settles the
+# knots of a straight line, which every triple fits exactly: a knot at the
+# search edge.  Where several but not all triples fit exactly, their
+# computed SSEs differ by rounding (about 1e-16 on the normalized data),
+# so the pick among them follows rounding.
 SSE_TIE_ULPS = 16
 # Damped steps a fit may try before it reports no convergence.
 MAX_FIT_ITERATIONS = 100
@@ -439,41 +440,39 @@ def _first_knot_bounds(tables: tuple[tuple[np.ndarray, ...], ...]) -> np.ndarray
     return lower
 
 
+def _search_keys(n: int, sse, *knots) -> list[tuple]:
+    """The knot search's keys (bin, *knots), elementwise.  The bin of an
+    SSE, or of a lower bound on one, over n normalized samples is
+    floor(max(SSE, 0) / tie), tie = n (``SSE_TIE_ULPS`` eps)^2, or inf
+    where that is not finite (numpy gives NaN for inf // tie)."""
+    tie = n * (SSE_TIE_ULPS * np.finfo(float).eps) ** 2  # c spans a unit range
+    sse = np.maximum(np.atleast_1d(sse), 0.0)
+    bins = np.floor_divide(sse, tie, out=np.full_like(sse, np.inf), where=np.isfinite(sse))
+    return list(zip(bins.tolist(), *knots))
+
+
 def _best_knots(p: np.ndarray, c: np.ndarray) -> tuple[int, int, int]:
     """Knot indices (i, j, k) of the least-squares hinge fit, searched exactly.
 
-    First knots are scored by ``_score_first_knot``, O(n^2) each, in
-    ascending order of their lower bounds from ``_first_knot_bounds``,
-    each clamped at 0 (an SSE is never negative) and rounded down to a
-    multiple of the tie width (the tie rule cannot tell bounds apart
-    within it), equal bounds smallest index first.  The smallest first
-    knot whose SSE is within the tie width of the least wins, whatever the
-    order of scoring.  The search stops once no first knot left can change
-    the winner: the next bound is more than the tie width above the least
-    SSE, or every first knot left has a larger index than the winner and
-    the next bound is at most the tie width below the winner's SSE.  Time
-    is O(n^2) for the tables plus O(n^2) per first knot scored: one or two
-    on a curve with well-separated slope changes, one on a line.
+    Each first knot i gets the triple of its least SSE from
+    ``_score_first_knot``, O(n^2) each, and the least key (bin of SSE, i,
+    j, k) from ``_search_keys`` wins.  First knots are scored in ascending
+    order of (bin of lower bound, i), the bounds from ``_first_knot_bounds``.
+    A bound's bin is never above its SSE's, so the search stops at the
+    first of these pairs above the best key's (bin, i).  Time is O(n^2)
+    for the tables plus O(n^2) per first knot scored: one or two on a
+    curve with well-separated slope changes, one on a line.
     """
     n = len(p)
-    tie = n * (SSE_TIE_ULPS * np.finfo(float).eps) ** 2  # c spans a unit range
     tables = _knot_tables(p, c)
-    bounds = np.maximum(_first_knot_bounds(tables)[MIN_GAP:n - 3 * MIN_GAP], 0.0)
-    queue = sorted(zip((bounds - np.fmod(bounds, tie)).tolist(),
-                       range(MIN_GAP, n - 3 * MIN_GAP)))  # (bound, first knot)
-    least, scored = math.inf, []
-    for pos, (bound, i) in enumerate(queue):
-        if bound > least + tie:
+    bounds = _first_knot_bounds(tables)[MIN_GAP:n - 3 * MIN_GAP]
+    best = (math.inf, math.inf)  # above every key: the first knot queued is scored
+    for bound_bin, i in sorted(_search_keys(n, bounds, range(MIN_GAP, n - 3 * MIN_GAP))):
+        if (bound_bin, i) > best[:2]:
             break
         sse, j, k = _score_first_knot(tables, i)
-        scored.append((sse, (i, j, k)))
-        least = min(least, sse)
-        winner, winner_sse = min((knots, s) for s, knots in scored if s <= least + tie)
-        rest = queue[pos + 1:]
-        if (rest and winner[0] < min(r[1] for r in rest)
-                and winner_sse <= rest[0][0] + tie):
-            break
-    return winner
+        best = min(best, *_search_keys(n, sse, [i], [j], [k]))
+    return best[1:]
 
 
 def segment_modes(data: MeasuredSeries) -> ModeSegmentation:

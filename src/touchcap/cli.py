@@ -54,11 +54,10 @@ def _atomic_write(path: str | Path, text: str) -> None:
     not the owner-only mode of the temp file.
     """
     path = Path(path)
-    directory = path.parent if str(path.parent) else Path(".")
     umask = os.umask(0)
     os.umask(umask)
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{path.name}.")
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         try:
             with os.fdopen(fd, "w", newline="") as handle:
                 os.fchmod(fd, 0o666 & ~umask)
@@ -141,7 +140,7 @@ def sweep(ctx: click.Context, p_start: float, p_end: float, steps: int,
 
     CSV output also writes a JSON sidecar (same stem, .json suffix) with
     the geometry and thresholds embedded, so a CSV output path may not
-    itself end in .json.
+    itself end in .json, in any letter case.
     """
     for flag, value in (("--p-start", p_start), ("--p-end", p_end)):
         if not math.isfinite(value):
@@ -153,14 +152,18 @@ def sweep(ctx: click.Context, p_start: float, p_end: float, steps: int,
     if not math.isfinite((p_end - p_start) * (steps - 1)):
         raise click.UsageError("the pressure grid overflows: (--p-end - --p-start)"
                                " * (--steps - 1) is not finite")
-    if fmt == "csv" and Path(output).suffix == ".json":
+    pressures = [p_start + (p_end - p_start) * i / (steps - 1)
+                 for i in range(steps)]
+    if any(b <= a for a, b in zip(pressures, pressures[1:])):
+        raise click.UsageError("the pressure grid is finer than float spacing: "
+                               "--steps points from --p-start to --p-end repeat "
+                               "a pressure")
+    if fmt == "csv" and Path(output).suffix.lower() == ".json":
         raise click.UsageError(
             f"--output {output} is also the path of the JSON sidecar; "
             "use --format json or an output name not ending in .json")
     cfg = ctx.obj["config"]
     geom = _geometry(cfg, profile)
-    pressures = [p_start + (p_end - p_start) * i / (steps - 1)
-                 for i in range(steps)]
     try:
         curve = capacitance.sweep_cp_curve(
             geom, pressures, thresholds=cfg.thresholds, geometry_id=profile)

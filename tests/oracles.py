@@ -128,17 +128,14 @@ def touch_mode_capacitance_quadrature(geom: DeviceGeometry,
 def best_knots_exhaustive(p: np.ndarray, c: np.ndarray) -> tuple[int, int, int]:
     """Knot indices of the least-squares hinge fit, scoring every first knot.
 
-    The tie rule of ``calibration._best_knots``: of every first knot whose
-    SSE is within the tie width of the least, the smallest wins.  O(n^3)
-    time.
+    The least key (bin of SSE, i, j, k) of ``calibration._search_keys`` over
+    the least-SSE triple of every first knot i.  O(n^3) time.
     """
     n = len(p)
-    tie = n * (cal.SSE_TIE_ULPS * np.finfo(float).eps) ** 2
     tables = cal._knot_tables(p, c)
-    scored = {i: cal._score_first_knot(tables, i)
-              for i in range(cal.MIN_GAP, n - 3 * cal.MIN_GAP)}
-    least = min(sse for sse, _, _ in scored.values())
-    return min((i, j, k) for i, (sse, j, k) in scored.items() if sse <= least + tie)
+    firsts = range(cal.MIN_GAP, n - 3 * cal.MIN_GAP)
+    sse, js, ks = zip(*(cal._score_first_knot(tables, i) for i in firsts))
+    return min(cal._search_keys(n, sse, firsts, js, ks))[1:]
 
 
 def cp_curve_csv(curve: cap.CPCurve) -> str:

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -595,37 +596,80 @@ class TestKnotPruning:
         assert 1 <= len(calls) <= 2
 
     def test_exact_line_scores_smallest_first_knot_only(self):
-        # Every triple fits a line exactly, so every bound rounds down to 0
-        # and every SSE ties: the smallest first knot is scored first and wins.
+        # Every triple fits a line exactly, so every bound and SSE is in bin
+        # 0: the smallest first knot is scored first and wins.
         p = np.arange(0.0, 30e3, 1e3)
         data = MeasuredSeries(p, 5e-12 + 2e-16 * p)
         seg, calls = self.scored_first_knots(data)
         assert calls == [cal.MIN_GAP]
         assert seg.low_confidence
-        # The tie goes to the smallest first knot, in whatever order scored.
+        # The oracle, scoring every first knot, agrees.
         with mock.patch.object(cal, "_best_knots", oracles.best_knots_exhaustive):
             assert seg == cal.segment_modes(data)
 
-    @pytest.mark.parametrize("bounds", [(0.0, 0.0, 0.0), (2.0, 1.0, 0.0)],
-                             ids=["index_order", "reverse_order"])
-    def test_tie_rule_chain(self, bounds):
-        """SSEs 2.0, 1.1 and 0.2 tie widths at first knots 2, 3 and 4 chain:
-        3 is within the tie width of the least and 2 is not, so 3 wins in
-        either scoring order, in the search and in the oracle."""
-        n = 11  # first knots 2, 3 and 4
+    @staticmethod
+    def searched_with(sse, bounds):
+        """Knots of the search and of the oracle on 11 samples, whose first
+        knots 2, 3 and 4 score ``sse`` and are bounded by ``bounds``, both
+        in tie widths."""
+        n = 11
         tie = n * (cal.SSE_TIE_ULPS * np.finfo(float).eps) ** 2
-        sse = {2: 2.0 * tie, 3: 1.1 * tie, 4: 0.2 * tie}
         lower = np.full(n, np.inf)
         lower[2:5] = np.array(bounds) * tie
 
         def score(tables, i):
-            return sse[i], i + cal.MIN_GAP, i + 2 * cal.MIN_GAP
+            return sse[i - 2] * tie, i + cal.MIN_GAP, i + 2 * cal.MIN_GAP
 
         p = np.linspace(0.0, 1.0, n)
         with mock.patch.object(cal, "_score_first_knot", score), \
                 mock.patch.object(cal, "_first_knot_bounds", lambda tables: lower):
-            assert cal._best_knots(p, p * p) == (3, 5, 7)
-            assert oracles.best_knots_exhaustive(p, p * p) == (3, 5, 7)
+            return cal._best_knots(p, p * p), oracles.best_knots_exhaustive(p, p * p)
+
+    @pytest.mark.parametrize("bounds", [(0.0, 0.0, 0.0), (2.0, 1.0, 0.0)],
+                             ids=["index_order", "reverse_order"])
+    def test_tie_rule_chain(self, bounds):
+        """SSEs 2.0, 1.1 and 0.2 tie widths at first knots 2, 3 and 4 fall
+        in bins 2, 1 and 0, so 4 wins in either scoring order, in the search
+        and in the oracle, although 3 is within the tie width of it."""
+        assert self.searched_with((2.0, 1.1, 0.2), bounds) == ((4, 6, 8), (4, 6, 8))
+
+    @pytest.mark.parametrize("bounds", [(0.0, 0.0, 0.0), (1.0, 0.5, 0.0)],
+                             ids=["index_order", "reverse_order"])
+    def test_tie_rule_same_bin(self, bounds):
+        """SSEs 1.9, 1.1 and 1.0 tie widths share bin 1: the smallest first
+        knot, 2, wins over the least SSE in either scoring order."""
+        assert self.searched_with((1.9, 1.1, 1.0), bounds) == ((2, 4, 6), (2, 4, 6))
+
+    def test_non_finite_keys(self):
+        """An infinite SSE bins to inf, a -inf bound to 0, and a NaN table
+        entry, whose bound is -inf, keys its first knot first; no
+        RuntimeWarning on the way."""
+        tables = self.tables(*random_series(30, 1, False))
+        tables[0][0][10, 5] = np.nan  # A(5, 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cal._search_keys(30, [np.inf, -np.inf, 0.0], [2, 3, 4]) == \
+                [(math.inf, 2), (0.0, 3), (0.0, 4)]
+            bounds = cal._first_knot_bounds(tables)
+            assert cal._search_keys(30, bounds[5:7], [5, 6])[0] == (0.0, 5)
+            assert cal._search_keys(30, math.inf, [5], [9], [12]) == [(math.inf, 5, 9, 12)]
+
+    @given(st.integers(30, 120), st.integers(0, 2**32 - 1), st.booleans(),
+           st.floats(-13.0, -10.0))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_exhaustive_oracle_near_exact(self, n, seed, hinge, noise_exp):
+        """Lines and one-hinge curves with noise 1e-13 to 1e-10 of their
+        span, where SSEs lie a few tie widths apart and can round below 0."""
+        rng = np.random.default_rng(seed)
+        p = np.cumsum(rng.uniform(0.05, 1.0, n))
+        c = 5e-12 + 2e-16 * p
+        if hinge:
+            c += 6e-16 * np.maximum(p - p[rng.integers(n // 4, 3 * n // 4)], 0.0)
+        c += 10.0**noise_exp * np.ptp(c) * rng.standard_normal(n)
+        data = MeasuredSeries(p, c)
+        seg = cal.segment_modes(data)
+        with mock.patch.object(cal, "_best_knots", oracles.best_knots_exhaustive):
+            assert seg == cal.segment_modes(data)
 
 
 class TestSensitivityLinearity:

@@ -101,6 +101,14 @@ class TestSweep:
         assert str(out) in result.output
         assert list(tmp_path.iterdir()) == []
 
+    def test_csv_output_upper_case_json_usage_error(self, runner, tmp_path):
+        # On a case-insensitive filesystem the sidecar a.json is a.JSON.
+        out = tmp_path / "a.JSON"
+        result = run(runner, "sweep", "--steps", 3, "--p-end", 2000, "--output", out)
+        assert result.exit_code == 2
+        assert str(out) in result.output
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag,value", [("--p-end", "inf"),
                                             ("--p-start", "nan")])
     def test_non_finite_range_usage_error(self, runner, tmp_path, flag, value):
@@ -114,6 +122,14 @@ class TestSweep:
                      "--output", tmp_path / "x.csv")
         assert result.exit_code == 2
         assert "(--p-end - --p-start) * (--steps - 1) is not finite" in result.output
+        assert list(tmp_path.iterdir()) == []
+
+    def test_grid_finer_than_float_spacing_usage_error(self, runner, tmp_path):
+        # 100 points between two adjacent floats repeat a pressure.
+        result = run(runner, "sweep", "--p-start", 5, "--p-end", "5.000000000000001",
+                     "--steps", 100, "--output", tmp_path / "x.csv")
+        assert result.exit_code == 2
+        assert all(flag in result.output for flag in ("--p-start", "--p-end", "--steps"))
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
@@ -372,7 +388,7 @@ class TestModes:
         assert not out.exists()
 
     def test_long_line_scores_one_first_knot(self, runner, tmp_path, monkeypatch):
-        # Every first knot fits a straight line to within the tie width; the
+        # Every first knot fits a straight line with an SSE in bin 0; the
         # search settles on the smallest without scoring the others.
         n = calibration.MAX_SEGMENT_SAMPLES
         data = tmp_path / "line.csv"
