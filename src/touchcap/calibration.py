@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import capacitance as cap
-from .materials import line_fit
+from .materials import line_fit, r_squared
 from .mechanics import DeviceGeometry
 
 # Geometry fields adjustable by the fitter, plus a constant parasitic offset.
@@ -157,7 +157,7 @@ class ModeSegmentation:
 
     boundaries: tuple[float, float, float]  # Pa
     slopes: tuple[float, float, float, float]  # F/Pa
-    r_squared: tuple[float, float, float, float]
+    r_squared: tuple[float, float, float, float]  # per segment; 1 with no spread
     sse: float
     low_confidence: bool = False
 
@@ -388,11 +388,11 @@ def _knot_tables(p: np.ndarray, c: np.ndarray) -> tuple[tuple[np.ndarray, ...], 
     is the table of the reversed series p_{n-1} - p: hinge k there has
     index n-1-k, samples j+1..n-1 are samples 0..n-2-j, and p_j is one
     sample past them.  Expects p_0 = 0 <= p.  c is first replaced by its
-    residual off [1, p], which every piece spans; the SSEs are unchanged
-    and the prefix sums smaller.
+    residual off its ``line_fit`` line, in [1, p], which every piece spans;
+    the SSEs are unchanged and the prefix sums smaller.
     """
-    q2, _ = np.linalg.qr(np.column_stack([np.ones(len(p)), p]))
-    c = c - q2 @ (q2.T @ c)
+    slope, intercept, _ = line_fit(p, c)
+    c = c - (slope * p + intercept)
     right = _hinge_tables(p[-1] - p[::-1], c[::-1], 1)
     return _hinge_tables(p, c, 0), tuple(t[::-1, ::-1] for t in right)
 
@@ -514,18 +514,13 @@ def segment_modes(data: MeasuredSeries) -> ModeSegmentation:
     slopes = tuple(float(s) for s in np.cumsum(coef[1:]))  # hinge slopes accumulate
 
     edges = [0, i, j, k, n]
-    r2 = []
-    for lo_idx, hi_idx in zip(edges, edges[1:]):
-        seg_c = c[lo_idx:hi_idx + 1]
-        seg_f = fitted[lo_idx:hi_idx + 1]
-        tss = float(np.sum((seg_c - seg_c.mean()) ** 2))
-        seg_sse = float(np.sum((seg_c - seg_f) ** 2))
-        r2.append(1.0 - seg_sse / tss if tss > 0 else 0.0)
+    r2 = tuple(r_squared(c[lo:hi + 1], fitted[lo:hi + 1])
+               for lo, hi in zip(edges, edges[1:]))
 
     # Knots pinned to the searchable extremes suggest fewer than 4 regimes.
     low_confidence = (i <= MIN_GAP or k >= n - MIN_GAP - 1)
     return ModeSegmentation(boundaries=boundaries, slopes=slopes,
-                            r_squared=tuple(r2), sse=sse,
+                            r_squared=r2, sse=sse,
                             low_confidence=low_confidence)
 
 

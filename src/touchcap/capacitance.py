@@ -26,10 +26,9 @@ import numpy as np
 
 from . import mechanics
 from .config import geometry_doc, thresholds_doc
-from .mechanics import (DeviceGeometry, DeflectionState, ModeThresholds,
-                        OperatingMode)
-
-EPSILON_0 = 8.8541878128e-12  # F/m
+from .mechanics import (EPSILON_0, DeviceGeometry, DeflectionState,
+                        ModeThresholds, OperatingMode, base_capacitance,
+                        electrical_gap)
 
 # Export label of each operating mode, indexed by its OperatingMode value.
 MODE_LABELS = tuple(m.name.lower() for m in OperatingMode)
@@ -164,23 +163,6 @@ def _json_frame(geometry_id: str, geom: DeviceGeometry,
     doc["geometry"] = geometry_doc(geom)
     doc["thresholds"] = thresholds_doc(thresholds)
     return head, json.dumps(doc, indent=2)[len(head):] + "\n"
-
-
-def electrical_gap(geom: DeviceGeometry) -> float:
-    """Series-stack electrical separation at rest.
-
-    Air path of (gap - t1) at eps_r plus dielectric path of t1 at eps_t1:
-    d_e = (gap - t1)/eps_r + t1/eps_t1.  Equals the bare gap when t1 = 0
-    and eps_r = 1.
-    """
-    t1 = geom.dielectric_thickness
-    return ((geom.gap - t1) / geom.medium_rel_permittivity
-            + t1 / geom.dielectric_rel_permittivity)
-
-
-def base_capacitance(geom: DeviceGeometry) -> float:
-    """Rest capacitance eps_0 * pi R^2 / d_e of the undeflected sensor."""
-    return EPSILON_0 * math.pi * geom.radius**2 / electrical_gap(geom)
 
 
 _AT_GAP = "center deflection reaches the electrical gap"

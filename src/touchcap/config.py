@@ -36,8 +36,11 @@ from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from .materials import Laminate, MaterialLayer
-from .mechanics import DeviceGeometry, ModeThresholds
+from .mechanics import (DeviceGeometry, ModeThresholds, base_capacitance,
+                        cubic_coefficients, linear_center_deflection)
 from .servo import ServoMap
 
 DEFAULT_CONFIG_RESOURCE = "default_device.json"
@@ -134,6 +137,40 @@ def thresholds_doc(thresholds: ModeThresholds) -> dict:
     return _write(thresholds, _THRESHOLD_KEYS)
 
 
+# Quantities the model derives from a profile, each with the keys it is
+# computed from.  Each must be finite and > 0; without the check, a radius
+# or a layer thickness of 1e300 loads, and a command then fails with an
+# OverflowError or a NaN.  (The travel needs no check: DeviceGeometry
+# already requires gap > dielectric_thickness >= 0, both finite.)
+_LAYER_FIELDS = "the layers' youngs_modulus_pa, poisson_ratio and thickness_m"
+_DERIVED = (
+    ("flexural rigidity D", _LAYER_FIELDS, lambda g: g.flexural_rigidity),
+    ("stress term c1 = 1 + sigma h R^2 / (16 D)",
+     f"builtin_stress_pa, radius_m and {_LAYER_FIELDS}",
+     lambda g: cubic_coefficients(g)[0]),
+    ("cubic term c3 = K / h^2", "the layers' thickness_m",
+     lambda g: cubic_coefficients(g)[1]),
+    ("load term R^4 / (64 D)", f"radius_m and {_LAYER_FIELDS}",
+     lambda g: linear_center_deflection(g, 1.0)),
+    ("rest capacitance C0", "radius_m, gap_m, dielectric_thickness_m, "
+     "dielectric_rel_permittivity and medium_rel_permittivity", base_capacitance),
+)
+
+
+def _check_derived(geom: DeviceGeometry, where: str) -> None:
+    """ConfigError naming the profile, the first derived quantity of
+    ``geom`` that is not finite and > 0, and the keys it comes from."""
+    for name, keys, value in _DERIVED:
+        try:
+            with np.errstate(all="ignore"):
+                v = value(geom)
+        except ArithmeticError:  # a Python float overflow or division by 0
+            v = math.inf
+        if not 0.0 < v < math.inf:  # false for NaN too
+            raise ConfigError(f"{where}: the {name} is {v}, not finite and > 0; "
+                              f"check {keys}")
+
+
 def _parse_layer(doc) -> MaterialLayer:
     try:
         return MaterialLayer(name=str(_object(doc, "layer")["name"]),
@@ -147,13 +184,15 @@ def _parse_geometry(doc, where: str) -> DeviceGeometry:
     try:
         if not isinstance(doc["layers"], list):
             raise ConfigError(f"layers must be a list, got {doc['layers']!r}")
-        return DeviceGeometry(
+        geom = DeviceGeometry(
             **_read(doc, _PROFILE_KEYS),
             laminate=Laminate(tuple(_parse_layer(l) for l in doc["layers"])))
     except KeyError as exc:
         raise ConfigError(f"{where}: missing field {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
+    _check_derived(geom, where)
+    return geom
 
 
 def _parse_section(doc: dict, name: str, cls, keys):

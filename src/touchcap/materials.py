@@ -3,7 +3,8 @@
 The diaphragm is a one- or two-layer laminate (e.g. aluminum-coated
 polyimide).  Bending stiffness is the per-layer stiffness integral about
 the modulus-weighted neutral plane.  The module also holds the package's
-generic numeric helpers, ``check_finite`` and ``line_fit``.
+generic numeric helpers: ``check_finite``, the one least-squares line
+``line_fit`` and the one R^2, ``r_squared``.
 """
 
 from __future__ import annotations
@@ -29,16 +30,17 @@ class LineFit(NamedTuple):
     r_squared: float
 
 
-def line_fit(x: np.ndarray, y: np.ndarray) -> LineFit:
-    """Least-squares line through (x, y): slope, intercept and R^2.
+def r_squared(y: np.ndarray, fitted: np.ndarray) -> float:
+    """1 - SSE/TSS of ``fitted`` against samples y; 1 when y has no spread:
+    all equal, however their mean rounds, or a TSS that underflows to 0."""
+    tss = float(np.sum((y - y.mean()) ** 2)) if np.ptp(y) > 0 else 0.0
+    return 1.0 - float(np.sum((y - fitted) ** 2)) / tss if tss > 0 else 1.0
 
-    R^2 is 1 when y has no spread about its mean.
-    """
+
+def line_fit(x: np.ndarray, y: np.ndarray) -> LineFit:
+    """Least-squares line through (x, y): slope, intercept and ``r_squared``."""
     slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    tss = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / tss if tss > 0 else 1.0
-    return LineFit(float(slope), float(intercept), r2)
+    return LineFit(float(slope), float(intercept), r_squared(y, slope * x + intercept))
 
 
 @dataclass(frozen=True)

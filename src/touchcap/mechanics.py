@@ -1,8 +1,9 @@
 """Deflection of the edge-clamped circular diaphragm under uniform pressure.
 
 Closed-form center deflection under cubic stiffening, the geometric
-contact model once the diaphragm touches the insulated bottom plate, and
-classification into the four operating modes.  Center deflection,
+contact model once the diaphragm touches the insulated bottom plate,
+classification into the four operating modes, and the electrical gap and
+rest capacitance of the undeflected stack.  Center deflection,
 contact radius and mode label are array-valued: a whole pressure sweep is
 one numpy evaluation.
 """
@@ -17,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .materials import Laminate, check_finite, flexural_rigidity
+
+EPSILON_0 = 8.8541878128e-12  # F/m
 
 # Coefficient of the cubic stiffening term in the large-deflection relation
 # W0 * (1 + K*(W0/h)^2 + sigma*h*R^2/(16 D)) = P R^4 / (64 D).
@@ -137,7 +140,24 @@ def checked_pressures(pressure: float | np.ndarray) -> np.ndarray:
     return p
 
 
-def _cubic_coefficients(geom: DeviceGeometry) -> tuple[float, float]:
+def electrical_gap(geom: DeviceGeometry) -> float:
+    """Series-stack electrical separation at rest.
+
+    Air path of (gap - t1) at eps_r plus dielectric path of t1 at eps_t1:
+    d_e = (gap - t1)/eps_r + t1/eps_t1.  Equals the bare gap when t1 = 0
+    and eps_r = 1.
+    """
+    t1 = geom.dielectric_thickness
+    return ((geom.gap - t1) / geom.medium_rel_permittivity
+            + t1 / geom.dielectric_rel_permittivity)
+
+
+def base_capacitance(geom: DeviceGeometry) -> float:
+    """Rest capacitance eps_0 * pi R^2 / d_e of the undeflected sensor."""
+    return EPSILON_0 * math.pi * geom.radius**2 / electrical_gap(geom)
+
+
+def cubic_coefficients(geom: DeviceGeometry) -> tuple[float, float]:
     """(c1, c3) of c3 W0^3 + c1 W0 = q: c1 = 1 + sigma h R^2 / (16 D), the
     built-in stress stiffening, and c3 = K / h^2, the cubic stiffening."""
     return (1.0 + (geom.builtin_stress * geom.thickness * geom.radius**2
@@ -171,7 +191,7 @@ def large_deflection_center(geom: DeviceGeometry,
     array); raises ValueError for a negative or non-finite pressure.
     """
     q = linear_center_deflection(geom, pressure)
-    c1, c3 = _cubic_coefficients(geom)
+    c1, c3 = cubic_coefficients(geom)
     ratio = c1 / c3
     w = 2.0 * math.sqrt(ratio / 3.0) * np.sinh(
         np.arcsinh(1.5 * (q / c3) / ratio * math.sqrt(3.0 / ratio)) / 3.0)
@@ -183,7 +203,7 @@ def pressure_for_center_deflection(geom: DeviceGeometry, w0: float) -> float:
     """Exact inverse of the large-deflection relation: P such that W0(P) = w0."""
     if w0 < 0:
         raise ValueError("w0 must be >= 0")
-    c1, c3 = _cubic_coefficients(geom)
+    c1, c3 = cubic_coefficients(geom)
     return (c3 * w0**3 + c1 * w0) * 64.0 * geom.flexural_rigidity / geom.radius**4
 
 

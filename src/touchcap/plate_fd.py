@@ -161,9 +161,9 @@ def _derivatives(w: np.ndarray, dr: float) -> tuple[np.ndarray, np.ndarray]:
 def solve_plate(geom: DeviceGeometry, pressure: float, grid: RadialGrid) -> PlateSolution:
     """Solve the clamped plate at one pressure and recover stresses.
 
-    Stresses are evaluated at every layer surface offset from the neutral
-    plane and the worst surface's von Mises stress is reported per node.  Built-in stress is not part of
-    the operator (pure bending model).
+    Stresses are evaluated at each layer's surface farther from the neutral
+    plane, and the worst layer's von Mises stress is reported per node.
+    Built-in stress is not part of the operator (pure bending model).
     """
     pressure = float(checked_pressures(pressure))
     n = grid.node_count
@@ -183,18 +183,17 @@ def solve_plate(geom: DeviceGeometry, pressure: float, grid: RadialGrid) -> Plat
     kappa_r = -d2
     kappa_t = -d1_over_r
 
-    # Per-layer surface stress recovery about the neutral plane.
+    # Per-layer surface stress recovery about the neutral plane.  Stress
+    # scales with the offset from it: the farther surface is the worse.
     e = neutral_plane(geom.laminate)
     von_mises = np.zeros_like(w)
     z = geom.laminate.interfaces()
     for i, layer in enumerate(geom.laminate.layers):
         stiff = layer.youngs_modulus / (1.0 - layer.poisson_ratio**2)
-        for z_surf in (z[i], z[i + 1]):
-            offset = z_surf - e
-            sr = stiff * (kappa_r + layer.poisson_ratio * kappa_t) * offset
-            st = stiff * (kappa_t + layer.poisson_ratio * kappa_r) * offset
-            vm = np.sqrt(sr**2 - sr * st + st**2)
-            von_mises = np.maximum(von_mises, vm)
+        offset = max(z[i] - e, z[i + 1] - e, key=abs)
+        sr = stiff * (kappa_r + layer.poisson_ratio * kappa_t) * offset
+        st = stiff * (kappa_t + layer.poisson_ratio * kappa_r) * offset
+        von_mises = np.maximum(von_mises, np.sqrt(sr**2 - sr * st + st**2))
 
     idx = int(np.argmax(von_mises))
     return PlateSolution(grid=grid, deflection=w, von_mises=von_mises,

@@ -412,6 +412,20 @@ class TestSegmentModes:
         assert seg.sse == pytest.approx(1.5790018750623988e-21, rel=1e-9, abs=0)
         assert not seg.low_confidence
 
+    def test_flat_tail_segment_r_squared_is_one(self):
+        """A curve that saturates at one value from 31 kPa on: the last
+        segment's samples are all equal, and its R^2 is 1.  Taken about
+        their rounded mean, the TSS would be rounding noise and R^2 about
+        -5.4e24."""
+        p = np.linspace(0.0, 60e3, 61)
+        c = ((2.2e-12 - 4e-13) + 1e-17 * np.minimum(p, 31e3)
+             + 3e-22 * p**2 * (p < 20e3))
+        c[p >= 31e3] = 2.2e-12
+        seg = cal.segment_modes(MeasuredSeries(p, c))
+        assert seg.boundaries == (19e3, 21e3, 34e3)
+        assert seg.r_squared[3] == 1.0
+        assert all(0.0 < r < 1.0 for r in seg.r_squared[:3])
+
     def test_memory_quadratic(self, default_geometry):
         """400 samples: the search holds O(n^2) arrays, not every triple."""
         p = np.linspace(0.0, 60e3, 400)

@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from graphlib import CycleError, TopologicalSorter
@@ -503,6 +504,53 @@ class TestConfigHandling:
         assert result.exit_code == 3
         assert message in result.output
         assert list(out.iterdir()) == []
+
+
+# Each numeric field of the bundled default profile, as its path in the
+# profile object, and one invocation of each command on that profile.
+PROFILE_NUMBERS = [(key,) for key in (
+    "radius_m", "gap_m", "builtin_stress_pa", "dielectric_thickness_m",
+    "dielectric_rel_permittivity", "medium_rel_permittivity")] + [
+    ("layers", i, key) for i in range(2)
+    for key in ("youngs_modulus_pa", "poisson_ratio", "thickness_m")]
+PROFILE_COMMANDS = {
+    "sweep": ["sweep", "--output", "out.csv"],
+    "validate": ["validate", "--profile", "default"],
+    "servo": ["servo", 12000, 30000, "--output", "servo.csv"],
+    "fit": ["fit", FIXTURE, "--output", "fit.json"],
+    "modes": ["modes", FIXTURE, "--output", "modes.json"],
+}
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+@pytest.mark.parametrize("command", list(PROFILE_COMMANDS))
+@pytest.mark.parametrize("value", [1e-300, 1e300])
+@pytest.mark.parametrize("path", PROFILE_NUMBERS,
+                         ids=lambda path: ".".join(map(str, path)))
+def test_extreme_profile_number(runner, tmp_path, monkeypatch, path, value, command):
+    """A default-profile number at 1e-300 or 1e300 ends in a documented
+    exit code, never in a traceback, and a run that succeeds writes no NaN
+    or infinity.  A radius or layer thickness of 1e300 puts a quantity
+    derived from it out of float range, so the config is a parse error
+    naming the field."""
+    doc = json.loads(resources.files("touchcap.data")
+                     .joinpath("default_device.json").read_text())
+    target = doc["profiles"]["default"]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    result = run(runner, "--config", "cfg.json", *PROFILE_COMMANDS[command])
+    assert isinstance(result.exception, (SystemExit, type(None))), result.exc_info
+    assert result.exit_code in (0, 1, 2, 3), result.output
+    if result.exit_code == 0:
+        for out in tmp_path.iterdir():
+            assert not NON_FINITE.search(out.read_text()), out.name
+    if value == 1e300 and path[-1] in ("radius_m", "thickness_m"):
+        assert result.exit_code == 3
+        assert "invalid config: profiles.default: the " in result.output
+        assert path[-1] in result.output
 
 
 @pytest.mark.parametrize("args,stdout,files", [

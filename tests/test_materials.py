@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from touchcap.materials import (Laminate, LineFit, MaterialLayer,
-                                flexural_rigidity, line_fit, neutral_plane)
+                                flexural_rigidity, line_fit, neutral_plane,
+                                r_squared)
 
 # Golden values for the default Al-on-PI stack, frozen from independent
 # numerical integration of the weighted-centroid and stiffness integrals.
@@ -174,3 +175,28 @@ def test_line_fit_fields():
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
     # y with no spread about its mean is fitted exactly: R^2 is 1.
     assert line_fit(x, np.full(4, 5.0)).r_squared == 1.0
+    # Also where the mean of equal samples rounds off their value (to
+    # 1.7000000000000002e-12 here), leaving a TSS of rounding noise and an
+    # R^2 of -8.44 from the ratio of rounding errors.
+    assert line_fit(np.arange(9.0), np.full(9, 1.7e-12)).r_squared == 1.0
+
+
+@given(st.integers(3, 40).flatmap(lambda n: st.lists(
+           st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=n, max_size=n)),
+       st.sampled_from([(0.0, 1.0), (2.2e-12, 1e-15), (0.0, 1e-12)]))
+def test_r_squared_is_the_inline_formula(pairs, frame):
+    # Samples with spread keep 1 - SSE/TSS, bit for bit, at unit and at
+    # picofarad scale.
+    offset, scale = frame
+    y, fitted = (offset + scale * np.array(v) for v in zip(*pairs))
+    tss = float(np.sum((y - y.mean()) ** 2))
+    assume(np.ptp(y) > 0 and tss > 0)
+    assert r_squared(y, fitted) == 1.0 - float(np.sum((y - fitted) ** 2)) / tss
+
+
+@given(st.integers(3, 60), st.floats(1e-15, 1e6))
+def test_r_squared_is_one_without_spread(n, value):
+    y = np.full(n, value)
+    assert r_squared(y, y * (1.0 + 1e-9)) == 1.0
+    assert line_fit(np.arange(float(n)), y).r_squared == 1.0
+
