@@ -58,6 +58,10 @@ FIT_SSE_RTOL = 1e-12
 # the Marquardt damping of the first step.
 FIT_JACOBIAN_STEP = 1e-7
 FIT_DAMPING_START = 1e-3
+# Largest magnitude of a measured sample.  Squared differences of samples
+# then stay below 4e300, so sums of them over up to 1e7 samples (a fit's
+# SSE, a segment's, a baseline's variance) stay in float range.
+MAX_SAMPLE_MAGNITUDE = 1e150
 # Fractions of the step amplitude between which rise_time is measured.
 RISE_LOW = 0.1
 RISE_HIGH = 0.9
@@ -65,7 +69,8 @@ RISE_HIGH = 0.9
 
 @dataclass(frozen=True)
 class MeasuredSeries:
-    """Sampled (pressure, capacitance) or (time, capacitance) data."""
+    """Sampled (pressure, capacitance) or (time, capacitance) data, each
+    value finite and at most ``MAX_SAMPLE_MAGNITUDE`` in magnitude."""
 
     abscissa: np.ndarray
     capacitance: np.ndarray
@@ -79,9 +84,12 @@ class MeasuredSeries:
         if len(x) != len(c):
             raise ValueError("abscissa and capacitance lengths differ")
         for name, values in (("abscissa", x), ("capacitance", c)):
-            bad = np.flatnonzero(~np.isfinite(values))
+            bad = np.flatnonzero(~(np.abs(values) <= MAX_SAMPLE_MAGNITUDE))
             if len(bad):
-                raise ValueError(f"{name}[{bad[0]}] must be finite, got {values[bad[0]]}")
+                value = float(values[bad[0]])
+                rule = (f"be at most {MAX_SAMPLE_MAGNITUDE:g} in magnitude"
+                        if math.isfinite(value) else "be finite")
+                raise ValueError(f"{name}[{bad[0]}] must {rule}, got {value}")
         if len(x) >= 2 and np.any(np.diff(x) <= 0):
             raise ValueError("abscissa must be strictly increasing")
         if self.kind not in ("pressure", "time"):
@@ -539,7 +547,10 @@ def rise_time(data: MeasuredSeries) -> float:
     """10-90% rise time of a single step response.
 
     Baseline and plateau are medians over the first and last 10% of
-    samples; crossing times are linearly interpolated.  Raises if the step
+    samples.  The 90% crossing is at the first sample at or above that
+    level; the 10% crossing is at the last sample below that level before
+    it, so noise before the step cannot stand in for the step.  Both are
+    linearly interpolated to the next sample.  Raises if the step
     amplitude is below 5x the baseline noise.
     """
     if data.kind != "time":
@@ -556,14 +567,17 @@ def rise_time(data: MeasuredSeries) -> float:
     if amplitude <= 5.0 * noise or amplitude <= 0.0:
         raise ValueError("no detectable step")
 
-    def crossing(level: float) -> float:
-        above = c >= level
-        idx = int(np.argmax(above))
+    def crossing(idx: int, level: float) -> float:
+        # The level is crossed between samples idx - 1 and idx.
         if idx == 0:
             return float(t[0])
         c0, c1 = c[idx - 1], c[idx]
         frac = (level - c0) / (c1 - c0)
         return float(t[idx - 1] + frac * (t[idx] - t[idx - 1]))
 
-    return (crossing(baseline + RISE_HIGH * amplitude)
-            - crossing(baseline + RISE_LOW * amplitude))
+    high = baseline + RISE_HIGH * amplitude
+    low = baseline + RISE_LOW * amplitude
+    i_high = int(np.argmax(c >= high))
+    below = np.flatnonzero(c[:i_high] < low)
+    i_low = int(below[-1]) + 1 if len(below) else 0
+    return crossing(i_high, high) - crossing(i_low, low)

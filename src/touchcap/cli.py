@@ -5,7 +5,10 @@ formatting: floats are rendered with their shortest round-trip decimal, so
 identical inputs give byte-identical files.
 
 Exit codes: 0 success, 1 validation/convergence/fit failure, 2 usage
-error, 3 IO or parse error.
+error, 3 IO or parse error.  Commands let library errors propagate, and
+``_Command`` maps them in one place: a point where the model has no value
+(``capacitance.SweepPointError``) is a failure, any other ValueError a
+usage error.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ from pathlib import Path
 import click
 
 from . import calibration, capacitance, plate_fd
-from .config import ConfigError, DeviceConfig, load_config
-from .mechanics import DeviceGeometry
+from .config import ConfigError, load_config
 from .servo import servo_angle
 
 # cmd_validate pass thresholds, matched to the solver's design targets,
@@ -45,6 +47,24 @@ class IOFailure(click.ClickException):
 
 class CheckFailure(click.ClickException):
     exit_code = 1
+
+
+class _Command(click.Command):
+    """A command whose library errors end in their exit code: a point
+    where the model has no value is a failure (1), any other ValueError a
+    usage error (2)."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except capacitance.SweepPointError as exc:
+            raise CheckFailure(str(exc)) from exc
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
+class _Group(click.Group):
+    command_class = _Command
 
 
 def _atomic_write(path: str | Path, text: str) -> None:
@@ -96,15 +116,7 @@ def _echo(ctx: click.Context, message: str) -> None:
         click.echo(message)
 
 
-def _geometry(cfg: DeviceConfig, profile: str) -> DeviceGeometry:
-    """The named profile's geometry; an unknown name is a usage error."""
-    try:
-        return cfg.geometry(profile)
-    except ConfigError as exc:
-        raise click.UsageError(str(exc)) from exc
-
-
-@click.group()
+@click.group(cls=_Group)
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="Device configuration JSON (bundled default if omitted).")
 @click.option("--quiet", is_flag=True, help="Suppress informational output.")
@@ -163,12 +175,9 @@ def sweep(ctx: click.Context, p_start: float, p_end: float, steps: int,
             f"--output {output} is also the path of the JSON sidecar; "
             "use --format json or an output name not ending in .json")
     cfg = ctx.obj["config"]
-    geom = _geometry(cfg, profile)
-    try:
-        curve = capacitance.sweep_cp_curve(
-            geom, pressures, thresholds=cfg.thresholds, geometry_id=profile)
-    except ValueError as exc:
-        raise CheckFailure(f"sweep failed: {exc}") from exc
+    geom = cfg.geometry(profile)
+    curve = capacitance.sweep_cp_curve(
+        geom, pressures, thresholds=cfg.thresholds, geometry_id=profile)
 
     if fmt == "json":
         _atomic_write(output, curve.to_json(geom, cfg.thresholds))
@@ -199,11 +208,8 @@ def validate(ctx: click.Context, node_counts: tuple[int, ...], profile: str,
     """
     cfg = ctx.obj["config"]
     counts = sorted(node_counts or VALIDATE_NODES)
-    geom = _geometry(cfg, profile)
-    try:
-        rows = plate_fd.convergence_study(geom, pressure, counts)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    geom = cfg.geometry(profile)
+    rows = plate_fd.convergence_study(geom, pressure, counts)
     orders = plate_fd.observed_orders(rows)
 
     _echo(ctx, f"{'nodes':>6}  {'center deflection (m)':>22}  {'rel error':>10}")
@@ -254,13 +260,9 @@ def fit(ctx: click.Context, data: str, free_params: tuple[str, ...],
     writes its best point but exits nonzero.
     """
     cfg = ctx.obj["config"]
-    geom = _geometry(cfg, profile)
+    geom = cfg.geometry(profile)
     series = _read(data, calibration.MeasuredSeries.from_csv)
-    try:
-        result = calibration.fit_model(series, geom, list(free_params),
-                                       cfg.fit_bounds)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    result = calibration.fit_model(series, geom, list(free_params), cfg.fit_bounds)
 
     _write_json(output, dataclasses.asdict(result))
     fitted_geom, offset = calibration.apply_params(geom, result.params)
@@ -308,7 +310,7 @@ def servo(ctx: click.Context, pressures: tuple[float, ...],
     if data_path is not None and pressures:
         raise click.UsageError("give either pressures or --data, not both")
     cfg = ctx.obj["config"]
-    geom = _geometry(cfg, profile)
+    geom = cfg.geometry(profile)
 
     if data_path is not None:
         _, (column,) = _read(data_path, lambda text: calibration.csv_columns(
@@ -317,12 +319,7 @@ def servo(ctx: click.Context, pressures: tuple[float, ...],
     else:
         p_list = list(pressures)
 
-    try:
-        caps = capacitance.capacitances(geom, p_list)
-    except capacitance.SweepPointError as exc:
-        raise CheckFailure(f"P = {exc.pressure} Pa: {exc.cause}") from exc
-    except ValueError as exc:  # a negative or non-finite pressure
-        raise click.UsageError(str(exc)) from exc
+    caps = capacitance.capacitances(geom, p_list)
     _write_rows(output, "pressure_pa,capacitance_f,angle_deg",
                 ((p, c, servo_angle(cfg.servo, p))
                  for p, c in zip(p_list, caps.tolist())))
@@ -344,18 +341,12 @@ def modes(ctx: click.Context, data: str, output: str) -> None:
     """
     series = _read(data, calibration.MeasuredSeries.from_csv)
     if series.kind == "time":
-        try:
-            rise = calibration.rise_time(series)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
+        rise = calibration.rise_time(series)
         _write_json(output, {"rise_time_s": rise})
         _echo(ctx, f"rise time (s): {rise!r}")
         _echo(ctx, f"wrote {output}")
         return
-    try:
-        seg = calibration.segment_modes(series)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    seg = calibration.segment_modes(series)
     _write_json(output, dataclasses.asdict(seg))
     bounds = ", ".join(f"{b!r}" for b in seg.boundaries)
     _echo(ctx, f"boundaries (Pa): {bounds}")

@@ -102,6 +102,22 @@ class TestMeasuredSeries:
         with pytest.raises(ValueError):
             MeasuredSeries(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("x,c,kind,message", [
+        ([0.0, 1.0], [1e-12], "pressure", "lengths differ"),
+        ([0.0, 1.0], [1e-12, math.nan], "pressure",
+         r"capacitance\[1\] must be finite, got nan"),
+        ([0.0, math.inf], [1e-12, 2e-12], "time", r"abscissa\[1\] must be finite, got inf"),
+        ([0.0, 1.0], [-1e308, 2e-12], "time",
+         r"capacitance\[0\] must be at most 1e\+150 in magnitude, got -1e\+308"),
+        ([0.0, 1e151], [1e-12, 2e-12], "pressure",
+         r"abscissa\[1\] must be at most 1e\+150 in magnitude, got 1e\+151"),
+        ([0.0, 1.0], [1e-12, 2e-12], "volts", "kind must be 'pressure' or 'time'"),
+    ], ids=["lengths", "nan_capacitance", "inf_abscissa", "huge_capacitance",
+            "huge_abscissa", "kind"])
+    def test_rejects_bad_columns(self, x, c, kind, message):
+        with pytest.raises(ValueError, match=message):
+            MeasuredSeries(np.array(x), np.array(c), kind=kind)
+
     @pytest.mark.parametrize("row", ["nan,7e-12", "1000.0,inf"])
     def test_non_finite_sample(self, row):
         text = f"pressure_pa,capacitance_f\n0.0,7e-12\n{row}\n"
@@ -284,6 +300,17 @@ class TestFitModel:
         with pytest.raises(ValueError, match="bounds"):
             cal.fit_model(data, default_geometry, ["gap"], {})
 
+    @pytest.mark.parametrize("n,bounds,message", [
+        (3, {"gap": (1e-4, 1e-3)}, "need at least 4 samples"),
+        (4, {"gap": (math.nan, 1e-3)}, "bounds for 'gap' must be finite with lo < hi"),
+        (4, {"gap": (1e-4, math.inf)}, "bounds for 'gap' must be finite with lo < hi"),
+        (4, {"gap": (1e-3, 1e-3)}, "bounds for 'gap' must be finite with lo < hi"),
+    ], ids=["three_samples", "nan_bound", "inf_bound", "empty_range"])
+    def test_rejects_bad_input(self, default_geometry, n, bounds, message):
+        data = MeasuredSeries(np.linspace(1.0, 4.0, n), np.full(n, 1e-12))
+        with pytest.raises(ValueError, match=message):
+            cal.fit_model(data, default_geometry, ["gap"], bounds)
+
     def test_rejects_time_data(self, default_geometry, config):
         data = MeasuredSeries(np.linspace(0.0, 1.0, 5), np.full(5, 1e-12),
                               kind="time")
@@ -442,6 +469,15 @@ class TestSegmentModes:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             cal.segment_modes(MeasuredSeries(np.arange(5.0), np.arange(5.0)))
+
+    @pytest.mark.parametrize("n,kind,message", [
+        (11, "pressure", "need at least 12 samples"),
+        (20, "time", "segment_modes needs pressure-capacitance data"),
+    ], ids=["eleven_samples", "time_data"])
+    def test_rejects_series(self, n, kind, message):
+        with pytest.raises(ValueError, match=message):
+            cal.segment_modes(MeasuredSeries(np.arange(float(n)), np.arange(float(n)),
+                                             kind=kind))
 
     def test_too_many_samples_rejected_before_allocating(self, monkeypatch):
         def no_tables(*args):
@@ -731,6 +767,20 @@ class TestRiseTime:
         data = first_order_step(tau, fs=100e3)
         assert cal.rise_time(data) == pytest.approx(tau * math.log(9.0),
                                                     rel=0.01)
+
+    @pytest.mark.parametrize("snr", [20.0, 10.0])
+    def test_noise_before_step_ignored(self, snr):
+        # At these amplitude/noise ratios most records hold a sample above
+        # the 10% level before the step; the 10% crossing is the one just
+        # before the 90% crossing, not that sample.
+        tau = 7.2e-3
+        step = first_order_step(tau)
+        noise = (0.36e-12 / snr) * np.random.default_rng(2024).standard_normal(
+            (200, len(step)))
+        rises = np.array([cal.rise_time(MeasuredSeries(
+            step.abscissa, step.capacitance + row, kind="time")) for row in noise])
+        true = tau * math.log(9.0)
+        assert np.all((rises > true / 4) & (rises < 2 * true))
 
     def test_flat_series_rejected(self):
         t = np.linspace(0.0, 1.0, 100)

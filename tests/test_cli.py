@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import touchcap
 from touchcap import calibration, capacitance, plate_fd
@@ -147,6 +148,26 @@ class TestSweep:
         assert out.stat().st_mode & 0o777 == mode
         assert (tmp_path / "sweep.json").stat().st_mode & 0o777 == mode
 
+    @pytest.mark.parametrize("args,message", [
+        (["--p-start", 5, "--p-end", 5], "need --p-start < --p-end"),
+        (["--p-start", -1], "--p-start must be >= 0"),
+    ], ids=["empty_range", "negative_start"])
+    def test_bad_range_usage_error(self, runner, tmp_path, args, message):
+        result = run(runner, "sweep", *args, "--output", tmp_path / "x.csv")
+        assert result.exit_code == 2
+        assert message in result.output
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_directory_io_error(self, runner, tmp_path):
+        out = tmp_path / "out.csv"
+        out.mkdir()
+        result = run(runner, "sweep", "--steps", 3, "--p-end", 2000, "--output", out)
+        assert result.exit_code == 3
+        assert f"cannot write {out}" in result.output
+        # The temp file is removed, and no sidecar is written.
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert list(out.iterdir()) == []
+
     def test_point_outside_model_fails_check(self, runner, tmp_path):
         # The airgap profile has no dielectric: contact has no capacitance.
         result = run(runner, "sweep", "--profile", "airgap",
@@ -219,6 +240,15 @@ class TestValidate:
         assert message in result.output
         assert "PASS" not in result.output
 
+    def test_ladder_reaching_6401_nodes_fails(self, runner):
+        # Past 1601 nodes roundoff distorts the observed order (README); on
+        # x86-64 with numpy 2.4 the order 3201->6401 is -2.423.
+        result = run(runner, "validate", "--nodes", 3201, "--nodes", 6401)
+        assert result.exit_code == 1
+        assert re.search(r"validation failed: convergence order -?\d+\.\d{3} < 1\.8\n",
+                         result.output), result.output
+        assert "PASS" not in result.output
+
     def test_ladder_ignores_config_grid_nodes(self, runner, tmp_path):
         # A grid_nodes key in an older config does not set the ladder.
         doc = json.loads(resources.files("touchcap.data")
@@ -287,6 +317,17 @@ class TestFit:
         assert "dielectric" in result.output
         assert not (tmp_path / "fit.json").exists()
 
+    def test_iteration_cap_fails_check_after_writing(self, runner, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(calibration, "MAX_FIT_ITERATIONS", 1)
+        out = tmp_path / "fit.json"
+        result = run(runner, "fit", FIXTURE, "--output", out)
+        assert result.exit_code == 1
+        assert (f"fit did not converge after 1 iterations; best-so-far written "
+                f"to {out}") in result.output
+        assert json.loads(out.read_text())["converged"] is False
+        assert len((tmp_path / "fit.residuals.csv").read_text().splitlines()) == 29
+
     def test_airgap_fits_dielectric_thickness(self, runner, tmp_path):
         out = tmp_path / "fit.json"
         result = run(runner, "fit", FIXTURE, "--profile", "airgap",
@@ -322,6 +363,14 @@ class TestServo:
 
     def test_requires_some_input(self, runner):
         assert run(runner, "servo").exit_code == 2
+
+    def test_pressures_and_data_usage_error(self, runner, tmp_path):
+        out = tmp_path / "servo.csv"
+        result = run(runner, "servo", 1000, "--data", GOLDEN / "default.csv",
+                     "--output", out)
+        assert result.exit_code == 2
+        assert "give either pressures or --data, not both" in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_argument_usage_error(self, runner, tmp_path, value):
@@ -551,6 +600,89 @@ def test_extreme_profile_number(runner, tmp_path, monkeypatch, path, value, comm
         assert result.exit_code == 3
         assert "invalid config: profiles.default: the " in result.output
         assert path[-1] in result.output
+
+
+# Per command, one library call it lets raise, and an invocation that
+# reaches it.
+LIBRARY_CALLS = {
+    "sweep": (capacitance, "sweep_cp_curve", ["sweep", "--output", "x.csv"]),
+    "validate": (plate_fd, "convergence_study", ["validate"]),
+    "fit": (calibration, "fit_model", ["fit", FIXTURE, "--output", "fit.json"]),
+    "servo": (capacitance, "capacitances", ["servo", 1000, "--output", "servo.csv"]),
+    "modes": (calibration, "segment_modes", ["modes", FIXTURE, "--output", "modes.json"]),
+}
+
+
+@pytest.mark.parametrize("command", list(LIBRARY_CALLS))
+@pytest.mark.parametrize("error,code", [
+    (capacitance.SweepPointError(3, 4000.0, ValueError("no value")), 1),
+    (ValueError("bad input"), 2),
+], ids=["point_error", "value_error"])
+def test_library_error_exit_code(runner, tmp_path, monkeypatch, command, error, code):
+    # A point without a model value is a failure; any other ValueError is
+    # a usage error with the command's usage line.
+    module, name, args = LIBRARY_CALLS[command]
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(module, name, fail)
+    monkeypatch.chdir(tmp_path)
+    result = run(runner, *args)
+    assert result.exit_code == code
+    assert f"Error: {error}\n" in result.output
+    assert (f"Usage: main {command} " in result.output) == (code == 2)
+    assert list(tmp_path.iterdir()) == []
+
+
+# Cells and headers that have broken CSV readers: non-finite and extreme
+# numbers, subnormals, empty cells, NUL, Arabic-Indic digits (which
+# float() reads), text, wrong or missing columns and a byte-order mark.
+CSV_TOKENS = ["nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "1e-300", "-1", "0",
+              "", " ", "\x00", "\u0661\u0662\u0663", "abc", "1,2"]
+CSV_HEADERS = ["pressure_pa,capacitance_f", "time_s,capacitance_f",
+               "capacitance_f,pressure_pa", "pressure_pa", "volts,amps",
+               "\ufeffpressure_pa,capacitance_f", ""]
+CSV_COMMANDS = {
+    "modes": ["modes", "in.csv", "--output", "modes.json"],
+    "fit": ["fit", "in.csv", "--output", "fit.json"],
+    "servo": ["servo", "--data", "in.csv", "--output", "servo.csv"],
+}
+
+
+@st.composite
+def measured_csvs(draw) -> str:
+    """A headed two-column CSV of a smooth or flat curve on an evenly
+    spaced abscissa, with up to three cells replaced by tokens."""
+    n = draw(st.integers(0, 30))
+    step = draw(st.sampled_from([1e3, 1e-3, 1e-300, 1e300, 5e-324]))
+    curve = draw(st.sampled_from([1e-16, 0.0]))
+    rows = [[repr(step * i), repr(5e-12 + curve * i * i)] for i in range(n)]
+    for i, j, token in draw(st.lists(st.tuples(st.integers(0, 29), st.integers(0, 2),
+                                               st.sampled_from(CSV_TOKENS)), max_size=3)):
+        if i < n:
+            rows[i][j:j + 1] = [token]
+    header = draw(st.sampled_from(CSV_HEADERS))
+    return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
+
+
+@pytest.mark.parametrize("command", list(CSV_COMMANDS))
+@settings(max_examples=40, deadline=None)
+@given(text=measured_csvs())
+def test_generated_csv_exit_code(command, text):
+    """Any drawn CSV ends in a documented exit code, never in a traceback,
+    and a run that succeeds writes no NaN or infinity."""
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("in.csv").write_bytes(text.encode())
+        result = run(runner, *CSV_COMMANDS[command])
+        assert isinstance(result.exception, (SystemExit, type(None))), result.exc_info
+        assert result.exit_code in (0, 1, 2, 3), result.output
+        if result.exit_code == 0:
+            assert not NON_FINITE.search(result.output)
+            for out in Path().iterdir():
+                if out.name != "in.csv":
+                    assert not NON_FINITE.search(out.read_text()), out.name
 
 
 @pytest.mark.parametrize("args,stdout,files", [

@@ -178,9 +178,12 @@ class TestParseConfig:
          "profiles.default: radius_m is too large for a float: an integer of 401 digits"),
         (("solver", "fit_bounds", "gap"), [1e-4, 10**400],
          "solver.fit_bounds.gap is too large for a float: an integer of 401 digits"),
+        (("profiles", "default", "layers", 0), {"name": "PI", "youngs_modulus_pa": 2.5e9},
+         "profiles.default: missing layer field 'poisson_ratio'"),
     ], ids=["null_radius", "null_threshold", "one_bound", "null_bound", "solver_list",
             "layers_number", "profile_number", "bool_radius", "string_gap",
-            "text_radius", "nan_bound", "inverted_bounds", "huge_radius", "huge_bound"])
+            "text_radius", "nan_bound", "inverted_bounds", "huge_radius", "huge_bound",
+            "layer_field"])
     def test_malformed_value_named(self, path, value, message):
         doc = self.minimal()
         doc["solver"] = {"fit_bounds": {}}

@@ -307,12 +307,33 @@ class TestGeometryValidation:
             DeviceGeometry(radius=0.01, laminate=default_laminate, gap=400e-6,
                            builtin_stress=-1e6)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("radius", 0.0, "radius must be > 0"),
+        ("gap", -1e-6, "gap must be > 0"),
+        ("dielectric_thickness", -1e-9, "dielectric_thickness must be >= 0"),
+        ("dielectric_rel_permittivity", 0.0, "relative permittivities must be > 0"),
+        ("medium_rel_permittivity", -1.0, "relative permittivities must be > 0"),
+    ])
+    def test_rejects_out_of_range(self, default_geometry, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            replace(default_geometry, **{field: value})
+
     @given(st.sampled_from(["radius", "gap", "builtin_stress", "dielectric_thickness",
                             "dielectric_rel_permittivity", "medium_rel_permittivity"]),
            NON_FINITE)
     def test_rejects_non_finite(self, default_geometry, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be finite, got {bad}"):
             replace(default_geometry, **{field: bad})
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda g: mechanics.DeflectionState(1e3, -1e-9), "center_deflection must be >= 0"),
+    (lambda g: mechanics.DeflectionState(1e3, 1e-6, -1e-9), "contact_radius must be >= 0"),
+    (lambda g: mechanics.pressure_for_center_deflection(g, -1e-9), "w0 must be >= 0"),
+], ids=["center_deflection", "contact_radius", "inverse_w0"])
+def test_rejects_negative_value(default_geometry, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(default_geometry)
 
 
 @given(NON_FINITE, st.lists(st.floats(0.0, 60e3), max_size=6), st.integers(0, 6))
