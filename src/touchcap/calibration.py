@@ -62,6 +62,10 @@ FIT_DAMPING_START = 1e-3
 # then stay below 4e300, so sums of them over up to 1e7 samples (a fit's
 # SSE, a segment's, a baseline's variance) stay in float range.
 MAX_SAMPLE_MAGNITUDE = 1e150
+# Largest residual magnitude a fit point may have.  A Jacobian entry, the
+# difference of two residuals over FIT_JACOBIAN_STEP, then stays below
+# 2e147, so its squares summed over up to 1e7 samples stay in float range.
+MAX_FIT_RESIDUAL = 1e140
 # Fractions of the step amplitude between which rise_time is measured.
 RISE_LOW = 0.1
 RISE_HIGH = 0.9
@@ -170,21 +174,19 @@ class ModeSegmentation:
     low_confidence: bool = False
 
 
-def apply_params(geom: DeviceGeometry, params: dict[str, float]) -> tuple[DeviceGeometry, float]:
-    """Geometry with fit parameters (``FIT_PARAM_NAMES`` only) applied;
-    returns (geometry, offset)."""
-    offset = params.get("parasitic_offset", 0.0)
+# The forward model, bound here so that a fit's evaluations go through one name.
+model_capacitances = cap.capacitances
+
+
+def fitted_capacitances(geom: DeviceGeometry, params: dict[str, float],
+                        pressures: np.ndarray) -> np.ndarray:
+    """``model_capacitances`` of ``geom`` with the geometry fields of
+    ``params`` (``FIT_PARAM_NAMES`` only) replaced, plus its
+    parasitic_offset (0 when absent).  ``fit_model`` scores its residuals
+    and ``cli fit`` writes its residual CSV through this one function."""
     fields = {k: v for k, v in params.items() if k != "parasitic_offset"}
-    return replace(geom, **fields), offset
-
-
-def model_capacitances(geom: DeviceGeometry, pressures: np.ndarray) -> np.ndarray:
-    """Forward-model capacitance at each pressure, in one array evaluation.
-
-    Raises ValueError for a negative or non-finite pressure and
-    SweepPointError for the first pressure where the model has no value.
-    """
-    return cap.capacitances(geom, pressures)
+    return (model_capacitances(replace(geom, **fields), pressures)
+            + params.get("parasitic_offset", 0.0))
 
 
 def fit_model(data: MeasuredSeries, geom0: DeviceGeometry,
@@ -210,10 +212,10 @@ def fit_model(data: MeasuredSeries, geom0: DeviceGeometry,
     inputs give identical results.
 
     A trial point where the model has no value (a ValueError, such as the
-    SweepPointError of contact without a dielectric) is rejected, and a
-    Jacobian column without one steps the other way; any other error
-    propagates.  Raises ValueError, naming the pressure, if the model has
-    no value at the starting point.
+    SweepPointError of contact without a dielectric) or a residual exceeds
+    ``MAX_FIT_RESIDUAL`` is rejected, and a Jacobian column at such a point
+    steps the other way; any other error propagates.  Raises ValueError,
+    naming the pressure, if the starting point is such a point.
     """
     if data.kind != "pressure":
         raise ValueError("fit_model needs pressure-capacitance data")
@@ -227,8 +229,9 @@ def fit_model(data: MeasuredSeries, geom0: DeviceGeometry,
         if name not in bounds:
             raise ValueError(f"missing bounds for {name!r}")
         lo, hi = bounds[name]
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ValueError(f"bounds for {name!r} must be finite with lo < hi")
+        if not (lo < hi and math.isfinite(float(hi) - float(lo))):  # false for NaN too
+            raise ValueError(f"bounds for {name!r} must be finite with lo < hi "
+                             f"and hi - lo in float range")
 
     lo = np.array([bounds[n][0] for n in free_params], dtype=float)
     hi = np.array([bounds[n][1] for n in free_params], dtype=float)
@@ -241,8 +244,12 @@ def fit_model(data: MeasuredSeries, geom0: DeviceGeometry,
         return dict(zip(free_params, (lo * (1.0 - z) + hi * z).tolist()))
 
     def residuals(z: np.ndarray) -> np.ndarray:
-        geom, offset = apply_params(geom0, params_at(z))
-        return model_capacitances(geom, data.abscissa) + offset - data.capacitance
+        r = fitted_capacitances(geom0, params_at(z), data.abscissa) - data.capacitance
+        if not np.abs(r).max() <= MAX_FIT_RESIDUAL:  # false for NaN too
+            i = int(np.argmin(np.abs(r) <= MAX_FIT_RESIDUAL))
+            raise ValueError(f"the fit's residual at P = {data.abscissa[i]} Pa "
+                             f"is {r[i]} F, beyond {MAX_FIT_RESIDUAL:g} F")
+        return r
 
     def trial(z: np.ndarray) -> np.ndarray | None:
         try:
@@ -493,6 +500,12 @@ def segment_modes(data: MeasuredSeries) -> ModeSegmentation:
     time is O(n^2) for the tables and first-knot lower bounds plus O(n^2)
     per first knot scored.  Deterministic by construction.
 
+    The winning knots are re-solved on the unscaled pressures for the
+    reported slopes, R^2 and SSE.  Where lstsq's cutoff drops a column of
+    that re-solve, the fit is not determined and a ValueError names the
+    pressure span: for 20 samples, at a span of 2e-13 Pa or less and of
+    2e14 Pa or more, while spans from 2e-12 to 2e13 Pa are resolved.
+
     The knots mark the SSE-optimal slope changes.  They coincide with
     operating-mode boundaries only where the curve changes slope there;
     the points of a sweep are labelled by ``mechanics.mode_labels``.
@@ -515,7 +528,10 @@ def segment_modes(data: MeasuredSeries) -> ModeSegmentation:
     i, j, k = _best_knots(q / q[-1], (c - float(np.mean(c))) / float(np.ptp(c)))
     # Re-solve the winning triple unscaled for exact reporting.
     design = _piecewise_design(q, q[i], q[j], q[k])
-    coef, _, _, _ = np.linalg.lstsq(design, c, rcond=None)
+    coef, _, rank, _ = np.linalg.lstsq(design, c, rcond=None)
+    if rank < 5:
+        raise ValueError(f"the 4-piece fit cannot be determined on a pressure span "
+                         f"of {q[-1]:g} Pa: its re-solve has rank {rank} of 5")
     fitted = design @ coef
     sse = float(np.sum((fitted - c) ** 2))
     boundaries = (float(p[i]), float(p[j]), float(p[k]))
@@ -534,7 +550,13 @@ def segment_modes(data: MeasuredSeries) -> ModeSegmentation:
 
 def sensitivity_linearity(data: MeasuredSeries,
                           p_range: tuple[float, float]) -> tuple[float, float]:
-    """OLS slope (F/Pa) and R^2 over the samples inside ``p_range``."""
+    """OLS slope (F/Pa) and R^2 over the samples inside ``p_range``.
+
+    Raises ValueError for time-series data and for fewer than 3 samples
+    in range.
+    """
+    if data.kind != "pressure":
+        raise ValueError("sensitivity_linearity needs pressure-capacitance data")
     lo, hi = p_range
     mask = (data.abscissa >= lo) & (data.abscissa <= hi)
     if int(np.sum(mask)) < 3:

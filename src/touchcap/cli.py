@@ -265,8 +265,7 @@ def fit(ctx: click.Context, data: str, free_params: tuple[str, ...],
     result = calibration.fit_model(series, geom, list(free_params), cfg.fit_bounds)
 
     _write_json(output, dataclasses.asdict(result))
-    fitted_geom, offset = calibration.apply_params(geom, result.params)
-    model = calibration.model_capacitances(fitted_geom, series.abscissa) + offset
+    model = calibration.fitted_capacitances(geom, result.params, series.abscissa)
     residual_path = Path(output).with_suffix(".residuals.csv")
     _write_rows(residual_path, "pressure_pa,capacitance_f,model_f,residual_f",
                 zip(series.abscissa, series.capacitance, model,

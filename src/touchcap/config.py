@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -197,14 +198,18 @@ def _parse_geometry(doc, where: str) -> DeviceGeometry:
 
 def _parse_section(doc: dict, name: str, cls, keys):
     """The top-level section ``name`` read into ``cls``; a missing section
-    or key without a default is a ConfigError naming the key."""
+    or key without a default is a ConfigError naming the key, and a value
+    ``cls`` rejects one naming the JSON key of each field its message names."""
     section = _object(doc.get(name, {}), name)
     try:
         return cls(**_read(section, keys))
     except KeyError as exc:
         raise ConfigError(f"{name}: missing field {exc}") from None
     except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
+        aliases = [f"{field} is {key}" for field, key, _ in keys
+                   if field != key and re.search(rf"\b{field}\b", str(exc))]
+        hint = f" ({', '.join(aliases)})" if aliases else ""
+        raise ConfigError(f"{name}: {exc}{hint}") from None
 
 
 def parse_config(doc: dict) -> DeviceConfig:

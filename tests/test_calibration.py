@@ -45,9 +45,8 @@ def nelder_mead_fit(data, geom0, free_params, bounds):
 
     def rms(x):
         params = dict(zip(free_params, np.clip(x, lo, hi)))
-        geom, offset = cal.apply_params(geom0, params)
         try:
-            model = cal.model_capacitances(geom, data.abscissa) + offset
+            model = cal.fitted_capacitances(geom0, params, data.abscissa)
         except ValueError:
             return np.inf
         return float(np.sqrt(np.mean((model - data.capacitance) ** 2)))
@@ -219,6 +218,26 @@ class TestFitModel:
         assert result.params["gap"] == pytest.approx(want.params["gap"], rel=1e-9,
                                                      abs=0)
 
+    def test_start_with_huge_residual_rejected(self, bare_geometry, config):
+        # A medium permittivity of 1e300 puts the model near 7e284 F, whose
+        # squares overflow the fit's sum.
+        geom = replace(bare_geometry, medium_rel_permittivity=1e300)
+        p = np.linspace(0.0, 0.5, 6) * mechanics.touch_onset_pressure(bare_geometry)
+        data = MeasuredSeries(p, cal.model_capacitances(bare_geometry, p))
+        with pytest.raises(ValueError, match=r"the fit's residual at P = 0.0 Pa "
+                                             r"is \S+ F, beyond 1e\+140 F"):
+            cal.fit_model(data, geom, ["gap"], config.fit_bounds)
+
+    def test_trial_with_huge_residual_rejected(self, default_geometry):
+        # Every step of an offset bounded by +-1e300 leaves residuals past
+        # MAX_FIT_RESIDUAL; each is rejected, and the fit stays at the start.
+        p = np.linspace(500.0, 8e3, 8)
+        data = MeasuredSeries(p, cal.model_capacitances(default_geometry, p))
+        result = cal.fit_model(data, default_geometry, ["parasitic_offset"],
+                               {"parasitic_offset": (-1e300, 1e300)})
+        assert result.converged
+        assert result.params == {"parasitic_offset": 0.0}
+
     def test_model_capacitances_reports_point(self, bare_geometry):
         p_on = mechanics.touch_onset_pressure(bare_geometry)
         with pytest.raises(cap.SweepPointError) as err:
@@ -305,7 +324,9 @@ class TestFitModel:
         (4, {"gap": (math.nan, 1e-3)}, "bounds for 'gap' must be finite with lo < hi"),
         (4, {"gap": (1e-4, math.inf)}, "bounds for 'gap' must be finite with lo < hi"),
         (4, {"gap": (1e-3, 1e-3)}, "bounds for 'gap' must be finite with lo < hi"),
-    ], ids=["three_samples", "nan_bound", "inf_bound", "empty_range"])
+        (4, {"gap": (-1e308, 1e308)}, "bounds for 'gap' must be finite with lo < hi "
+                                      "and hi - lo in float range"),
+    ], ids=["three_samples", "nan_bound", "inf_bound", "empty_range", "overflowing_range"])
     def test_rejects_bad_input(self, default_geometry, n, bounds, message):
         data = MeasuredSeries(np.linspace(1.0, 4.0, n), np.full(n, 1e-12))
         with pytest.raises(ValueError, match=message):
@@ -479,6 +500,21 @@ class TestSegmentModes:
             cal.segment_modes(MeasuredSeries(np.arange(float(n)), np.arange(float(n)),
                                              kind=kind))
 
+    @pytest.mark.parametrize("scale", [1e-16, 1e-14, 1e13, 1e100])
+    def test_rejects_pressure_span_outside_window(self, scale):
+        # The unscaled re-solve of the winning knots drops columns under
+        # lstsq's cutoff: a rank below 5 is an error, not slopes of 0 and
+        # R^2 far below 0.
+        with pytest.raises(ValueError, match=r"pressure span of \S+ Pa: "
+                                             r"its re-solve has rank [1-4] of 5"):
+            cal.segment_modes(quadratic_series(scale))
+
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e12])
+    def test_resolves_pressure_span_inside_window(self, scale):
+        seg = cal.segment_modes(quadratic_series(scale))
+        assert all(math.isfinite(s) and s > 0.0 for s in seg.slopes)
+        assert all(r <= 1.0 for r in seg.r_squared)
+
     def test_too_many_samples_rejected_before_allocating(self, monkeypatch):
         def no_tables(*args):
             raise AssertionError("_knot_tables called")
@@ -493,6 +529,12 @@ class TestSegmentModes:
     def test_constant_data_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             cal.segment_modes(MeasuredSeries(np.arange(15.0), np.full(15, 2e-12)))
+
+
+def quadratic_series(scale):
+    """20 samples at pressures i * scale with capacitances 5e-12 + 1e-16 i^2."""
+    i = np.arange(20.0)
+    return MeasuredSeries(i * scale, 5e-12 + 1e-16 * i**2)
 
 
 def near_coincident_series(n, seed, q, separation=None):
@@ -735,6 +777,14 @@ class TestSensitivityLinearity:
         data = MeasuredSeries(p, 5e-12 + 3e-16 * p)
         with pytest.raises(ValueError):
             cal.sensitivity_linearity(data, (49e3, 50e3))
+
+    def test_time_series_rejected(self):
+        # A slope over time is F/s, not a sensitivity in F/Pa.
+        t = np.linspace(10e3, 40e3, 10)
+        data = MeasuredSeries(t, 5e-12 + 2e-16 * t, kind="time")
+        with pytest.raises(ValueError, match="sensitivity_linearity needs "
+                                             "pressure-capacitance data"):
+            cal.sensitivity_linearity(data, (10e3, 40e3))
 
     @given(st.floats(0.1, 10.0))
     @settings(max_examples=20)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import touchcap
 from touchcap import calibration, capacitance, plate_fd
@@ -29,6 +29,9 @@ STEP_CSV = "time_s,capacitance_f\n" + "".join(
     f"{t!r},{5e-12 + 1e-12 * min(max(t - 1.0, 0.0), 1.0)!r}\n"
     for t in (i / 100 for i in range(401)))
 
+# 20 samples of a convex curve on pressures 1e-300 Pa apart.
+TINY_SPAN_CSV = "pressure_pa,capacitance_f\n" + "".join(
+    f"{i * 1e-300!r},{5e-12 + 1e-16 * i * i!r}\n" for i in range(20))
 
 @pytest.fixture
 def runner():
@@ -291,6 +294,16 @@ class TestFit:
         assert (f"segmentation skipped: segmentation takes at most {n - 1} "
                 f"samples, got {n}\n") in result.output
 
+    def test_tiny_pressure_span_skips_segmentation(self, runner, tmp_path):
+        data = tmp_path / "tiny.csv"
+        data.write_text(TINY_SPAN_CSV)
+        out = tmp_path / "fit.json"
+        result = run(runner, "fit", data, "--output", out)
+        assert result.exit_code == 0, result.output
+        assert "segmentation skipped: the 4-piece fit cannot be determined" in result.output
+        assert out.exists()
+        assert len((tmp_path / "fit.residuals.csv").read_text().splitlines()) == 21
+
     def test_malformed_csv_names_line(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("pressure_pa,capacitance_f\n0.0,7e-12\nhello,1\n")
@@ -455,6 +468,17 @@ class TestModes:
         result = run(runner, "modes", data, "--output", tmp_path / "modes.json")
         assert result.exit_code == 0, result.output
         assert calls == [calibration.MIN_GAP]
+
+    def test_tiny_pressure_span_usage_error(self, runner, tmp_path):
+        # The knots of pressures 1e-300 apart cannot be re-solved unscaled.
+        data = tmp_path / "tiny.csv"
+        data.write_text(TINY_SPAN_CSV)
+        out = tmp_path / "modes.json"
+        result = run(runner, "modes", data, "--output", out)
+        assert result.exit_code == 2
+        assert "Usage: main modes " in result.output
+        assert "re-solve has rank" in result.output
+        assert not out.exists()
 
     def test_step_response_rise_time(self, runner, tmp_path):
         step = tmp_path / "step.csv"
@@ -683,6 +707,77 @@ def test_generated_csv_exit_code(command, text):
             for out in Path().iterdir():
                 if out.name != "in.csv":
                     assert not NON_FINITE.search(out.read_text()), out.name
+
+
+def bundled_config() -> dict:
+    return json.loads(resources.files("touchcap.data")
+                      .joinpath("default_device.json").read_text())
+
+
+def config_leaves(doc: dict) -> list[tuple]:
+    """Paths of the config's numeric leaves: each number of a profile and
+    of its layers, each threshold and servo endpoint, and each
+    solver.fit_bounds entry and either of its bounds."""
+    def numbers(path, node):
+        return [(*path, key) for key, value in node.items()
+                if isinstance(value, (int, float))]
+
+    paths = []
+    for name, profile in doc["profiles"].items():
+        paths += numbers(("profiles", name), profile)
+        for i, layer in enumerate(profile["layers"]):
+            paths += numbers(("profiles", name, "layers", i), layer)
+    paths += numbers(("thresholds",), doc["thresholds"]) + numbers(("servo",), doc["servo"])
+    for name in doc["solver"]["fit_bounds"]:
+        paths += [("solver", "fit_bounds", name, *end) for end in ((), (0,), (1,))]
+    return paths
+
+
+CONFIG_LEAVES = config_leaves(bundled_config())
+LEAF_VALUES = [1e-300, 1e300, 0, -1, True, "x", None, [], {}]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(CONFIG_LEAVES), st.sampled_from(LEAF_VALUES))
+@example(("profiles", "fem_scaled", "medium_rel_permittivity"), 1e300)
+@example(("servo", "pressure_min_pa"), 1e300)
+@example(("servo", "angle_max_deg"), 0)
+def test_config_leaf_exit_code(path, value):
+    """Each command, run on the bundled config with one leaf set to an
+    extreme, zero, negative or non-number value, ends in a documented
+    exit code, never in a traceback: 0 with no NaN or infinity written,
+    or 3 naming the leaf's key or its profile.  The examples once ended
+    otherwise: a fit whose model capacitance (6.95e284 F) overflowed its
+    sum of squares, and servo messages that named the dataclass fields
+    and not the JSON keys."""
+    doc = bundled_config()
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    profile = ("--profile", path[1]) if path[0] == "profiles" else ()
+    names = [step for step in path if isinstance(step, str)][-1:]
+    if profile:
+        names.append(f"profiles.{path[1]}")
+    commands = [("sweep", "--steps", 21, "--output", "sweep.csv", *profile),
+                ("validate", "--nodes", 21, "--nodes", 41, *profile),
+                ("servo", 0, 5e3, 25e3, 60e3, "--output", "servo.csv", *profile),
+                ("modes", FIXTURE, "--output", "modes.json"),
+                ("fit", FIXTURE, "--output", "fit.json", *profile)]
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("config.json").write_text(json.dumps(doc))
+        for command in commands:
+            result = run(runner, "--config", "config.json", *command)
+            assert isinstance(result.exception, (SystemExit, type(None))), result.exc_info
+            assert result.exit_code in (0, 1, 2, 3), result.output
+            if result.exit_code == 0:
+                assert not NON_FINITE.search(result.output), result.output
+                for out in Path().iterdir():
+                    if out.name != "config.json":
+                        assert not NON_FINITE.search(out.read_text()), out.name
+            elif result.exit_code == 3:
+                assert any(name in result.output for name in names), result.output
 
 
 @pytest.mark.parametrize("args,stdout,files", [

@@ -145,6 +145,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"{field} must be finite, got {bad}"):
             parse_config(json.loads(json.dumps(doc)))
 
+    def test_servo_error_names_json_keys(self):
+        doc = self.minimal()
+        doc["servo"] = {"pressure_min_pa": 1e300}
+        with pytest.raises(ConfigError, match=r"servo: p_min must be < p_max "
+                                              r"\(p_min is pressure_min_pa, "
+                                              r"p_max is pressure_max_pa\)"):
+            parse_config(doc)
+
     def test_bad_solver_settings(self):
         doc = self.minimal()
         doc["solver"] = {"fit_bounds": [[1e-4, 1e-3]]}
