@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import capacitance as cap
-from .materials import line_fit, r_squared
+from .materials import check_interval, line_fit, r_squared
 from .mechanics import DeviceGeometry
 
 # Geometry fields adjustable by the fitter, plus a constant parasitic offset.
@@ -218,9 +218,10 @@ def fit_model(data: MeasuredSeries, geom0: DeviceGeometry,
     naming the pressure, if the starting point is such a point.
     """
     if data.kind != "pressure":
-        raise ValueError("fit_model needs pressure-capacitance data")
+        raise ValueError(f"fit_model needs pressure-capacitance data, got "
+                         f"{len(data)} {data.kind} samples")
     if len(data) < 4:
-        raise ValueError("need at least 4 samples")
+        raise ValueError(f"need at least 4 samples, got {len(data)}")
     if not free_params:
         raise ValueError("free_params must be nonempty")
     for name in free_params:
@@ -229,9 +230,11 @@ def fit_model(data: MeasuredSeries, geom0: DeviceGeometry,
         if name not in bounds:
             raise ValueError(f"missing bounds for {name!r}")
         lo, hi = bounds[name]
-        if not (lo < hi and math.isfinite(float(hi) - float(lo))):  # false for NaN too
+        try:
+            check_interval(float(lo), float(hi), "lo", "hi")
+        except ValueError as exc:
             raise ValueError(f"bounds for {name!r} must be finite with lo < hi "
-                             f"and hi - lo in float range")
+                             f"and hi - lo in float range: {exc}") from None
 
     lo = np.array([bounds[n][0] for n in free_params], dtype=float)
     hi = np.array([bounds[n][1] for n in free_params], dtype=float)
@@ -511,15 +514,17 @@ def segment_modes(data: MeasuredSeries) -> ModeSegmentation:
     the points of a sweep are labelled by ``mechanics.mode_labels``.
     """
     if data.kind != "pressure":
-        raise ValueError("segment_modes needs pressure-capacitance data")
+        raise ValueError(f"segment_modes needs pressure-capacitance data, got "
+                         f"{len(data)} {data.kind} samples")
     n = len(data)
     if n < 12:
-        raise ValueError("need at least 12 samples")
+        raise ValueError(f"need at least 12 samples, got {n}")
     if n > MAX_SEGMENT_SAMPLES:
         raise ValueError(f"segmentation takes at most {MAX_SEGMENT_SAMPLES} "
                          f"samples, got {n}")
     if np.ptp(data.capacitance) == 0.0:
-        raise ValueError("degenerate data: capacitance is constant")
+        raise ValueError(f"degenerate data: capacitance is constant at "
+                         f"{float(data.capacitance[0])!r} F")
     # Normalize for conditioning; knot positions are unaffected.  Pressures
     # are shifted as well as scaled: the hinge space is shift-invariant, but
     # prefix sums of p^2 and the [1, p] columns of the re-solve are not.
@@ -531,7 +536,8 @@ def segment_modes(data: MeasuredSeries) -> ModeSegmentation:
     coef, _, rank, _ = np.linalg.lstsq(design, c, rcond=None)
     if rank < 5:
         raise ValueError(f"the 4-piece fit cannot be determined on a pressure span "
-                         f"of {q[-1]:g} Pa: its re-solve has rank {rank} of 5")
+                         f"of {q[-1]:g} Pa: its re-solve has rank {rank} of 5 "
+                         f"on {n} samples")
     fitted = design @ coef
     sse = float(np.sum((fitted - c) ** 2))
     boundaries = (float(p[i]), float(p[j]), float(p[k]))
@@ -576,9 +582,10 @@ def rise_time(data: MeasuredSeries) -> float:
     amplitude is below 5x the baseline noise.
     """
     if data.kind != "time":
-        raise ValueError("rise_time needs time-capacitance data")
+        raise ValueError(f"rise_time needs time-capacitance data, got "
+                         f"{len(data)} {data.kind} samples")
     if len(data) < 2:
-        raise ValueError("need at least 2 samples")
+        raise ValueError(f"need at least 2 samples, got {len(data)}")
     t, c = data.abscissa, data.capacitance
     n = len(c)
     head = max(1, n // 10)
@@ -587,7 +594,9 @@ def rise_time(data: MeasuredSeries) -> float:
     amplitude = plateau - baseline
     noise = float(np.std(c[:head]))
     if amplitude <= 5.0 * noise or amplitude <= 0.0:
-        raise ValueError("no detectable step")
+        raise ValueError(f"no detectable step in {n} samples: the amplitude "
+                         f"{amplitude!r} F is not above 5x the baseline noise "
+                         f"{noise!r} F")
 
     def crossing(idx: int, level: float) -> float:
         # The level is crossed between samples idx - 1 and idx.

@@ -21,27 +21,26 @@ these values are a calibration to them, not a derivation.
 The ``thresholds`` block and its three keys are required: no fraction is
 generic, so a config that leaves one out is a ConfigError naming the key.
 
-Every numeric value must be a JSON number.  One key table per section maps
-JSON keys to dataclass fields both ways, so a sweep sidecar's ``geometry``
-and ``thresholds`` blocks (``geometry_doc``, ``thresholds_doc``) load back
-as a profile and a ``thresholds`` section; ``DeviceGeometry`` owns the
-profile defaults.
+Every numeric value must be a JSON number.  The module's one job is
+mapping JSON keys to dataclass fields: one key table per section maps them
+both ways, so a sweep sidecar's ``geometry`` and ``thresholds`` blocks
+(``geometry_doc``, ``thresholds_doc``) load back as a profile and a
+``thresholds`` section.  The dataclasses own the defaults and every check
+of a value, ``DeviceGeometry``'s derived quantities included; a message
+that names a renamed field gets that field's JSON key appended, so a
+ConfigError always names the keys to change.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
-from .materials import Laminate, MaterialLayer
-from .mechanics import (DeviceGeometry, ModeThresholds, base_capacitance,
-                        cubic_coefficients, linear_center_deflection)
+from .materials import Laminate, MaterialLayer, check_interval
+from .mechanics import DeviceGeometry, ModeThresholds
 from .servo import ServoMap
 
 DEFAULT_CONFIG_RESOURCE = "default_device.json"
@@ -138,38 +137,13 @@ def thresholds_doc(thresholds: ModeThresholds) -> dict:
     return _write(thresholds, _THRESHOLD_KEYS)
 
 
-# Quantities the model derives from a profile, each with the keys it is
-# computed from.  Each must be finite and > 0; without the check, a radius
-# or a layer thickness of 1e300 loads, and a command then fails with an
-# OverflowError or a NaN.  (The travel needs no check: DeviceGeometry
-# already requires gap > dielectric_thickness >= 0, both finite.)
-_LAYER_FIELDS = "the layers' youngs_modulus_pa, poisson_ratio and thickness_m"
-_DERIVED = (
-    ("flexural rigidity D", _LAYER_FIELDS, lambda g: g.flexural_rigidity),
-    ("stress term c1 = 1 + sigma h R^2 / (16 D)",
-     f"builtin_stress_pa, radius_m and {_LAYER_FIELDS}",
-     lambda g: cubic_coefficients(g)[0]),
-    ("cubic term c3 = K / h^2", "the layers' thickness_m",
-     lambda g: cubic_coefficients(g)[1]),
-    ("load term R^4 / (64 D)", f"radius_m and {_LAYER_FIELDS}",
-     lambda g: linear_center_deflection(g, 1.0)),
-    ("rest capacitance C0", "radius_m, gap_m, dielectric_thickness_m, "
-     "dielectric_rel_permittivity and medium_rel_permittivity", base_capacitance),
-)
-
-
-def _check_derived(geom: DeviceGeometry, where: str) -> None:
-    """ConfigError naming the profile, the first derived quantity of
-    ``geom`` that is not finite and > 0, and the keys it comes from."""
-    for name, keys, value in _DERIVED:
-        try:
-            with np.errstate(all="ignore"):
-                v = value(geom)
-        except ArithmeticError:  # a Python float overflow or division by 0
-            v = math.inf
-        if not 0.0 < v < math.inf:  # false for NaN too
-            raise ConfigError(f"{where}: the {name} is {v}, not finite and > 0; "
-                              f"check {keys}")
+def _hinted(exc: ValueError, keys) -> str:
+    """The message of ``exc`` with the JSON key of each renamed field it
+    names appended: ``p_min must be < p_max (p_min is pressure_min_pa,
+    p_max is pressure_max_pa)``."""
+    aliases = [f"{field} is {key}" for field, key, _ in keys
+               if field != key and re.search(rf"\b{field}\b", str(exc))]
+    return f"{exc} ({', '.join(aliases)})" if aliases else str(exc)
 
 
 def _parse_layer(doc) -> MaterialLayer:
@@ -185,15 +159,13 @@ def _parse_geometry(doc, where: str) -> DeviceGeometry:
     try:
         if not isinstance(doc["layers"], list):
             raise ConfigError(f"layers must be a list, got {doc['layers']!r}")
-        geom = DeviceGeometry(
+        return DeviceGeometry(
             **_read(doc, _PROFILE_KEYS),
             laminate=Laminate(tuple(_parse_layer(l) for l in doc["layers"])))
     except KeyError as exc:
         raise ConfigError(f"{where}: missing field {exc}") from None
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    _check_derived(geom, where)
-    return geom
+        raise ConfigError(f"{where}: {_hinted(exc, _PROFILE_KEYS + _LAYER_KEYS)}") from None
 
 
 def _parse_section(doc: dict, name: str, cls, keys):
@@ -206,10 +178,7 @@ def _parse_section(doc: dict, name: str, cls, keys):
     except KeyError as exc:
         raise ConfigError(f"{name}: missing field {exc}") from None
     except ValueError as exc:
-        aliases = [f"{field} is {key}" for field, key, _ in keys
-                   if field != key and re.search(rf"\b{field}\b", str(exc))]
-        hint = f" ({', '.join(aliases)})" if aliases else ""
-        raise ConfigError(f"{name}: {exc}{hint}") from None
+        raise ConfigError(f"{name}: {_hinted(exc, keys)}") from None
 
 
 def parse_config(doc: dict) -> DeviceConfig:
@@ -233,8 +202,11 @@ def parse_config(doc: dict) -> DeviceConfig:
                 and all(map(_is_number, pair))):
             raise ConfigError(f"{where} must be a [lo, hi] pair of numbers, got {pair!r}")
         lo, hi = (_float(v, where) for v in pair)
-        if not -math.inf < lo < hi < math.inf:  # false for NaN too
-            raise ConfigError(f"{where} must be finite with lo < hi, got [{lo}, {hi}]")
+        try:
+            check_interval(lo, hi, "lo", "hi")
+        except ValueError as exc:
+            raise ConfigError(f"{where} must be finite with lo < hi, got [{lo}, {hi}]: "
+                              f"{exc}") from None
         bounds[name] = (lo, hi)
     return DeviceConfig(profiles=profiles, thresholds=thresholds,
                         servo=servo, fit_bounds=bounds)

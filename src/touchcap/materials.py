@@ -3,7 +3,8 @@
 The diaphragm is a one- or two-layer laminate (e.g. aluminum-coated
 polyimide).  Bending stiffness is the per-layer stiffness integral about
 the modulus-weighted neutral plane.  The module also holds the package's
-generic numeric helpers: ``check_finite``, the one least-squares line
+generic numeric helpers: ``check_finite``, the one interval rule
+``check_interval``, the one least-squares line
 ``line_fit`` and the one R^2, ``r_squared``.
 """
 
@@ -22,6 +23,17 @@ def check_finite(obj: object, names: tuple[str, ...], where: str = "") -> None:
         value = getattr(obj, name)
         if not math.isfinite(value):
             raise ValueError(f"{where}{name} must be finite, got {value}")
+
+
+def check_interval(lo: float, hi: float, lo_name: str, hi_name: str) -> None:
+    """The one interval rule, for fit bounds and servo endpoints: lo < hi
+    with hi - lo finite, so both ends are finite too.  ValueError naming
+    whichever part fails."""
+    if not lo < hi:  # false for NaN too
+        raise ValueError(f"{lo_name} must be < {hi_name}")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"{hi_name} - {lo_name} must be in float range, "
+                         f"got {hi!r} - ({lo!r})")
 
 
 class LineFit(NamedTuple):

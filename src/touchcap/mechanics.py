@@ -6,6 +6,12 @@ classification into the four operating modes, and the electrical gap and
 rest capacitance of the undeflected stack.  Center deflection,
 contact radius and mode label are array-valued: a whole pressure sweep is
 one numpy evaluation.
+
+A ``DeviceGeometry`` checks its own derived quantities: the flexural
+rigidity D, the cubic's c1 and c3, the load term R^4 / (64 D) and the
+rest capacitance C0 must each be finite and > 0, so every geometry that
+constructs gives a finite center deflection at every pressure whose load
+term P R^4 / (64 D) is in float range.
 """
 
 from __future__ import annotations
@@ -62,6 +68,29 @@ class DeviceGeometry:
             raise ValueError("gap must exceed dielectric_thickness")
         if self.dielectric_rel_permittivity <= 0 or self.medium_rel_permittivity <= 0:
             raise ValueError("relative permittivities must be > 0")
+        # The model runs on these quantities, each with the fields it comes
+        # from; each must be finite and > 0.  (The travel needs no check:
+        # gap > dielectric_thickness >= 0, both finite.)
+        layers = "the layers' youngs_modulus, poisson_ratio and thickness"
+        for name, source, value in (
+                ("flexural rigidity D", layers, lambda: self.flexural_rigidity),
+                ("stress term c1 = 1 + sigma h R^2 / (16 D)",
+                 f"builtin_stress, radius and {layers}",
+                 lambda: cubic_coefficients(self)[0]),
+                ("cubic term c3 = K / h^2", "the layers' thickness",
+                 lambda: cubic_coefficients(self)[1]),
+                ("load term R^4 / (64 D)", f"radius and {layers}",
+                 lambda: self.radius**4 / (64.0 * self.flexural_rigidity)),
+                ("rest capacitance C0", "radius, gap, dielectric_thickness, "
+                 "dielectric_rel_permittivity and medium_rel_permittivity",
+                 lambda: base_capacitance(self))):
+            try:
+                v = value()
+            except ArithmeticError:  # a float overflow or division by 0
+                v = math.inf
+            if not 0.0 < v < math.inf:  # false for NaN too
+                raise ValueError(f"the {name} is {v}, not finite and > 0; "
+                                 f"check {source}")
 
     @property
     def thickness(self) -> float:
@@ -136,7 +165,7 @@ def checked_pressures(pressure: float | np.ndarray) -> np.ndarray:
         finite = np.isfinite(p)
         if not finite.all():
             raise ValueError(f"pressure must be finite, got {float(p[~finite][0])}")
-        raise ValueError("pressure must be >= 0")
+        raise ValueError(f"pressure must be >= 0, got {float(p[p < 0.0][0])!r}")
     return p
 
 
@@ -165,11 +194,25 @@ def cubic_coefficients(geom: DeviceGeometry) -> tuple[float, float]:
             STIFFENING_COEFF / geom.thickness**2)
 
 
+def _largest(values: float | np.ndarray) -> float:
+    """The largest of non-negative ``values``, 0 for none.  Each overflow
+    check below tests it alone: the steps it guards rise with their input,
+    so they overflow somewhere only if they do at the largest value."""
+    return float(np.maximum.reduce(values, axis=None, initial=0.0))
+
+
 def linear_center_deflection(geom: DeviceGeometry,
                              pressure: float | np.ndarray) -> float | np.ndarray:
     """Linear center deflection P R^4 / (64 D), the load term of the cubic;
-    pressures taken and checked as ``large_deflection_center`` takes them."""
-    q = checked_pressures(pressure) * geom.radius**4 / (64.0 * geom.flexural_rigidity)
+    pressures taken and checked as ``large_deflection_center`` takes them,
+    and a ValueError naming the first pressure whose load term overflows."""
+    p = checked_pressures(pressure)
+    r4, d64 = geom.radius**4, 64.0 * geom.flexural_rigidity
+    if not _largest(p) * r4 / d64 < math.inf:
+        top = next(x for x in np.ravel(p).tolist() if not x * r4 / d64 < math.inf)
+        raise ValueError(f"pressure {top!r} Pa is too large: its load term "
+                         f"P R^4 / (64 D) is beyond float range")
+    q = p * r4 / d64
     return float(q) if q.ndim == 0 else q
 
 
@@ -185,26 +228,47 @@ def large_deflection_center(geom: DeviceGeometry,
         W0 = 2 sqrt(p/3) sinh(asinh((3 s' / 2p) sqrt(3/p)) / 3)
 
     gives it without iteration and without cancellation at small loads.
-    One Newton step then removes the few-ulp rounding of sinh/asinh, which
-    capacitance near the gap amplifies by up to 1 / (1 - W0/d_e).
+    Where the asinh argument k overflows, asinh(k) = log 2k to double
+    precision, so it is taken in logs there.  One Newton step then removes
+    the few-ulp rounding of sinh/asinh, which capacitance near the gap
+    amplifies by up to 1 / (1 - W0/d_e).
     Takes a scalar (returns a float) or an array of pressures (returns an
-    array); raises ValueError for a negative or non-finite pressure.
+    array); raises ValueError for a negative or non-finite pressure, or
+    one whose load term q overflows.
     """
     q = linear_center_deflection(geom, pressure)
     c1, c3 = cubic_coefficients(geom)
     ratio = c1 / c3
-    w = 2.0 * math.sqrt(ratio / 3.0) * np.sinh(
-        np.arcsinh(1.5 * (q / c3) / ratio * math.sqrt(3.0 / ratio)) / 3.0)
+
+    def asinh_arg(q):
+        return 1.5 * (q / c3) / ratio * math.sqrt(3.0 / ratio)
+
+    if asinh_arg(_largest(q)) < math.inf:
+        a = np.arcsinh(asinh_arg(q))
+    else:
+        with np.errstate(over="ignore", divide="ignore"):  # log(0) where k is finite
+            k = asinh_arg(q)
+            a = np.where(k < math.inf, np.arcsinh(k),
+                         math.log(3.0) + np.log(q) - math.log(c3)
+                         - 1.5 * math.log(ratio) + 0.5 * math.log(3.0))
+    w = 2.0 * math.sqrt(ratio / 3.0) * np.sinh(a / 3.0)
     w = w - ((c3 * w * w + c1) * w - q) / (3.0 * c3 * w * w + c1)
     return float(w) if w.ndim == 0 else w
 
 
 def pressure_for_center_deflection(geom: DeviceGeometry, w0: float) -> float:
-    """Exact inverse of the large-deflection relation: P such that W0(P) = w0."""
+    """Exact inverse of the large-deflection relation: P such that W0(P) = w0;
+    ValueError where that pressure is beyond float range."""
     if w0 < 0:
         raise ValueError("w0 must be >= 0")
     c1, c3 = cubic_coefficients(geom)
-    return (c3 * w0**3 + c1 * w0) * 64.0 * geom.flexural_rigidity / geom.radius**4
+    try:
+        p = (c3 * w0**3 + c1 * w0) * 64.0 * geom.flexural_rigidity / geom.radius**4
+    except OverflowError:
+        p = math.inf
+    if not p < math.inf:
+        raise ValueError(f"the pressure for w0 = {w0!r} m is beyond float range")
+    return p
 
 
 def touch_onset_pressure(geom: DeviceGeometry) -> float:

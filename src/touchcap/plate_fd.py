@@ -158,12 +158,15 @@ def _derivatives(w: np.ndarray, dr: float) -> tuple[np.ndarray, np.ndarray]:
     return d1, d2
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked at the end
 def solve_plate(geom: DeviceGeometry, pressure: float, grid: RadialGrid) -> PlateSolution:
     """Solve the clamped plate at one pressure and recover stresses.
 
     Stresses are evaluated at each layer's surface farther from the neutral
     plane, and the worst layer's von Mises stress is reported per node.
     Built-in stress is not part of the operator (pure bending model).
+    Raises ValueError naming the pressure where the load, the deflection
+    or a stress is beyond float range.
     """
     pressure = float(checked_pressures(pressure))
     n = grid.node_count
@@ -193,8 +196,12 @@ def solve_plate(geom: DeviceGeometry, pressure: float, grid: RadialGrid) -> Plat
         offset = max(z[i] - e, z[i + 1] - e, key=abs)
         sr = stiff * (kappa_r + layer.poisson_ratio * kappa_t) * offset
         st = stiff * (kappa_t + layer.poisson_ratio * kappa_r) * offset
-        von_mises = np.maximum(von_mises, np.sqrt(sr**2 - sr * st + st**2))
+        # sqrt(sr^2 - sr st + st^2), with no square to overflow.
+        von_mises = np.maximum(von_mises, np.hypot(sr - 0.5 * st, math.sqrt(0.75) * st))
 
+    if not (np.isfinite(w).all() and np.isfinite(von_mises).all()):
+        raise ValueError(f"pressure {pressure!r} Pa is too large: the plate "
+                         f"solution is beyond float range")
     idx = int(np.argmax(von_mises))
     return PlateSolution(grid=grid, deflection=w, von_mises=von_mises,
                          max_von_mises=(float(von_mises[idx]), float(r[idx])))

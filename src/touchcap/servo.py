@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .materials import check_finite
+from .materials import check_finite, check_interval
 
 
 @dataclass(frozen=True)
@@ -18,10 +18,8 @@ class ServoMap:
 
     def __post_init__(self) -> None:
         check_finite(self, ("p_min", "p_max", "angle_min", "angle_max"))
-        if self.p_min >= self.p_max:
-            raise ValueError("p_min must be < p_max")
-        if self.angle_min >= self.angle_max:
-            raise ValueError("angle_min must be < angle_max")
+        check_interval(self.p_min, self.p_max, "p_min", "p_max")
+        check_interval(self.angle_min, self.angle_max, "angle_min", "angle_max")
 
 
 def servo_angle(servo_map: ServoMap, pressure: float) -> float:

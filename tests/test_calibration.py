@@ -326,7 +326,11 @@ class TestFitModel:
         (4, {"gap": (1e-3, 1e-3)}, "bounds for 'gap' must be finite with lo < hi"),
         (4, {"gap": (-1e308, 1e308)}, "bounds for 'gap' must be finite with lo < hi "
                                       "and hi - lo in float range"),
-    ], ids=["three_samples", "nan_bound", "inf_bound", "empty_range", "overflowing_range"])
+        (4, {"gap": (-1e308, 1e308)}, r"in float range: hi - lo must be in float range, "
+                                      r"got 1e\+308 - \(-1e\+308\)"),
+        (4, {"gap": (1e-3, 1e-4)}, "in float range: lo must be < hi"),
+    ], ids=["three_samples", "nan_bound", "inf_bound", "empty_range", "overflowing_range",
+            "overflowing_range_named", "inverted_range_named"])
     def test_rejects_bad_input(self, default_geometry, n, bounds, message):
         data = MeasuredSeries(np.linspace(1.0, 4.0, n), np.full(n, 1e-12))
         with pytest.raises(ValueError, match=message):

@@ -690,12 +690,33 @@ def measured_csvs(draw) -> str:
     return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
 
 
+def csv_causes(text: str) -> list[str]:
+    """What a usage error about a CSV may name as its cause: a line, the
+    number of samples, or the repr of a number in one of its cells."""
+    rows = [line for line in text.removeprefix("\ufeff").splitlines() if line.strip()][1:]
+    causes = ["line ", f"got {len(rows)}", f"{len(rows)} samples"]
+    for cell in ",".join(rows).split(","):
+        try:
+            causes.append(repr(float(cell)))
+        except ValueError:
+            pass
+    return causes
+
+
+def names_cause(output: str, causes) -> bool:
+    """Whether the error line of a usage error (exit 2) names one of its
+    ``causes``: a flag, a value, or a line of the CSV it read."""
+    message = output.strip().splitlines()[-1]
+    return message.startswith("Error: ") and any(c in message for c in causes)
+
+
 @pytest.mark.parametrize("command", list(CSV_COMMANDS))
 @settings(max_examples=40, deadline=None)
 @given(text=measured_csvs())
 def test_generated_csv_exit_code(command, text):
     """Any drawn CSV ends in a documented exit code, never in a traceback,
-    and a run that succeeds writes no NaN or infinity."""
+    and a run that succeeds writes no NaN or infinity.  A usage error
+    names a line, the sample count or a value of the CSV."""
     runner = CliRunner()
     with runner.isolated_filesystem():
         Path("in.csv").write_bytes(text.encode())
@@ -707,6 +728,8 @@ def test_generated_csv_exit_code(command, text):
             for out in Path().iterdir():
                 if out.name != "in.csv":
                     assert not NON_FINITE.search(out.read_text()), out.name
+        elif result.exit_code == 2:
+            assert names_cause(result.output, csv_causes(text)), result.output
 
 
 def bundled_config() -> dict:
@@ -746,7 +769,8 @@ def test_config_leaf_exit_code(path, value):
     """Each command, run on the bundled config with one leaf set to an
     extreme, zero, negative or non-number value, ends in a documented
     exit code, never in a traceback: 0 with no NaN or infinity written,
-    or 3 naming the leaf's key or its profile.  The examples once ended
+    2 naming a flag or value of the command or of the data it read, or 3
+    naming the leaf's key or its profile.  The examples once ended
     otherwise: a fit whose model capacitance (6.95e284 F) overflowed its
     sum of squares, and servo messages that named the dataclass fields
     and not the JSON keys."""
@@ -776,8 +800,48 @@ def test_config_leaf_exit_code(path, value):
                 for out in Path().iterdir():
                     if out.name != "config.json":
                         assert not NON_FINITE.search(out.read_text()), out.name
+            elif result.exit_code == 2:
+                assert names_cause(result.output, [*map(str, command), *FIXTURE_CAUSES]), \
+                    result.output
             elif result.exit_code == 3:
                 assert any(name in result.output for name in names), result.output
+
+
+FIXTURE_CAUSES = csv_causes(FIXTURE.read_text())
+PRESSURE_COMMANDS = {
+    "sweep": lambda p: ("sweep", "--steps", 2, "--p-end", p, "--output", "sweep.csv"),
+    "servo": lambda p: ("servo", p, "--output", "servo.csv"),
+    "validate": lambda p: ("validate", "--pressure", p),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(bundled_config()["profiles"])),
+       st.floats(math.log(5e-324), math.log(1.79e308)).map(math.exp))
+@example("airgap", 1e308)
+@example("fem_scaled", 1e200)
+@example("fem_scaled", 1e305)
+def test_extreme_pressure_exit_code(profile, pressure):
+    """A bundled profile at a pressure drawn log-uniformly over the
+    positive floats, through sweep, servo and validate: a documented exit
+    code, never a traceback or a RuntimeWarning, no NaN or infinity
+    written on exit 0, and a usage error names the flag or the value.
+    The examples once wrote nan (airgap: the deflection's asinh argument
+    overflowed), warned and passed (the von Mises squares overflowed), and
+    failed validation with a nan error (the load P / D overflowed)."""
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        for name, command in PRESSURE_COMMANDS.items():
+            args = (*command(pressure), "--profile", profile)
+            result = run(runner, *args)
+            assert isinstance(result.exception, (SystemExit, type(None))), result.exc_info
+            assert result.exit_code in (0, 1, 2, 3), result.output
+            if result.exit_code == 0:
+                assert not NON_FINITE.search(result.output), result.output
+                for out in Path().iterdir():
+                    assert not NON_FINITE.search(out.read_text()), out.name
+            elif result.exit_code == 2:
+                assert names_cause(result.output, [*map(str, args)]), result.output
 
 
 @pytest.mark.parametrize("args,stdout,files", [

@@ -153,6 +153,34 @@ class TestParseConfig:
                                               r"p_max is pressure_max_pa\)"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("section,values,message", [
+        ("solver", {"fit_bounds": {"gap": [-1e308, 1e308]}},
+         r"solver.fit_bounds.gap must be finite with lo < hi, got \[-1e\+308, 1e\+308\]: "
+         r"hi - lo must be in float range, got 1e\+308 - \(-1e\+308\)"),
+        ("servo", {"pressure_min_pa": -1e308, "pressure_max_pa": 1e308},
+         r"servo: p_max - p_min must be in float range, got 1e\+308 - \(-1e\+308\) "
+         r"\(p_min is pressure_min_pa, p_max is pressure_max_pa\)"),
+        ("servo", {"angle_min_deg": -1e308, "angle_max_deg": 1e308},
+         r"servo: angle_max - angle_min must be in float range"),
+    ], ids=["fit_bounds", "servo_pressures", "servo_angles"])
+    def test_overflowing_interval_rejected(self, section, values, message):
+        # One rule for every interval: lo < hi with hi - lo finite.  These
+        # loaded before, and fit then exited 2 or servo wrote nan and inf.
+        doc = self.minimal()
+        doc[section] = values
+        with pytest.raises(ConfigError, match=message):
+            parse_config(doc)
+
+    def test_derived_quantity_names_json_keys(self):
+        doc = self.minimal()
+        doc["profiles"]["default"]["radius_m"] = 1e-300
+        with pytest.raises(ConfigError, match=(
+                r"profiles.default: the load term R\^4 / \(64 D\) is 0.0, not finite and "
+                r"> 0; check radius and the layers' youngs_modulus, poisson_ratio and "
+                r"thickness \(radius is radius_m, youngs_modulus is youngs_modulus_pa, "
+                r"thickness is thickness_m\)$")):
+            parse_config(doc)
+
     def test_bad_solver_settings(self):
         doc = self.minimal()
         doc["solver"] = {"fit_bounds": [[1e-4, 1e-3]]}
@@ -236,6 +264,11 @@ class TestServoMap:
         for p in (10e3, 25e3, 40e3):
             assert servo_angle(config.servo, p) == servo_angle(
                 config.servo, min(max(p, 10e3), 40e3))
+
+    def test_rejects_overflowing_span(self):
+        # Every angle was 0.0 here, where 0 Pa is mid-range and should give 45.
+        with pytest.raises(ValueError, match="p_max - p_min must be in float range"):
+            ServoMap(p_min=-1e308, p_max=1e308, angle_min=0.0, angle_max=90.0)
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):

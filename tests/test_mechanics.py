@@ -169,6 +169,40 @@ class TestLargeDeflection:
                 pytest.approx(w0, rel=1e-12, abs=0)
 
 
+class TestHugeLoads:
+    """Pressures up to the largest float: the asinh argument of the Cardano
+    form overflows from 9.18e307 Pa on airgap, and the load term q on a
+    stack whose R^4 / (64 D) exceeds 1."""
+
+    PRESSURES = [1e200, 1e300, 9.18e307, 1e308, 1.79e308, np.nextafter(np.inf, 0.0)]
+
+    @pytest.mark.parametrize("profile", ["default", "airgap", "dielectric_50um",
+                                         "fem_scaled"])
+    def test_center_deflection_solves_cubic(self, config, profile):
+        g = config.geometry(profile)
+        c1, c3 = mechanics.cubic_coefficients(g)
+        p = np.array(self.PRESSURES)
+        w = mechanics.large_deflection_center(g, p)
+        assert w.tolist() == [mechanics.large_deflection_center(g, x) for x in p.tolist()]
+        assert np.all(np.isfinite(w))
+        # Relative residual of c3 W0^3 + c1 W0 = q, in a form that cannot overflow.
+        q = mechanics.linear_center_deflection(g, p)
+        assert np.all(np.abs((c3 * w * w + c1) * (w / q) - 1.0) <= 4e-16)
+
+    def test_overflowing_load_term_named(self, bare_geometry):
+        g = replace(bare_geometry, radius=1.0)  # R^4 / (64 D) = 2.7e3
+        for call in (mechanics.linear_center_deflection, mechanics.large_deflection_center):
+            with pytest.raises(ValueError, match=r"pressure 1e\+306 Pa is too large: its "
+                                                 r"load term P R\^4 / \(64 D\)"):
+                call(g, np.array([0.0, 1e300, 1e306, 1e307]))
+
+    def test_overflowing_inverse_named(self, default_geometry):
+        # travel**3 overflows: an OverflowError before the inverse checked it.
+        g = replace(default_geometry, gap=1e150)
+        with pytest.raises(ValueError, match="the pressure for w0 = .* m is beyond float range"):
+            mechanics.touch_onset_pressure(g)
+
+
 class TestProfile:
     def test_center_edge_midpoint(self, bare_geometry):
         state = mechanics.solve_state(bare_geometry, 500.0)
@@ -313,6 +347,10 @@ class TestGeometryValidation:
         ("dielectric_thickness", -1e-9, "dielectric_thickness must be >= 0"),
         ("dielectric_rel_permittivity", 0.0, "relative permittivities must be > 0"),
         ("medium_rel_permittivity", -1.0, "relative permittivities must be > 0"),
+        ("radius", 1e300, r"the stress term c1 = 1 \+ sigma h R\^2 / \(16 D\) is inf, "
+                          r"not finite and > 0; check builtin_stress, radius"),
+        ("radius", 1e-300, r"the load term R\^4 / \(64 D\) is 0\.0, not finite and > 0; "
+                           r"check radius and the layers'"),
     ])
     def test_rejects_out_of_range(self, default_geometry, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -324,6 +362,16 @@ class TestGeometryValidation:
     def test_rejects_non_finite(self, default_geometry, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be finite, got {bad}"):
             replace(default_geometry, **{field: bad})
+
+    def test_rejects_overflowing_layer(self, default_geometry):
+        # Before the geometry checked its derived quantities, the model's
+        # entry points raised a bare OverflowError on such a geometry.
+        layers = default_geometry.laminate.layers
+        laminate = replace(default_geometry.laminate,
+                           layers=(replace(layers[0], thickness=1e300), layers[1]))
+        with pytest.raises(ValueError, match=r"the flexural rigidity D is nan, not finite "
+                                             r"and > 0; check the layers' youngs_modulus"):
+            replace(default_geometry, laminate=laminate)
 
 
 @pytest.mark.parametrize("call,message", [

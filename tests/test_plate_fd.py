@@ -168,10 +168,28 @@ class TestConvergence:
         (0.0, "pressure must be > 0"),
         (-1.0, "pressure must be >= 0"),
         (1e-308, "deflection 0.0 m is below the smallest normal float"),
-        (1e-300, "pressure 1e-300 Pa is too small")])
+        (1e-300, "pressure 1e-300 Pa is too small"),
+        (1e305, r"pressure 1e\+305 Pa is too large: the plate solution is beyond float range")])
     def test_rejects_bad_pressure(self, scaled_geometry, bad, message):
         with pytest.raises(ValueError, match=message):
             plate_fd.convergence_study(scaled_geometry, bad, [51, 101])
+
+
+class TestHugeLoads:
+    def test_stresses_finite_where_squares_overflow(self, scaled_geometry):
+        # The von Mises squares overflow from about 7e151 Pa; the stresses
+        # themselves scale with the load, without a RuntimeWarning.
+        grid = RadialGrid(51)
+        base = plate_fd.solve_plate(scaled_geometry, 1e4, grid)
+        huge = plate_fd.solve_plate(scaled_geometry, 1e250, grid)
+        assert huge.max_von_mises[0] == pytest.approx(base.max_von_mises[0] * 1e246,
+                                                      rel=1e-12, abs=0)
+        assert huge.max_von_mises[1] == base.max_von_mises[1]
+
+    @pytest.mark.parametrize("profile", ["default", "fem_scaled"])
+    def test_rejects_load_beyond_float_range(self, config, profile):
+        with pytest.raises(ValueError, match=r"pressure 1e\+303 Pa is too large"):
+            plate_fd.solve_plate(config.geometry(profile), 1e303, RadialGrid(51))
 
 
 class TestLinearity:
