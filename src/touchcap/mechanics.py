@@ -41,6 +41,22 @@ class OperatingMode(enum.IntEnum):
     SATURATION = 3
 
 
+_LAYERS = "the layers' youngs_modulus, poisson_ratio and thickness"
+# The quantities the model runs on, each with the fields it comes from; a
+# DeviceGeometry requires each to be finite and > 0.  (The travel needs no
+# check: gap > dielectric_thickness >= 0, both finite.)
+_MODEL_QUANTITIES = (
+    ("flexural rigidity D", _LAYERS, lambda g: g.flexural_rigidity),
+    ("stress term c1 = 1 + sigma h R^2 / (16 D)", f"builtin_stress, radius and {_LAYERS}",
+     lambda g: cubic_coefficients(g)[0]),
+    ("cubic term c3 = K / h^2", "the layers' thickness", lambda g: cubic_coefficients(g)[1]),
+    ("load term R^4 / (64 D)", f"radius and {_LAYERS}",
+     lambda g: g.radius**4 / (64.0 * g.flexural_rigidity)),
+    ("rest capacitance C0", "radius, gap, dielectric_thickness, "
+     "dielectric_rel_permittivity and medium_rel_permittivity", lambda g: base_capacitance(g)),
+)
+
+
 @dataclass(frozen=True)
 class DeviceGeometry:
     """Geometry and electrostatic stack of one circular sensor element."""
@@ -68,24 +84,9 @@ class DeviceGeometry:
             raise ValueError("gap must exceed dielectric_thickness")
         if self.dielectric_rel_permittivity <= 0 or self.medium_rel_permittivity <= 0:
             raise ValueError("relative permittivities must be > 0")
-        # The model runs on these quantities, each with the fields it comes
-        # from; each must be finite and > 0.  (The travel needs no check:
-        # gap > dielectric_thickness >= 0, both finite.)
-        layers = "the layers' youngs_modulus, poisson_ratio and thickness"
-        for name, source, value in (
-                ("flexural rigidity D", layers, lambda: self.flexural_rigidity),
-                ("stress term c1 = 1 + sigma h R^2 / (16 D)",
-                 f"builtin_stress, radius and {layers}",
-                 lambda: cubic_coefficients(self)[0]),
-                ("cubic term c3 = K / h^2", "the layers' thickness",
-                 lambda: cubic_coefficients(self)[1]),
-                ("load term R^4 / (64 D)", f"radius and {layers}",
-                 lambda: self.radius**4 / (64.0 * self.flexural_rigidity)),
-                ("rest capacitance C0", "radius, gap, dielectric_thickness, "
-                 "dielectric_rel_permittivity and medium_rel_permittivity",
-                 lambda: base_capacitance(self))):
+        for name, source, value in _MODEL_QUANTITIES:
             try:
-                v = value()
+                v = value(self)
             except ArithmeticError:  # a float overflow or division by 0
                 v = math.inf
             if not 0.0 < v < math.inf:  # false for NaN too
@@ -194,25 +195,18 @@ def cubic_coefficients(geom: DeviceGeometry) -> tuple[float, float]:
             STIFFENING_COEFF / geom.thickness**2)
 
 
-def _largest(values: float | np.ndarray) -> float:
-    """The largest of non-negative ``values``, 0 for none.  Each overflow
-    check below tests it alone: the steps it guards rise with their input,
-    so they overflow somewhere only if they do at the largest value."""
-    return float(np.maximum.reduce(values, axis=None, initial=0.0))
-
-
 def linear_center_deflection(geom: DeviceGeometry,
                              pressure: float | np.ndarray) -> float | np.ndarray:
     """Linear center deflection P R^4 / (64 D), the load term of the cubic;
     pressures taken and checked as ``large_deflection_center`` takes them,
     and a ValueError naming the first pressure whose load term overflows."""
     p = checked_pressures(pressure)
-    r4, d64 = geom.radius**4, 64.0 * geom.flexural_rigidity
-    if not _largest(p) * r4 / d64 < math.inf:
-        top = next(x for x in np.ravel(p).tolist() if not x * r4 / d64 < math.inf)
+    with np.errstate(over="ignore"):
+        q = p * geom.radius**4 / (64.0 * geom.flexural_rigidity)
+    if not q.max(initial=0.0) < math.inf:
+        top = float(np.ravel(p)[~(np.ravel(q) < math.inf)][0])
         raise ValueError(f"pressure {top!r} Pa is too large: its load term "
                          f"P R^4 / (64 D) is beyond float range")
-    q = p * r4 / d64
     return float(q) if q.ndim == 0 else q
 
 
@@ -239,18 +233,11 @@ def large_deflection_center(geom: DeviceGeometry,
     q = linear_center_deflection(geom, pressure)
     c1, c3 = cubic_coefficients(geom)
     ratio = c1 / c3
-
-    def asinh_arg(q):
-        return 1.5 * (q / c3) / ratio * math.sqrt(3.0 / ratio)
-
-    if asinh_arg(_largest(q)) < math.inf:
-        a = np.arcsinh(asinh_arg(q))
-    else:
-        with np.errstate(over="ignore", divide="ignore"):  # log(0) where k is finite
-            k = asinh_arg(q)
-            a = np.where(k < math.inf, np.arcsinh(k),
-                         math.log(3.0) + np.log(q) - math.log(c3)
-                         - 1.5 * math.log(ratio) + 0.5 * math.log(3.0))
+    with np.errstate(over="ignore", divide="ignore"):  # k overflows; log(0) at q = 0
+        k = 1.5 * (q / c3) / ratio * math.sqrt(3.0 / ratio)
+        # log 2k = log q - log c3 + 1.5 log(3 / ratio)
+        a = np.where(k < math.inf, np.arcsinh(k),
+                     np.log(q) + (1.5 * (math.log(3.0) - math.log(ratio)) - math.log(c3)))
     w = 2.0 * math.sqrt(ratio / 3.0) * np.sinh(a / 3.0)
     w = w - ((c3 * w * w + c1) * w - q) / (3.0 * c3 * w * w + c1)
     return float(w) if w.ndim == 0 else w

@@ -690,24 +690,49 @@ def measured_csvs(draw) -> str:
     return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
 
 
-def csv_causes(text: str) -> list[str]:
-    """What a usage error about a CSV may name as its cause: a line, the
-    number of samples, or the repr of a number in one of its cells."""
+def csv_values(text: str) -> tuple[list[float], int]:
+    """The numbers in a CSV's cells and the count of its non-blank rows
+    below the header: what a usage error about it may name."""
     rows = [line for line in text.removeprefix("\ufeff").splitlines() if line.strip()][1:]
-    causes = ["line ", f"got {len(rows)}", f"{len(rows)} samples"]
+    values = []
     for cell in ",".join(rows).split(","):
         try:
-            causes.append(repr(float(cell)))
+            values.append(float(cell))
         except ValueError:
             pass
-    return causes
+    return values, len(rows)
 
 
-def names_cause(output: str, causes) -> bool:
-    """Whether the error line of a usage error (exit 2) names one of its
-    ``causes``: a flag, a value, or a line of the CSV it read."""
+def names_cause(output: str, values=(), samples=None) -> bool:
+    """Whether the error line of a usage error (exit 2) names its cause as
+    a whole token: the repr of one of the float ``values``, a CSV line
+    ("line 7"), or the number of ``samples`` read ("got 7", "7 samples")."""
+    tokens = [rf"(?<![\w.+-]){re.escape(repr(float(v)))}(?![\w.])" for v in values]
+    tokens.append(r"\bline \d+\b")
+    if samples is not None:
+        tokens += [rf"\bgot {samples}\b", rf"\b{samples} samples\b"]
     message = output.strip().splitlines()[-1]
-    return message.startswith("Error: ") and any(c in message for c in causes)
+    return message.startswith("Error: ") and re.search("|".join(tokens), message) is not None
+
+
+@pytest.mark.parametrize("message,named", [
+    ("Error: need at least 12 samples, got 7", True),
+    ("Error: need at least 12 samples", False),
+    ("Error: no detectable step in 7 samples: the amplitude 0.0 F", True),
+    ("Error: degenerate data: capacitance is constant at 5e-12 F", True),
+    ("Error: degenerate data: capacitance is constant", False),
+    ("Error: degenerate data: capacitance is constant at 5e-120 F", False),
+    ("Error: degenerate data: capacitance is constant at 15e-12 F", False),
+    ("Error: in.csv line 3: could not convert 'abc'", True),
+    ("Error: the amplitude is not above the baseline noise", False),
+    ("Error: pressure must be >= 0, got -1.0", True),
+    ("Error: pressure must be >= 0", False),
+    ("no Error: prefix got 7", False),
+])
+def test_names_cause(message, named):
+    # The exit-2 check of the generated tests below: a message stripped of
+    # its value, count or line, or naming another value, does not pass.
+    assert names_cause(message, [5e-12, -1.0, 2.0, 1000.0], samples=7) == named
 
 
 @pytest.mark.parametrize("command", list(CSV_COMMANDS))
@@ -729,7 +754,8 @@ def test_generated_csv_exit_code(command, text):
                 if out.name != "in.csv":
                     assert not NON_FINITE.search(out.read_text()), out.name
         elif result.exit_code == 2:
-            assert names_cause(result.output, csv_causes(text)), result.output
+            values, samples = csv_values(text)
+            assert names_cause(result.output, values, samples), result.output
 
 
 def bundled_config() -> dict:
@@ -769,7 +795,7 @@ def test_config_leaf_exit_code(path, value):
     """Each command, run on the bundled config with one leaf set to an
     extreme, zero, negative or non-number value, ends in a documented
     exit code, never in a traceback: 0 with no NaN or infinity written,
-    2 naming a flag or value of the command or of the data it read, or 3
+    2 naming a number of the command, the leaf or the data it read, or 3
     naming the leaf's key or its profile.  The examples once ended
     otherwise: a fit whose model capacitance (6.95e284 F) overflowed its
     sum of squares, and servo messages that named the dataclass fields
@@ -801,13 +827,13 @@ def test_config_leaf_exit_code(path, value):
                     if out.name != "config.json":
                         assert not NON_FINITE.search(out.read_text()), out.name
             elif result.exit_code == 2:
-                assert names_cause(result.output, [*map(str, command), *FIXTURE_CAUSES]), \
-                    result.output
+                floats = [a for a in (value, *command) if type(a) is float]
+                assert names_cause(result.output, [*floats, *FIXTURE_VALUES]), result.output
             elif result.exit_code == 3:
                 assert any(name in result.output for name in names), result.output
 
 
-FIXTURE_CAUSES = csv_causes(FIXTURE.read_text())
+FIXTURE_VALUES, _ = csv_values(FIXTURE.read_text())
 PRESSURE_COMMANDS = {
     "sweep": lambda p: ("sweep", "--steps", 2, "--p-end", p, "--output", "sweep.csv"),
     "servo": lambda p: ("servo", p, "--output", "servo.csv"),
@@ -825,7 +851,7 @@ def test_extreme_pressure_exit_code(profile, pressure):
     """A bundled profile at a pressure drawn log-uniformly over the
     positive floats, through sweep, servo and validate: a documented exit
     code, never a traceback or a RuntimeWarning, no NaN or infinity
-    written on exit 0, and a usage error names the flag or the value.
+    written on exit 0, and a usage error names the pressure.
     The examples once wrote nan (airgap: the deflection's asinh argument
     overflowed), warned and passed (the von Mises squares overflowed), and
     failed validation with a nan error (the load P / D overflowed)."""
@@ -841,7 +867,7 @@ def test_extreme_pressure_exit_code(profile, pressure):
                 for out in Path().iterdir():
                     assert not NON_FINITE.search(out.read_text()), out.name
             elif result.exit_code == 2:
-                assert names_cause(result.output, [*map(str, args)]), result.output
+                assert names_cause(result.output, [pressure]), result.output
 
 
 @pytest.mark.parametrize("args,stdout,files", [
