@@ -8,14 +8,14 @@ mechanics) is imported by cli alone.
 from .materials import Laminate, MaterialLayer, flexural_rigidity, neutral_plane
 from .mechanics import (DeviceGeometry, DeflectionState, ModeThresholds,
                         OperatingMode)
-from .capacitance import CPCurve, base_capacitance, sweep_cp_curve
+from .capacitance import CPCurve, sweep_cp_curve
 from .servo import ServoMap, servo_angle
 from .config import DeviceConfig, load_config
 
 __all__ = [
     "Laminate", "MaterialLayer", "flexural_rigidity", "neutral_plane",
     "DeviceGeometry", "DeflectionState", "ModeThresholds", "OperatingMode",
-    "CPCurve", "base_capacitance", "sweep_cp_curve",
+    "CPCurve", "sweep_cp_curve",
     "ServoMap", "servo_angle", "DeviceConfig", "load_config",
 ]
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import capacitance as cap
-from .materials import check_interval, line_fit, r_squared
+from .materials import check_interval, check_samples, line_fit, r_squared
 from .mechanics import DeviceGeometry
 
 # Geometry fields adjustable by the fitter, plus a constant parasitic offset.
@@ -58,10 +58,6 @@ FIT_SSE_RTOL = 1e-12
 # the Marquardt damping of the first step.
 FIT_JACOBIAN_STEP = 1e-7
 FIT_DAMPING_START = 1e-3
-# Largest magnitude of a measured sample.  Squared differences of samples
-# then stay below 4e300, so sums of them over up to 1e7 samples (a fit's
-# SSE, a segment's, a baseline's variance) stay in float range.
-MAX_SAMPLE_MAGNITUDE = 1e150
 # Largest residual magnitude a fit point may have.  A Jacobian entry, the
 # difference of two residuals over FIT_JACOBIAN_STEP, then stays below
 # 2e147, so its squares summed over up to 1e7 samples stay in float range.
@@ -74,7 +70,7 @@ RISE_HIGH = 0.9
 @dataclass(frozen=True)
 class MeasuredSeries:
     """Sampled (pressure, capacitance) or (time, capacitance) data, each
-    value finite and at most ``MAX_SAMPLE_MAGNITUDE`` in magnitude."""
+    value as ``materials.check_samples`` bounds it."""
 
     abscissa: np.ndarray
     capacitance: np.ndarray
@@ -87,13 +83,8 @@ class MeasuredSeries:
         object.__setattr__(self, "capacitance", c)
         if len(x) != len(c):
             raise ValueError("abscissa and capacitance lengths differ")
-        for name, values in (("abscissa", x), ("capacitance", c)):
-            bad = np.flatnonzero(~(np.abs(values) <= MAX_SAMPLE_MAGNITUDE))
-            if len(bad):
-                value = float(values[bad[0]])
-                rule = (f"be at most {MAX_SAMPLE_MAGNITUDE:g} in magnitude"
-                        if math.isfinite(value) else "be finite")
-                raise ValueError(f"{name}[{bad[0]}] must {rule}, got {value}")
+        check_samples(x, "abscissa")
+        check_samples(c, "capacitance")
         if len(x) >= 2 and np.any(np.diff(x) <= 0):
             raise ValueError("abscissa must be strictly increasing")
         if self.kind not in ("pressure", "time"):

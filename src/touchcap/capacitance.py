@@ -17,7 +17,6 @@ mode-code arrays of that one evaluation, which ``to_csv`` and
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -26,9 +25,7 @@ import numpy as np
 
 from . import mechanics
 from .config import geometry_doc, thresholds_doc
-from .mechanics import (EPSILON_0, DeviceGeometry, DeflectionState,
-                        ModeThresholds, OperatingMode, base_capacitance,
-                        electrical_gap)
+from .mechanics import DeviceGeometry, DeflectionState, ModeThresholds, OperatingMode
 
 # Export label of each operating mode, indexed by its OperatingMode value.
 MODE_LABELS = tuple(m.name.lower() for m in OperatingMode)
@@ -191,15 +188,14 @@ def _evaluate(geom: DeviceGeometry, w0, u, pressures=None) -> tuple[np.ndarray, 
     wraps that cause.
     """
     t1 = geom.dielectric_thickness
-    d_e = electrical_gap(geom)
-    x = np.sqrt(w0 / (geom.medium_rel_permittivity * d_e))
-    outside = u * x >= 1.0
+    # x overflows only after contact, where u x is kappa; at x = 0 the limit is u.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = np.sqrt(w0 / (geom.medium_rel_permittivity * geom.electrical_gap))
+        ux = np.where(x < np.inf, u * x, geom.contact_argument)
+        shape = np.where(x > 0.0, np.arctanh(ux) / x, u)
+    outside = ux >= 1.0
     if t1 == 0.0:
         outside = outside | (u < 1.0)
-        disk = np.zeros_like(x)
-    else:
-        disk = (EPSILON_0 * geom.dielectric_rel_permittivity * math.pi
-                * geom.radius**2 / t1) * (1.0 - u)
     if np.any(outside):
         i = int(np.argmax(outside))
         cause = (ValueError(_NO_DIELECTRIC) if t1 == 0.0 and np.ravel(u)[i] < 1.0
@@ -207,9 +203,7 @@ def _evaluate(geom: DeviceGeometry, w0, u, pressures=None) -> tuple[np.ndarray, 
         if pressures is None:
             raise cause
         raise SweepPointError(i, float(np.ravel(pressures)[i]), cause)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shape = np.where(x > 0.0, np.arctanh(u * x) / x, u)
-    return disk, base_capacitance(geom) * shape
+    return geom.disk_prefactor * (1.0 - u), geom.base_capacitance * shape
 
 
 def normal_mode_capacitance(geom: DeviceGeometry, state: DeflectionState) -> float:

@@ -4,8 +4,8 @@ The diaphragm is a one- or two-layer laminate (e.g. aluminum-coated
 polyimide).  Bending stiffness is the per-layer stiffness integral about
 the modulus-weighted neutral plane.  The module also holds the package's
 generic numeric helpers: ``check_finite``, the one interval rule
-``check_interval``, the one least-squares line
-``line_fit`` and the one R^2, ``r_squared``.
+``check_interval``, the one sample bound ``check_samples``, the one
+least-squares line ``line_fit`` and the one R^2, ``r_squared``.
 """
 
 from __future__ import annotations
@@ -36,6 +36,22 @@ def check_interval(lo: float, hi: float, lo_name: str, hi_name: str) -> None:
                          f"got {hi!r} - ({lo!r})")
 
 
+# Largest magnitude of a sample of a measured series or a line fit: squared
+# differences stay below 4e300, so sums of them over up to 1e7 samples (an
+# SSE, a variance, a line fit's moments) stay in float range.
+MAX_SAMPLE_MAGNITUDE = 1e150
+
+
+def check_samples(values: np.ndarray, name: str) -> None:
+    """ValueError naming the first of ``values`` not finite or beyond the bound."""
+    bad = np.flatnonzero(~(np.abs(values) <= MAX_SAMPLE_MAGNITUDE))
+    if len(bad):
+        value = float(values[bad[0]])
+        rule = (f"be at most {MAX_SAMPLE_MAGNITUDE:g} in magnitude"
+                if math.isfinite(value) else "be finite")
+        raise ValueError(f"{name}[{bad[0]}] must {rule}, got {value}")
+
+
 class LineFit(NamedTuple):
     slope: float
     intercept: float
@@ -50,7 +66,10 @@ def r_squared(y: np.ndarray, fitted: np.ndarray) -> float:
 
 
 def line_fit(x: np.ndarray, y: np.ndarray) -> LineFit:
-    """Least-squares line through (x, y): slope, intercept and ``r_squared``."""
+    """Least-squares line through (x, y): slope, intercept and ``r_squared``;
+    ValueError naming the first x or y that ``check_samples`` rejects."""
+    check_samples(x, "x")
+    check_samples(y, "y")
     slope, intercept = np.polyfit(x, y, 1)
     return LineFit(float(slope), float(intercept), r_squared(y, slope * x + intercept))
 

@@ -1,17 +1,19 @@
 """Deflection of the edge-clamped circular diaphragm under uniform pressure.
 
 Closed-form center deflection under cubic stiffening, the geometric
-contact model once the diaphragm touches the insulated bottom plate,
-classification into the four operating modes, and the electrical gap and
-rest capacitance of the undeflected stack.  Center deflection,
+contact model once the diaphragm touches the insulated bottom plate, and
+classification into the four operating modes.  Center deflection,
 contact radius and mode label are array-valued: a whole pressure sweep is
 one numpy evaluation.
 
-A ``DeviceGeometry`` checks its own derived quantities: the flexural
-rigidity D, the cubic's c1 and c3, the load term R^4 / (64 D) and the
-rest capacitance C0 must each be finite and > 0, so every geometry that
-constructs gives a finite center deflection at every pressure whose load
-term P R^4 / (64 D) is in float range.
+The model reads a geometry only through groups that ``DeviceGeometry``
+computes once, as cached properties, and checks as it constructs: D,
+c1 = 1 + sigma h R^2 / (16 D), c3 = K / h^2, the load term R^4 / (64 D),
+C0 = eps0 pi R^2 / d_e with d_e = (gap - t1)/eps_r + t1/eps_t, and the
+touched-disk prefactor eps0 eps_t pi R^2 / t1 (0 without a dielectric) must
+each be finite and > 0.  So W0 is finite wherever P R^4 / (64 D) is, and
+so is every factor of C.  After contact the annulus's atanh argument is
+kappa = sqrt(g / (eps_r d_e)), the geometry's ``contact_argument``.
 """
 
 from __future__ import annotations
@@ -42,18 +44,18 @@ class OperatingMode(enum.IntEnum):
 
 
 _LAYERS = "the layers' youngs_modulus, poisson_ratio and thickness"
-# The quantities the model runs on, each with the fields it comes from; a
-# DeviceGeometry requires each to be finite and > 0.  (The travel needs no
-# check: gap > dielectric_thickness >= 0, both finite.)
+# The checked groups, each with the fields it comes from.  (The travel
+# needs no check: gap > dielectric_thickness >= 0, both finite.)
 _MODEL_QUANTITIES = (
-    ("flexural rigidity D", _LAYERS, lambda g: g.flexural_rigidity),
+    ("flexural rigidity D", _LAYERS, "flexural_rigidity"),
     ("stress term c1 = 1 + sigma h R^2 / (16 D)", f"builtin_stress, radius and {_LAYERS}",
-     lambda g: cubic_coefficients(g)[0]),
-    ("cubic term c3 = K / h^2", "the layers' thickness", lambda g: cubic_coefficients(g)[1]),
-    ("load term R^4 / (64 D)", f"radius and {_LAYERS}",
-     lambda g: g.radius**4 / (64.0 * g.flexural_rigidity)),
+     "c1"),
+    ("cubic term c3 = K / h^2", "the layers' thickness", "c3"),
+    ("load term R^4 / (64 D)", f"radius and {_LAYERS}", "load_term"),
     ("rest capacitance C0", "radius, gap, dielectric_thickness, "
-     "dielectric_rel_permittivity and medium_rel_permittivity", lambda g: base_capacitance(g)),
+     "dielectric_rel_permittivity and medium_rel_permittivity", "base_capacitance"),
+    ("touched-disk prefactor eps0 eps_t pi R^2 / t1",
+     "radius, dielectric_thickness and dielectric_rel_permittivity", "disk_prefactor"),
 )
 
 
@@ -84,9 +86,11 @@ class DeviceGeometry:
             raise ValueError("gap must exceed dielectric_thickness")
         if self.dielectric_rel_permittivity <= 0 or self.medium_rel_permittivity <= 0:
             raise ValueError("relative permittivities must be > 0")
-        for name, source, value in _MODEL_QUANTITIES:
+        for name, source, attr in _MODEL_QUANTITIES:
+            if attr == "disk_prefactor" and self.dielectric_thickness == 0.0:
+                continue  # no dielectric, no touched disk: the prefactor is 0
             try:
-                v = value(self)
+                v = getattr(self, attr)
             except ArithmeticError:  # a float overflow or division by 0
                 v = math.inf
             if not 0.0 < v < math.inf:  # false for NaN too
@@ -106,6 +110,39 @@ class DeviceGeometry:
     @functools.cached_property
     def flexural_rigidity(self) -> float:
         return flexural_rigidity(self.laminate)
+
+    @functools.cached_property
+    def c1(self) -> float:
+        return 1.0 + (self.builtin_stress * self.thickness * self.radius**2
+                      / (16.0 * self.flexural_rigidity))
+
+    @functools.cached_property
+    def c3(self) -> float:
+        return STIFFENING_COEFF / self.thickness**2
+
+    @functools.cached_property
+    def load_term(self) -> float:
+        return self.radius**4 / (64.0 * self.flexural_rigidity)
+
+    @functools.cached_property
+    def electrical_gap(self) -> float:
+        t1 = self.dielectric_thickness
+        return ((self.gap - t1) / self.medium_rel_permittivity
+                + t1 / self.dielectric_rel_permittivity)
+
+    @functools.cached_property
+    def base_capacitance(self) -> float:
+        return EPSILON_0 * math.pi * self.radius**2 / self.electrical_gap
+
+    @functools.cached_property
+    def disk_prefactor(self) -> float:
+        t1 = self.dielectric_thickness
+        return (EPSILON_0 * self.dielectric_rel_permittivity * math.pi
+                * self.radius**2 / t1) if t1 else 0.0
+
+    @functools.cached_property
+    def contact_argument(self) -> float:
+        return math.sqrt(self.travel / (self.medium_rel_permittivity * self.electrical_gap))
 
 
 @dataclass(frozen=True)
@@ -170,31 +207,6 @@ def checked_pressures(pressure: float | np.ndarray) -> np.ndarray:
     return p
 
 
-def electrical_gap(geom: DeviceGeometry) -> float:
-    """Series-stack electrical separation at rest.
-
-    Air path of (gap - t1) at eps_r plus dielectric path of t1 at eps_t1:
-    d_e = (gap - t1)/eps_r + t1/eps_t1.  Equals the bare gap when t1 = 0
-    and eps_r = 1.
-    """
-    t1 = geom.dielectric_thickness
-    return ((geom.gap - t1) / geom.medium_rel_permittivity
-            + t1 / geom.dielectric_rel_permittivity)
-
-
-def base_capacitance(geom: DeviceGeometry) -> float:
-    """Rest capacitance eps_0 * pi R^2 / d_e of the undeflected sensor."""
-    return EPSILON_0 * math.pi * geom.radius**2 / electrical_gap(geom)
-
-
-def cubic_coefficients(geom: DeviceGeometry) -> tuple[float, float]:
-    """(c1, c3) of c3 W0^3 + c1 W0 = q: c1 = 1 + sigma h R^2 / (16 D), the
-    built-in stress stiffening, and c3 = K / h^2, the cubic stiffening."""
-    return (1.0 + (geom.builtin_stress * geom.thickness * geom.radius**2
-                   / (16.0 * geom.flexural_rigidity)),
-            STIFFENING_COEFF / geom.thickness**2)
-
-
 def linear_center_deflection(geom: DeviceGeometry,
                              pressure: float | np.ndarray) -> float | np.ndarray:
     """Linear center deflection P R^4 / (64 D), the load term of the cubic;
@@ -231,7 +243,7 @@ def large_deflection_center(geom: DeviceGeometry,
     one whose load term q overflows.
     """
     q = linear_center_deflection(geom, pressure)
-    c1, c3 = cubic_coefficients(geom)
+    c1, c3 = geom.c1, geom.c3
     ratio = c1 / c3
     with np.errstate(over="ignore", divide="ignore"):  # k overflows; log(0) at q = 0
         k = 1.5 * (q / c3) / ratio * math.sqrt(3.0 / ratio)
@@ -248,7 +260,7 @@ def pressure_for_center_deflection(geom: DeviceGeometry, w0: float) -> float:
     ValueError where that pressure is beyond float range."""
     if w0 < 0:
         raise ValueError("w0 must be >= 0")
-    c1, c3 = cubic_coefficients(geom)
+    c1, c3 = geom.c1, geom.c3
     try:
         p = (c3 * w0**3 + c1 * w0) * 64.0 * geom.flexural_rigidity / geom.radius**4
     except OverflowError:

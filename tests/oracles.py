@@ -42,7 +42,7 @@ def _quadrature(geom: DeviceGeometry, profile, r_min: float) -> float:
     """Adaptive quadrature of 2 pi eps0 r dr / gap(r) over r_min <= r <= R."""
 
     def integrand(r: float) -> float:
-        return 2.0 * math.pi * cap.EPSILON_0 * r / _gap_density(geom, profile(r))
+        return 2.0 * math.pi * mechanics.EPSILON_0 * r / _gap_density(geom, profile(r))
 
     value, _ = integrate.quad(integrand, r_min, geom.radius, epsrel=QUAD_REL_TOL,
                               epsabs=0.0, limit=200)
@@ -51,7 +51,7 @@ def _quadrature(geom: DeviceGeometry, profile, r_min: float) -> float:
 
 def normal_mode_capacitance_quadrature(geom: DeviceGeometry, w0: float) -> float:
     """Adaptive quadrature of the pre-touch capacitance integral."""
-    if w0 / geom.medium_rel_permittivity >= cap.electrical_gap(geom):
+    if w0 / geom.medium_rel_permittivity >= geom.electrical_gap:
         raise cap.TouchStateError("center deflection reaches the electrical gap")
     return _quadrature(geom, lambda r: w0 * (1.0 - (r / geom.radius) ** 2) ** 2, 0.0)
 
@@ -118,7 +118,7 @@ def touch_mode_capacitance_quadrature(geom: DeviceGeometry,
         raise cap.TouchStateError("touch-mode capacitance requires a touched state")
     if geom.dielectric_thickness == 0.0:
         raise ValueError("touched regime with zero dielectric thickness")
-    touched = (cap.EPSILON_0 * geom.dielectric_rel_permittivity * math.pi * a**2
+    touched = (mechanics.EPSILON_0 * geom.dielectric_rel_permittivity * math.pi * a**2
                / geom.dielectric_thickness)
     annulus = _quadrature(geom, lambda r: post_touch_profile(geom, a, r), a)
     return cap.CapacitanceBreakdown(total=touched + annulus, touched_part=touched,

@@ -78,7 +78,7 @@ def test_criterion_04_capacitance_oracle_equivalence(default_laminate):
             radius=float(rng.uniform(1e-3, 2e-2)), laminate=lam, gap=gap,
             dielectric_thickness=float(rng.uniform(0.0, 0.2)) * gap,
             dielectric_rel_permittivity=float(rng.uniform(1.5, 8.0)))
-        w0 = float(rng.uniform(0.01, 0.95)) * cap.electrical_gap(geom)
+        w0 = float(rng.uniform(0.01, 0.95)) * geom.electrical_gap
         closed = cap.normal_mode_capacitance(
             geom, DeflectionState(pressure=0.0, center_deflection=w0))
         quad = oracles.normal_mode_capacitance_quadrature(geom, w0)

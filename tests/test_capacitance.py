@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from touchcap import calibration as cal
 from touchcap import capacitance as cap
 from touchcap import mechanics
-from touchcap.capacitance import EPSILON_0, SweepPointError, TouchStateError
-from touchcap.mechanics import DeflectionState, OperatingMode
+from touchcap.capacitance import SweepPointError, TouchStateError
+from touchcap.mechanics import EPSILON_0, DeflectionState, OperatingMode
 
 import oracles
 
@@ -32,22 +34,22 @@ def untouched_state(w0, p=0.0):
 
 class TestBaseCapacitance:
     def test_bare_gap_value(self, bare_geometry):
-        c0 = cap.base_capacitance(bare_geometry)
+        c0 = bare_geometry.base_capacitance
         assert c0 == pytest.approx(GOLDEN_BASE_C, rel=1e-12, abs=0)
         assert c0 == pytest.approx(6.95e-12, rel=1e-3, abs=0)
 
     def test_doubling_gap_halves(self, bare_geometry):
         doubled = replace(bare_geometry, gap=2.0 * bare_geometry.gap)
-        assert cap.base_capacitance(doubled) == pytest.approx(
-            cap.base_capacitance(bare_geometry) / 2.0, rel=1e-12, abs=0)
+        assert doubled.base_capacitance == pytest.approx(
+            bare_geometry.base_capacitance / 2.0, rel=1e-12, abs=0)
 
     def test_doubling_radius_quadruples(self, bare_geometry):
         doubled = replace(bare_geometry, radius=2.0 * bare_geometry.radius)
-        assert cap.base_capacitance(doubled) == pytest.approx(
-            4.0 * cap.base_capacitance(bare_geometry), rel=1e-12, abs=0)
+        assert doubled.base_capacitance == pytest.approx(
+            4.0 * bare_geometry.base_capacitance, rel=1e-12, abs=0)
 
     def test_series_dielectric_reduces_gap(self, default_geometry):
-        d_e = cap.electrical_gap(default_geometry)
+        d_e = default_geometry.electrical_gap
         t1 = default_geometry.dielectric_thickness
         assert d_e == pytest.approx(
             (default_geometry.gap - t1)
@@ -58,22 +60,22 @@ class TestBaseCapacitance:
 class TestNormalMode:
     def test_flat_equals_base(self, bare_geometry):
         c = cap.normal_mode_capacitance(bare_geometry, untouched_state(0.0))
-        assert c == cap.base_capacitance(bare_geometry)
+        assert c == bare_geometry.base_capacitance
 
     def test_half_gap_matches_quadrature(self, bare_geometry):
-        w0 = 0.5 * cap.electrical_gap(bare_geometry)
+        w0 = 0.5 * bare_geometry.electrical_gap
         closed = cap.normal_mode_capacitance(bare_geometry, untouched_state(w0))
         quad = oracles.normal_mode_capacitance_quadrature(bare_geometry, w0)
         assert closed == pytest.approx(quad, rel=1e-9, abs=0)
 
     def test_strictly_increasing_in_deflection(self, bare_geometry):
-        d_e = cap.electrical_gap(bare_geometry)
+        d_e = bare_geometry.electrical_gap
         values = [cap.normal_mode_capacitance(bare_geometry, untouched_state(f * d_e))
                   for f in np.linspace(0.0, 0.9, 10)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_rejects_deflection_at_gap(self, bare_geometry):
-        d_e = cap.electrical_gap(bare_geometry)
+        d_e = bare_geometry.electrical_gap
         with pytest.raises(TouchStateError):
             cap.normal_mode_capacitance(bare_geometry, untouched_state(d_e))
 
@@ -165,7 +167,7 @@ class TestSweep:
     def test_single_zero_point(self, default_geometry, config):
         curve = cap.sweep_cp_curve(default_geometry, [0.0], config.thresholds)
         assert curve.points[0].capacitance == pytest.approx(
-            cap.base_capacitance(default_geometry), rel=1e-12, abs=0)
+            default_geometry.base_capacitance, rel=1e-12, abs=0)
         assert curve.points[0].mode is OperatingMode.NORMAL
 
     def test_four_contiguous_mode_segments(self, default_curve):
@@ -440,7 +442,37 @@ def test_oracle_equivalence_random_cases(default_laminate):
         geom = mechanics.DeviceGeometry(
             radius=radius, laminate=lam, gap=gap, dielectric_thickness=t1,
             dielectric_rel_permittivity=float(rng.uniform(1.5, 8.0)))
-        w0 = float(rng.uniform(0.01, 0.95)) * cap.electrical_gap(geom)
+        w0 = float(rng.uniform(0.01, 0.95)) * geom.electrical_gap
         closed = cap.normal_mode_capacitance(geom, untouched_state(w0))
         quad = oracles.normal_mode_capacitance_quadrature(geom, w0)
         assert closed == pytest.approx(quad, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("profile", ["default", "airgap"])
+def test_each_group_computed_once_per_geometry(config, monkeypatch, profile):
+    # Every group the model reads is a cached property of the geometry:
+    # construction computes the checked ones, an evaluation the rest, and
+    # nothing computes one again.  D still comes from the module binding
+    # mechanics.flexural_rigidity, which a benchmark can count.
+    counts = Counter()
+
+    def counted(name, func):
+        def wrapper(*args):
+            counts[name] += 1
+            return func(*args)
+        return wrapper
+
+    groups = ["flexural_rigidity", "c1", "c3", "load_term", "electrical_gap",
+              "base_capacitance", "disk_prefactor", "contact_argument"]
+    for name in groups:
+        prop = vars(mechanics.DeviceGeometry)[name]
+        assert isinstance(prop, functools.cached_property)
+        monkeypatch.setattr(prop, "func", counted(name, prop.func))
+    monkeypatch.setattr(mechanics, "flexural_rigidity",
+                        counted("materials", mechanics.flexural_rigidity))
+    geom = replace(config.geometry(profile))
+    p = np.linspace(0.0, 60e3 if geom.dielectric_thickness
+                    else 0.99 * mechanics.touch_onset_pressure(geom), 61)
+    cap.capacitances(geom, p)
+    cap.sweep_cp_curve(geom, p, config.thresholds)
+    assert counts == {name: 1 for name in [*groups, "materials"]}

@@ -417,6 +417,40 @@ class TestServo:
         assert result.exit_code == 3
         assert "line 3" in result.output and "finite" in result.output
 
+    @staticmethod
+    def default_profile_config(tmp_path, **fields) -> Path:
+        doc = bundled_config()
+        doc["profiles"]["default"].update(fields)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_subnormal_dielectric_config_error(self, runner, tmp_path):
+        # The touched-disk prefactor eps0 eps_t pi R^2 / t1 is inf here; it
+        # went unchecked, and servo exited 0 writing nan.
+        cfg = self.default_profile_config(tmp_path, dielectric_thickness_m=5e-324)
+        out = tmp_path / "servo.csv"
+        result = run(runner, "--config", cfg, "servo", 0, 1000, "--output", out)
+        assert result.exit_code == 3, result.output
+        assert "touched-disk prefactor" in result.output
+        assert "dielectric_thickness_m" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pressure", [1e50, 1e90])
+    def test_tiny_gap_after_contact(self, runner, tmp_path, pressure):
+        # x = sqrt(W0 / (eps_r d_e)) overflows after contact, where u x is
+        # kappa = 0.88 at every W0.  With x taken as inf, 1e90 Pa wrote nan
+        # and 1e50 Pa failed as reaching the electrical gap.
+        cfg = self.default_profile_config(tmp_path, gap_m=2e-300,
+                                          dielectric_thickness_m=1e-300)
+        out = tmp_path / "servo.csv"
+        result = run(runner, "--config", cfg, "servo", pressure, "--output", out)
+        assert result.exit_code == 0, result.output
+        c = float(out.read_text().splitlines()[1].split(",")[1])
+        # The free annulus is below 1e-150 of the touched disk.
+        geom = touchcap.load_config(cfg).geometry()
+        assert c == pytest.approx(geom.disk_prefactor, rel=1e-15)
+
 
 class TestModes:
     def test_segments_sweep_output(self, runner, tmp_path):
@@ -783,7 +817,7 @@ def config_leaves(doc: dict) -> list[tuple]:
 
 
 CONFIG_LEAVES = config_leaves(bundled_config())
-LEAF_VALUES = [1e-300, 1e300, 0, -1, True, "x", None, [], {}]
+LEAF_VALUES = [5e-324, 1e-300, 1e300, 0, -1, True, "x", None, [], {}]
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from touchcap.materials import (Laminate, LineFit, MaterialLayer,
+from touchcap.materials import (MAX_SAMPLE_MAGNITUDE, Laminate, LineFit, MaterialLayer,
                                 flexural_rigidity, line_fit, neutral_plane,
                                 r_squared)
 
@@ -200,3 +200,23 @@ def test_r_squared_is_one_without_spread(n, value):
     assert r_squared(y, y * (1.0 + 1e-9)) == 1.0
     assert line_fit(np.arange(float(n)), y).r_squared == 1.0
 
+
+
+@pytest.mark.parametrize("x,y,message", [
+    ([1e160, 2e160, 3e160], [1.0, 2.0, 3.0], r"x\[0\] must be at most 1e\+150 in magnitude, "
+                                              r"got 1e\+160"),
+    ([1.0, 2.0, 3.0], [0.0, -2e150, 1e200], r"y\[1\] must be at most 1e\+150"),
+    ([1.0, 2.0, math.nan], [0.0, 1.0, 2.0], r"x\[2\] must be finite, got nan"),
+])
+def test_line_fit_rejects_samples_beyond_bound(x, y, message):
+    # Above about 1.3e154 the squares in np.polyfit overflow, and the fit
+    # once came back as slope 0.0 and R^2 0.0.
+    with pytest.raises(ValueError, match=message):
+        line_fit(np.array(x), np.array(y))
+
+
+def test_line_fit_at_sample_bound():
+    x = np.array([-MAX_SAMPLE_MAGNITUDE, 0.0, MAX_SAMPLE_MAGNITUDE])
+    fit = line_fit(x, 0.5 * x)
+    assert fit.slope == pytest.approx(0.5, rel=1e-12)
+    assert fit.r_squared == pytest.approx(1.0, rel=1e-12)

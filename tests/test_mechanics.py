@@ -180,7 +180,7 @@ class TestHugeLoads:
                                          "fem_scaled"])
     def test_center_deflection_solves_cubic(self, config, profile):
         g = config.geometry(profile)
-        c1, c3 = mechanics.cubic_coefficients(g)
+        c1, c3 = g.c1, g.c3
         p = np.array(self.PRESSURES)
         w = mechanics.large_deflection_center(g, p)
         assert w.tolist() == [mechanics.large_deflection_center(g, x) for x in p.tolist()]
@@ -372,6 +372,21 @@ class TestGeometryValidation:
         with pytest.raises(ValueError, match=r"the flexural rigidity D is nan, not finite "
                                              r"and > 0; check the layers' youngs_modulus"):
             replace(default_geometry, laminate=laminate)
+
+    @pytest.mark.parametrize("fields,value", [
+        ({"dielectric_thickness": 5e-324}, "inf"),
+        ({"dielectric_thickness": 1e-310, "dielectric_rel_permittivity": 1e-310}, "0.0"),
+    ], ids=["subnormal_thickness", "underflowing_prefactor"])
+    def test_rejects_bad_disk_prefactor(self, default_geometry, fields, value):
+        # The touched disk's prefactor once reached the model unchecked: at
+        # t1 = 5e-324 it was inf, and inf * (1 - u) wrote nan at 0 Pa.
+        with pytest.raises(ValueError, match=rf"the touched-disk prefactor eps0 eps_t pi "
+                                             rf"R\^2 / t1 is {value}, not finite and > 0; "
+                                             rf"check radius, dielectric_thickness"):
+            replace(default_geometry, **fields)
+
+    def test_no_dielectric_prefactor_is_zero(self, config):
+        assert config.geometry("airgap").disk_prefactor == 0.0
 
 
 @pytest.mark.parametrize("call,message", [

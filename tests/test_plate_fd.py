@@ -212,3 +212,9 @@ class TestLinearity:
             plate_fd.linearity_check(scaled_geometry, [1e3, 1e3, 1e3], grid)
         with pytest.raises(ValueError):
             plate_fd.linearity_check(scaled_geometry, [1e3, 2e3], grid)
+
+    def test_rejects_pressures_beyond_sample_bound(self, scaled_geometry):
+        # Each plate solve is finite here; the line fit through them once
+        # overflowed and returned slope 0.0 and R^2 0.0.
+        with pytest.raises(ValueError, match=r"x\[0\] must be at most 1e\+150 in magnitude"):
+            plate_fd.linearity_check(scaled_geometry, [1e160, 2e160, 3e160], RadialGrid(51))

@@ -1,0 +1,94 @@
+"""Similarity laws of the model, checked bit for bit.
+
+Scaling every length of a device (radius, gap, dielectric and layer
+thicknesses) by lambda scales the center deflection, the capacitance and
+the plate solve's deflection by lambda, and leaves the mode labels and
+the von Mises stress unchanged.  Scaling every Young's modulus, the
+built-in stress and the pressure by mu leaves the deflections, the mode
+labels and the capacitance unchanged.  A power of two scales a float
+without rounding, and the scaled device then hands the same dimensionless
+arguments to the same numpy kernels, so with lambda = mu = 2^k these
+laws hold exactly, whichever SIMD or BLAS kernels the host dispatches to,
+wherever no value is subnormal (a subnormal loses bits when scaled down).
+A term with a wrong exponent (R^2 where R^4 belongs, h where h^2 belongs)
+breaks them, and no golden file rewritten on the same host would.
+Dimensional analysis: Buckingham, Phys. Rev. 4 (1914).
+"""
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from touchcap import capacitance as cap, mechanics, plate_fd
+from touchcap.config import load_config
+from touchcap.materials import Laminate
+
+CONFIG = load_config()
+PROFILES = sorted(CONFIG.profiles)
+POWERS = st.integers(-10, 10).map(lambda k: 2.0**k)
+GRID = plate_fd.RadialGrid(201)
+# A fraction of the pressure span, 0 or far enough above it that every
+# deflection and stress is a normal float.
+FRACTIONS = st.just(0.0) | st.floats(1e-100, 1.0)
+
+
+def pressures(geom, extra: float) -> np.ndarray:
+    """241 pressures from 0 to 60 kPa plus ``extra`` of that span; on a
+    profile without a dielectric, within 0.99 of its touch onset instead,
+    since the model has no capacitance after contact there."""
+    top = 60e3
+    if geom.dielectric_thickness == 0.0:
+        top = min(top, 0.99 * mechanics.touch_onset_pressure(geom))
+    return np.append(np.linspace(0.0, top, 241), extra * top)
+
+
+def labels(geom, p: np.ndarray) -> np.ndarray:
+    w0 = mechanics.large_deflection_center(geom, p)
+    return mechanics.mode_labels(geom, w0, mechanics.contact_edge_u(geom, w0),
+                                 CONFIG.thresholds)
+
+
+def scaled_lengths(geom, lam: float):
+    layers = tuple(replace(layer, thickness=layer.thickness * lam)
+                   for layer in geom.laminate.layers)
+    return replace(geom, radius=geom.radius * lam, gap=geom.gap * lam,
+                   dielectric_thickness=geom.dielectric_thickness * lam,
+                   laminate=Laminate(layers))
+
+
+def scaled_moduli(geom, mu: float):
+    layers = tuple(replace(layer, youngs_modulus=layer.youngs_modulus * mu)
+                   for layer in geom.laminate.layers)
+    return replace(geom, builtin_stress=geom.builtin_stress * mu,
+                   laminate=Laminate(layers))
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(PROFILES), POWERS, FRACTIONS)
+def test_length_scaling(profile, lam, extra):
+    geom = CONFIG.geometry(profile)
+    big = scaled_lengths(geom, lam)
+    p = pressures(geom, extra)
+    assert np.array_equal(mechanics.large_deflection_center(big, p),
+                          lam * mechanics.large_deflection_center(geom, p))
+    assert np.array_equal(cap.capacitances(big, p), lam * cap.capacitances(geom, p))
+    assert np.array_equal(labels(big, p), labels(geom, p))
+    sol, big_sol = (plate_fd.solve_plate(g, float(p[-1]), GRID) for g in (geom, big))
+    assert np.array_equal(big_sol.deflection, lam * sol.deflection)
+    assert np.array_equal(big_sol.von_mises, sol.von_mises)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(PROFILES), POWERS, FRACTIONS)
+def test_stiffness_scaling(profile, mu, extra):
+    geom = CONFIG.geometry(profile)
+    stiff = scaled_moduli(geom, mu)
+    p = pressures(geom, extra)
+    assert np.array_equal(mechanics.large_deflection_center(stiff, mu * p),
+                          mechanics.large_deflection_center(geom, p))
+    assert np.array_equal(cap.capacitances(stiff, mu * p), cap.capacitances(geom, p))
+    assert np.array_equal(labels(stiff, mu * p), labels(geom, p))
+    sol, stiff_sol = (plate_fd.solve_plate(g, float(q[-1]), GRID)
+                      for g, q in ((geom, p), (stiff, mu * p)))
+    assert np.array_equal(stiff_sol.deflection, sol.deflection)
