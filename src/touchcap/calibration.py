@@ -566,11 +566,12 @@ def rise_time(data: MeasuredSeries) -> float:
     """10-90% rise time of a single step response.
 
     Baseline and plateau are medians over the first and last 10% of
-    samples.  The 90% crossing is at the first sample at or above that
-    level; the 10% crossing is at the last sample below that level before
-    it, so noise before the step cannot stand in for the step.  Both are
-    linearly interpolated to the next sample.  Raises if the step
-    amplitude is below 5x the baseline noise.
+    samples.  The 10% crossing is the last entry into the 10-90% band from
+    below before the plateau window, and the 90% crossing the first sample
+    at or above that level after it, so neither noise nor a spike before
+    the step can stand in for the step.  Both are linearly interpolated
+    to the next sample.  Raises if the step amplitude is below 5x the
+    baseline noise.
     """
     if data.kind != "time":
         raise ValueError(f"rise_time needs time-capacitance data, got "
@@ -599,7 +600,8 @@ def rise_time(data: MeasuredSeries) -> float:
 
     high = baseline + RISE_HIGH * amplitude
     low = baseline + RISE_LOW * amplitude
-    i_high = int(np.argmax(c >= high))
-    below = np.flatnonzero(c[:i_high] < low)
-    i_low = int(below[-1]) + 1 if len(below) else 0
+    above = c[:n - head] >= low
+    entries = np.flatnonzero(above[1:] & ~above[:-1]) + 1
+    i_low = int(entries[-1]) if len(entries) else 0
+    i_high = i_low + int(np.argmax(c[i_low:] >= high))
     return crossing(i_high, high) - crossing(i_low, low)

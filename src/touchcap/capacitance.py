@@ -167,7 +167,7 @@ _NO_DIELECTRIC = ("touched regime with zero dielectric thickness: "
                   "capacitance diverges; configure dielectric_thickness > 0")
 
 
-def _evaluate(geom: DeviceGeometry, w0, u, pressures=None) -> tuple[np.ndarray, np.ndarray]:
+def _evaluate(geom: DeviceGeometry, w0, u, pressures) -> tuple[np.ndarray, np.ndarray]:
     """Touched-disk and free-annulus capacitance: the one closed form.
 
     For unconstrained center deflections W0 and contact edges
@@ -182,10 +182,10 @@ def _evaluate(geom: DeviceGeometry, w0, u, pressures=None) -> tuple[np.ndarray, 
     g / (eps_r u^2) = W0 / eps_r, its argument scaled by u.
 
     The expression diverges where u x >= 1 (W0 at the electrical gap) and
-    on contact without a dielectric.  The first such point raises its
-    cause, TouchStateError or ValueError respectively; given the
-    ``pressures`` of an array call, a SweepPointError naming the point
-    wraps that cause.
+    on contact without a dielectric.  At the first such point a scalar
+    pressure raises its cause, TouchStateError or ValueError
+    respectively, and an array of ``pressures`` a SweepPointError naming
+    the point and wrapping that cause.
     """
     t1 = geom.dielectric_thickness
     # x overflows only after contact, where u x is kappa; at x = 0 the limit is u.
@@ -200,7 +200,7 @@ def _evaluate(geom: DeviceGeometry, w0, u, pressures=None) -> tuple[np.ndarray, 
         i = int(np.argmax(outside))
         cause = (ValueError(_NO_DIELECTRIC) if t1 == 0.0 and np.ravel(u)[i] < 1.0
                  else TouchStateError(_AT_GAP))
-        if pressures is None:
+        if np.ndim(pressures) == 0:
             raise cause
         raise SweepPointError(i, float(np.ravel(pressures)[i]), cause)
     return geom.disk_prefactor * (1.0 - u), geom.base_capacitance * shape
@@ -215,7 +215,7 @@ def normal_mode_capacitance(geom: DeviceGeometry, state: DeflectionState) -> flo
     """
     if state.touched:
         raise TouchStateError("normal-mode capacitance requires an untouched state")
-    return float(_evaluate(geom, state.center_deflection, 1.0)[1])
+    return float(_evaluate(geom, state.center_deflection, 1.0, state.pressure)[1])
 
 
 def touch_mode_capacitance(geom: DeviceGeometry, pressure: float) -> CapacitanceBreakdown:
@@ -226,7 +226,7 @@ def touch_mode_capacitance(geom: DeviceGeometry, pressure: float) -> Capacitance
     """
     w0 = mechanics.large_deflection_center(geom, pressure)
     u = mechanics.contact_edge_u(geom, w0)
-    disk, annulus = map(float, _evaluate(geom, w0, u))
+    disk, annulus = map(float, _evaluate(geom, w0, u, pressure))
     if u >= 1.0:
         raise TouchStateError("touch-mode capacitance requires a touched state")
     return CapacitanceBreakdown(total=disk + annulus, touched_part=disk,
@@ -235,16 +235,15 @@ def touch_mode_capacitance(geom: DeviceGeometry, pressure: float) -> Capacitance
 
 def capacitance_at(geom: DeviceGeometry, pressure: float) -> float:
     """Capacitance at one pressure, in any mode."""
-    w0 = mechanics.large_deflection_center(geom, pressure)
-    disk, annulus = _evaluate(geom, w0, mechanics.contact_edge_u(geom, w0))
-    return float(disk + annulus)
+    return float(capacitances(geom, pressure))
 
 
 def capacitances(geom: DeviceGeometry, pressures) -> np.ndarray:
     """Capacitance at each pressure, in one array evaluation.
 
-    Raises ValueError for a negative or non-finite pressure and
-    SweepPointError for the first pressure outside the model's domain.
+    Raises ValueError for a negative or non-finite pressure.  At the first
+    pressure outside the model's domain, a scalar raises that point's own
+    error and an array a SweepPointError wrapping it.
     """
     w0 = mechanics.large_deflection_center(geom, pressures)
     disk, annulus = _evaluate(geom, w0, mechanics.contact_edge_u(geom, w0), pressures)

@@ -22,13 +22,18 @@ The ``thresholds`` block and its three keys are required: no fraction is
 generic, so a config that leaves one out is a ConfigError naming the key.
 
 Every numeric value must be a JSON number.  The module's one job is
-mapping JSON keys to dataclass fields: one key table per section maps them
-both ways, so a sweep sidecar's ``geometry`` and ``thresholds`` blocks
-(``geometry_doc``, ``thresholds_doc``) load back as a profile and a
-``thresholds`` section.  The dataclasses own the defaults and every check
-of a value, ``DeviceGeometry``'s derived quantities included; a message
-that names a renamed field gets that field's JSON key appended, so a
-ConfigError always names the keys to change.
+mapping JSON keys to dataclass fields.  One rule (``_keys``) derives each
+section's key table from its dataclass: every str and float field, in
+field order, under its name or a JSON key it is renamed to (``radius`` is
+``radius_m``), required unless the field has a default.  One reader
+(``_parse``) reads every section through its table, and the tables write
+a sweep sidecar's ``geometry`` and ``thresholds`` blocks
+(``geometry_doc``, ``thresholds_doc``), which load back as a profile and
+a ``thresholds`` section.  The dataclasses own the defaults (``ServoMap``
+holds the servo endpoints') and every check of a value,
+``DeviceGeometry``'s derived quantities included; a message that names a
+renamed field gets that field's JSON key appended, so a ConfigError
+always names the keys to change.
 """
 
 from __future__ import annotations
@@ -66,23 +71,21 @@ class DeviceConfig:
             ) from None
 
 
-# Key tables: (dataclass field, JSON key, default) for each section, in
-# the order a sweep sidecar writes them; a default of None marks a
-# required key.  parse_config reads through them, and geometry_doc and
-# thresholds_doc write through them.
-_LAYER_KEYS = (("youngs_modulus", "youngs_modulus_pa", None),
-               ("poisson_ratio", "poisson_ratio", None),
-               ("thickness", "thickness_m", None))
-_PROFILE_KEYS = tuple(
-    (f.name, {"radius": "radius_m", "gap": "gap_m", "builtin_stress": "builtin_stress_pa",
-              "dielectric_thickness": "dielectric_thickness_m"}.get(f.name, f.name),
-     None if f.default is MISSING else f.default)
-    for f in fields(DeviceGeometry) if f.name != "laminate")
-_THRESHOLD_KEYS = tuple((f.name, f.name, None) for f in fields(ModeThresholds))
-_SERVO_KEYS = (("p_min", "pressure_min_pa", 10e3),
-               ("p_max", "pressure_max_pa", 40e3),
-               ("angle_min", "angle_min_deg", 0.0),
-               ("angle_max", "angle_max_deg", 90.0))
+def _keys(cls, **json_keys) -> tuple:
+    """``cls``'s key table under the module's rule: (field, JSON key,
+    default, type) per field, ``json_keys`` mapping a field to its key."""
+    return tuple((f.name, json_keys.get(f.name, f.name), f.default, f.type)
+                 for f in fields(cls) if f.type in ("str", "float"))
+
+
+_LAYER_KEYS = _keys(MaterialLayer, youngs_modulus="youngs_modulus_pa",
+                    thickness="thickness_m")
+_PROFILE_KEYS = _keys(DeviceGeometry, radius="radius_m", gap="gap_m",
+                      builtin_stress="builtin_stress_pa",
+                      dielectric_thickness="dielectric_thickness_m")
+_THRESHOLD_KEYS = _keys(ModeThresholds)
+_SERVO_KEYS = _keys(ServoMap, p_min="pressure_min_pa", p_max="pressure_max_pa",
+                    angle_min="angle_min_deg", angle_max="angle_max_deg")
 
 
 def _is_number(value) -> bool:
@@ -110,26 +113,26 @@ def _float(value, where: str) -> float:
 
 def _read(doc: dict, keys) -> dict:
     """Dataclass keyword arguments read from ``doc`` through a key table;
-    KeyError for a missing required key, ConfigError for a non-number."""
+    KeyError for a missing required key, ConfigError for a float field's
+    non-number.  A str field takes any value's text."""
     kwargs = {}
-    for name, key, default in keys:
-        value = doc[key] if default is None else doc.get(key, default)
-        if not _is_number(value):
+    for name, key, default, kind in keys:
+        value = doc[key] if default is MISSING else doc.get(key, default)
+        if kind == "float" and not _is_number(value):
             raise ConfigError(f"{key} must be a number, got {value!r}")
-        kwargs[name] = _float(value, key)
+        kwargs[name] = _float(value, key) if kind == "float" else str(value)
     return kwargs
 
 
 def _write(obj, keys) -> dict:
     """The JSON object of ``obj`` under a key table, in table order."""
-    return {key: getattr(obj, name) for name, key, _ in keys}
+    return {key: getattr(obj, name) for name, key, *_ in keys}
 
 
 def geometry_doc(geom: DeviceGeometry) -> dict:
     """A profile's JSON object, as a sweep sidecar's ``geometry`` block writes it."""
     return {**_write(geom, _PROFILE_KEYS),
-            "layers": [{"name": l.name, **_write(l, _LAYER_KEYS)}
-                       for l in geom.laminate.layers]}
+            "layers": [_write(l, _LAYER_KEYS) for l in geom.laminate.layers]}
 
 
 def thresholds_doc(thresholds: ModeThresholds) -> dict:
@@ -141,44 +144,38 @@ def _hinted(exc: ValueError, keys) -> str:
     """The message of ``exc`` with the JSON key of each renamed field it
     names appended: ``p_min must be < p_max (p_min is pressure_min_pa,
     p_max is pressure_max_pa)``."""
-    aliases = [f"{field} is {key}" for field, key, _ in keys
+    aliases = [f"{field} is {key}" for field, key, *_ in keys
                if field != key and re.search(rf"\b{field}\b", str(exc))]
     return f"{exc} ({', '.join(aliases)})" if aliases else str(exc)
 
 
-def _parse_layer(doc) -> MaterialLayer:
-    try:
-        return MaterialLayer(name=str(_object(doc, "layer")["name"]),
-                             **_read(doc, _LAYER_KEYS))
-    except KeyError as exc:
-        raise ConfigError(f"missing layer field {exc}") from None
-
-
-def _parse_geometry(doc, where: str) -> DeviceGeometry:
+def _parse(doc, where: str, cls, keys, hints=None, **extra):
+    """The JSON object ``doc`` read into ``cls`` through a key table, with
+    ``extra`` passed on as given.  A missing key without a default is a
+    ConfigError naming ``where`` and the key, and a value ``cls`` rejects
+    one naming ``where`` and the JSON key of each field its message names,
+    from ``hints`` (the key table by default)."""
     _object(doc, where)
     try:
-        if not isinstance(doc["layers"], list):
-            raise ConfigError(f"layers must be a list, got {doc['layers']!r}")
-        return DeviceGeometry(
-            **_read(doc, _PROFILE_KEYS),
-            laminate=Laminate(tuple(_parse_layer(l) for l in doc["layers"])))
+        return cls(**_read(doc, keys), **extra)
     except KeyError as exc:
         raise ConfigError(f"{where}: missing field {exc}") from None
     except ValueError as exc:
-        raise ConfigError(f"{where}: {_hinted(exc, _PROFILE_KEYS + _LAYER_KEYS)}") from None
+        raise ConfigError(f"{where}: {_hinted(exc, hints or keys)}") from None
 
 
-def _parse_section(doc: dict, name: str, cls, keys):
-    """The top-level section ``name`` read into ``cls``; a missing section
-    or key without a default is a ConfigError naming the key, and a value
-    ``cls`` rejects one naming the JSON key of each field its message names."""
-    section = _object(doc.get(name, {}), name)
-    try:
-        return cls(**_read(section, keys))
-    except KeyError as exc:
-        raise ConfigError(f"{name}: missing field {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {_hinted(exc, keys)}") from None
+def _parse_geometry(doc, where: str) -> DeviceGeometry:
+    """A profile, with its laminate built from its ``layers`` list: each
+    layer is read under its index, and the stack has no keys of its own."""
+    if "layers" not in _object(doc, where):
+        raise ConfigError(f"{where}: missing field 'layers'")
+    if not isinstance(doc["layers"], list):
+        raise ConfigError(f"{where}: layers must be a list, got {doc['layers']!r}")
+    laminate = _parse(doc, where, Laminate, (), layers=[
+        _parse(layer, f"{where}.layers[{i}]", MaterialLayer, _LAYER_KEYS)
+        for i, layer in enumerate(doc["layers"])])
+    return _parse(doc, where, DeviceGeometry, _PROFILE_KEYS,
+                  _PROFILE_KEYS + _LAYER_KEYS, laminate=laminate)
 
 
 def parse_config(doc: dict) -> DeviceConfig:
@@ -188,8 +185,8 @@ def parse_config(doc: dict) -> DeviceConfig:
                 for name, g in doc["profiles"].items()}
     if "default" not in profiles:
         raise ConfigError("config must define a 'default' profile")
-    thresholds = _parse_section(doc, "thresholds", ModeThresholds, _THRESHOLD_KEYS)
-    servo = _parse_section(doc, "servo", ServoMap, _SERVO_KEYS)
+    thresholds = _parse(doc.get("thresholds", {}), "thresholds", ModeThresholds, _THRESHOLD_KEYS)
+    servo = _parse(doc.get("servo", {}), "servo", ServoMap, _SERVO_KEYS)
 
     # A "grid_nodes" or "quadrature_rel_tol" key from older configs is
     # ignored: validate's ladder is a CLI constant and every capacitance

@@ -270,11 +270,6 @@ def pressure_for_center_deflection(geom: DeviceGeometry, w0: float) -> float:
     return p
 
 
-def touch_onset_pressure(geom: DeviceGeometry) -> float:
-    """Pressure at which the unconstrained center deflection equals the travel."""
-    return pressure_for_center_deflection(geom, geom.travel)
-
-
 def contact_edge_u(geom: DeviceGeometry,
                    w0: float | np.ndarray) -> float | np.ndarray:
     """u_a = 1 - (a/R)^2 = sqrt(g / max(W0, g)) for unconstrained deflections W0.

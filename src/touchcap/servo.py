@@ -9,12 +9,13 @@ from .materials import check_finite, check_interval
 
 @dataclass(frozen=True)
 class ServoMap:
-    """Endpoints of the affine pressure-to-angle map, clamped outside."""
+    """Endpoints of the affine pressure-to-angle map, clamped outside; the
+    defaults map the paper's touch-mode range, 10-40 kPa, onto 0-90 degrees."""
 
-    p_min: float  # Pa
-    p_max: float
-    angle_min: float  # degrees
-    angle_max: float
+    p_min: float = 10e3  # Pa
+    p_max: float = 40e3
+    angle_min: float = 0.0  # degrees
+    angle_max: float = 90.0
 
     def __post_init__(self) -> None:
         check_finite(self, ("p_min", "p_max", "angle_min", "angle_max"))

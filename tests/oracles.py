@@ -11,7 +11,8 @@ dependency, so these live with the tests.  The export oracles write a
 the template-based ``to_csv`` and ``to_json`` must match byte for byte.
 The exhaustive knot search scores every first knot of a segmentation, the
 search whose knots the bound-pruned ``calibration._best_knots`` must
-reproduce.
+reproduce.  ``touch_onset_pressure`` inverts the model at the travel, for
+tests that place pressures relative to first contact.
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ def small_deflection_center(geom: DeviceGeometry, pressure: float) -> float:
     stress = (geom.builtin_stress * geom.thickness * geom.radius**2
               / (16.0 * geom.flexural_rigidity))
     return load / (1.0 + stress)
+
+
+def touch_onset_pressure(geom: DeviceGeometry) -> float:
+    """Pressure at which the unconstrained center deflection equals the travel."""
+    return mechanics.pressure_for_center_deflection(geom, geom.travel)
 
 
 def tensioned_plate_center(geom: DeviceGeometry, pressure: float) -> float:

@@ -222,7 +222,7 @@ class TestFitModel:
         # A medium permittivity of 1e300 puts the model near 7e284 F, whose
         # squares overflow the fit's sum.
         geom = replace(bare_geometry, medium_rel_permittivity=1e300)
-        p = np.linspace(0.0, 0.5, 6) * mechanics.touch_onset_pressure(bare_geometry)
+        p = np.linspace(0.0, 0.5, 6) * oracles.touch_onset_pressure(bare_geometry)
         data = MeasuredSeries(p, cal.model_capacitances(bare_geometry, p))
         with pytest.raises(ValueError, match=r"the fit's residual at P = 0.0 Pa "
                                              r"is \S+ F, beyond 1e\+140 F"):
@@ -239,7 +239,7 @@ class TestFitModel:
         assert result.params == {"parasitic_offset": 0.0}
 
     def test_model_capacitances_reports_point(self, bare_geometry):
-        p_on = mechanics.touch_onset_pressure(bare_geometry)
+        p_on = oracles.touch_onset_pressure(bare_geometry)
         with pytest.raises(cap.SweepPointError) as err:
             cal.model_capacitances(bare_geometry, np.array([0.0, 2.0 * p_on]))
         assert err.value.index == 1
@@ -289,7 +289,7 @@ class TestFitModel:
     def test_start_without_model_value_names_pressure(self, bare_geometry,
                                                       config):
         # No dielectric: every sample past touch has no capacitance.
-        p_on = mechanics.touch_onset_pressure(bare_geometry)
+        p_on = oracles.touch_onset_pressure(bare_geometry)
         p = np.array([0.5, 1.5, 2.0, 2.5]) * p_on
         data = MeasuredSeries(p, np.full(4, 7e-12))
         with pytest.raises(ValueError, match=f"P = {float(p[1])} Pa: .*dielectric"):
@@ -835,6 +835,15 @@ class TestRiseTime:
             step.abscissa, step.capacitance + row, kind="time")) for row in noise])
         true = tau * math.log(9.0)
         assert np.all((rises > true / 4) & (rises < 2 * true))
+
+    def test_spike_before_step_ignored(self):
+        # One sample 30 ms before the step, raised by 97% of the amplitude,
+        # passes the 90% level.  It once stood in for the step: 0.82 ms.
+        data = first_order_step(15.85e-3 / math.log(9.0))
+        c = data.capacitance.copy()
+        c[np.argmin(np.abs(data.abscissa + 0.030))] += 0.35e-12
+        spiked = MeasuredSeries(data.abscissa, c, kind="time")
+        assert cal.rise_time(spiked) == pytest.approx(15.85e-3, abs=1e-3)
 
     def test_flat_series_rejected(self):
         t = np.linspace(0.0, 1.0, 100)

@@ -124,7 +124,7 @@ class TestTouchMode:
             cap.touch_mode_capacitance(default_geometry, 100.0)
 
     def test_rejects_zero_dielectric(self, bare_geometry):
-        p = mechanics.touch_onset_pressure(bare_geometry) * 2.0
+        p = oracles.touch_onset_pressure(bare_geometry) * 2.0
         with pytest.raises(ValueError):
             cap.touch_mode_capacitance(bare_geometry, p)
 
@@ -132,7 +132,7 @@ class TestTouchMode:
                                                     bare_geometry):
         with pytest.raises(TouchStateError):
             oracles.touch_mode_capacitance_quadrature(default_geometry, 100.0)
-        p = mechanics.touch_onset_pressure(bare_geometry) * 2.0
+        p = oracles.touch_onset_pressure(bare_geometry) * 2.0
         with pytest.raises(ValueError):
             oracles.touch_mode_capacitance_quadrature(bare_geometry, p)
 
@@ -208,7 +208,7 @@ class TestSweep:
         assert float(np.mean(sat)) < float(np.mean(touch))
 
     def test_continuity_at_mode_switch(self, default_geometry):
-        p_on = mechanics.touch_onset_pressure(default_geometry)
+        p_on = oracles.touch_onset_pressure(default_geometry)
         below = cap.capacitance_at(default_geometry, p_on * (1.0 - 1e-9))
         above = cap.capacitance_at(default_geometry, p_on * (1.0 + 1e-9))
         assert above == pytest.approx(below, rel=1e-6, abs=0)
@@ -226,7 +226,7 @@ class TestSweep:
     def test_matches_pointwise_evaluation(self, config, profile, p_end):
         geom, th = config.geometry(profile), config.thresholds
         if p_end is None:  # no dielectric: stay below touch onset
-            p_end = 0.999 * mechanics.touch_onset_pressure(geom)
+            p_end = 0.999 * oracles.touch_onset_pressure(geom)
         pressures = [float(p) for p in np.linspace(0.0, p_end, 201)]
         curve = cap.sweep_cp_curve(geom, pressures, th)
         expected = [cap.capacitance_at(geom, p) for p in pressures]
@@ -244,10 +244,20 @@ class TestSweep:
     def test_point_error_carries_index(self, bare_geometry, generic_thresholds):
         # Bare gap device enters touch with no dielectric: the failing
         # point index must be reported.
-        p_on = mechanics.touch_onset_pressure(bare_geometry)
+        p_on = oracles.touch_onset_pressure(bare_geometry)
         with pytest.raises(SweepPointError) as err:
             cap.sweep_cp_curve(bare_geometry, [0.0, p_on * 2.0], generic_thresholds)
         assert err.value.index == 1
+
+    def test_error_form_follows_the_input(self, bare_geometry):
+        # A scalar pressure raises the point's own error; an array wraps it.
+        p = 2.0 * oracles.touch_onset_pressure(bare_geometry)
+        with pytest.raises(ValueError, match="zero dielectric") as scalar:
+            cap.capacitances(bare_geometry, p)
+        assert type(scalar.value) is ValueError
+        with pytest.raises(SweepPointError) as array:
+            cap.capacitances(bare_geometry, [p])
+        assert str(array.value.cause) == str(scalar.value)
 
     def test_point_error_is_a_value_error(self):
         assert issubclass(SweepPointError, ValueError)
@@ -256,7 +266,7 @@ class TestSweep:
                                                        generic_thresholds):
         # Just above onset a bare device first sits at the gap, then in
         # contact without a dielectric: both causes must occur.
-        pressures = [mechanics.touch_onset_pressure(bare_geometry)]
+        pressures = [oracles.touch_onset_pressure(bare_geometry)]
         for _ in range(12):
             pressures.append(float(np.nextafter(pressures[-1], math.inf)))
         pressures.append(2.0 * pressures[0])
@@ -472,7 +482,7 @@ def test_each_group_computed_once_per_geometry(config, monkeypatch, profile):
                         counted("materials", mechanics.flexural_rigidity))
     geom = replace(config.geometry(profile))
     p = np.linspace(0.0, 60e3 if geom.dielectric_thickness
-                    else 0.99 * mechanics.touch_onset_pressure(geom), 61)
+                    else 0.99 * oracles.touch_onset_pressure(geom), 61)
     cap.capacitances(geom, p)
     cap.sweep_cp_curve(geom, p, config.thresholds)
     assert counts == {name: 1 for name in [*groups, "materials"]}

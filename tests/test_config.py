@@ -1,13 +1,14 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from touchcap.capacitance import sweep_cp_curve
 from touchcap.config import ConfigError, load_config, parse_config
-from touchcap.mechanics import ModeThresholds
+from touchcap.materials import MaterialLayer
+from touchcap.mechanics import DeviceGeometry, ModeThresholds
 from touchcap.servo import ServoMap, servo_angle
 
 
@@ -215,11 +216,18 @@ class TestParseConfig:
         (("solver", "fit_bounds", "gap"), [1e-4, 10**400],
          "solver.fit_bounds.gap is too large for a float: an integer of 401 digits"),
         (("profiles", "default", "layers", 0), {"name": "PI", "youngs_modulus_pa": 2.5e9},
-         "profiles.default: missing layer field 'poisson_ratio'"),
+         r"profiles.default.layers\[0\]: missing field 'poisson_ratio'"),
+        (("profiles", "default", "layers", 0), {"youngs_modulus_pa": 2.5e9,
+                                                "poisson_ratio": 0.34, "thickness_m": 25e-6},
+         r"profiles.default.layers\[0\]: missing field 'name'"),
+        (("profiles", "default", "layers", 0), 3,
+         r"profiles.default.layers\[0\] must be an object, got 3"),
+        (("profiles", "default", "layers", 0, "thickness_m"), "x",
+         r"profiles.default.layers\[0\]: thickness_m must be a number, got 'x'"),
     ], ids=["null_radius", "null_threshold", "one_bound", "null_bound", "solver_list",
             "layers_number", "profile_number", "bool_radius", "string_gap",
             "text_radius", "nan_bound", "inverted_bounds", "huge_radius", "huge_bound",
-            "layer_field"])
+            "layer_field", "layer_name", "layer_number", "layer_text"])
     def test_malformed_value_named(self, path, value, message):
         doc = self.minimal()
         doc["solver"] = {"fit_bounds": {}}
@@ -234,7 +242,8 @@ class TestParseConfig:
                                          "fem_scaled"])
     def test_sweep_sidecar_loads_back(self, config, profile):
         # The sidecar's geometry and thresholds blocks are a config profile
-        # and thresholds section.
+        # and thresholds section, with a key for every field (the laminate's
+        # is "layers").
         geom = config.geometry(profile)
         curve = sweep_cp_curve(geom, [0.0, 1e3], config.thresholds, profile)
         sidecar = json.loads(curve.to_json(geom, config.thresholds))
@@ -242,9 +251,23 @@ class TestParseConfig:
                                "thresholds": sidecar["thresholds"]})
         assert loaded.geometry() == geom
         assert loaded.thresholds == config.thresholds
+        assert len(sidecar["geometry"]) == len(fields(DeviceGeometry))
+        assert all(len(layer) == len(fields(MaterialLayer))
+                   for layer in sidecar["geometry"]["layers"])
+        assert len(sidecar["thresholds"]) == len(fields(ModeThresholds))
 
 
 class TestServoMap:
+    def test_defaults_on_the_dataclass(self):
+        # The paper's touch-mode range, 10-40 kPa, onto 0-90 degrees; a
+        # servo block's missing keys take these defaults.
+        assert ServoMap() == ServoMap(p_min=10e3, p_max=40e3, angle_min=0.0,
+                                      angle_max=90.0)
+        doc = TestParseConfig().minimal()
+        assert parse_config(doc).servo == ServoMap()
+        doc["servo"] = {"angle_max_deg": 45}
+        assert parse_config(doc).servo == ServoMap(angle_max=45.0)
+
     def test_endpoints_exact(self, config):
         assert servo_angle(config.servo, 10e3) == 0.0
         assert servo_angle(config.servo, 40e3) == 90.0

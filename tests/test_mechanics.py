@@ -200,7 +200,7 @@ class TestHugeLoads:
         # travel**3 overflows: an OverflowError before the inverse checked it.
         g = replace(default_geometry, gap=1e150)
         with pytest.raises(ValueError, match="the pressure for w0 = .* m is beyond float range"):
-            mechanics.touch_onset_pressure(g)
+            mechanics.pressure_for_center_deflection(g, g.travel)
 
 
 class TestProfile:
@@ -223,7 +223,7 @@ class TestProfile:
                                          bare_geometry.radius * 1.01)
 
     def test_rejects_touched_state(self, bare_geometry):
-        p_touch = mechanics.touch_onset_pressure(bare_geometry) * 1.5
+        p_touch = oracles.touch_onset_pressure(bare_geometry) * 1.5
         state = mechanics.solve_state(bare_geometry, p_touch)
         assert state.touched
         with pytest.raises(ValueError):
@@ -251,13 +251,13 @@ class TestContactRadius:
             bare_geometry.radius * math.sqrt(1.0 - 0.5), rel=1e-9)
 
     def test_onset_continuity(self, bare_geometry):
-        p_on = mechanics.touch_onset_pressure(bare_geometry)
+        p_on = oracles.touch_onset_pressure(bare_geometry)
         for eps in (1e-6, 1e-8, 1e-10):
             a = mechanics.contact_radius(bare_geometry, p_on * (1.0 + eps))
             assert 0.0 < a < bare_geometry.radius * 0.05
 
     def test_strictly_increasing_once_positive(self, bare_geometry):
-        p_on = mechanics.touch_onset_pressure(bare_geometry)
+        p_on = oracles.touch_onset_pressure(bare_geometry)
         ps = np.linspace(p_on * 1.01, p_on * 5.0, 20)
         a = [mechanics.contact_radius(bare_geometry, float(p)) for p in ps]
         assert all(b > c for b, c in zip(a[1:], a[:-1]))
@@ -265,7 +265,7 @@ class TestContactRadius:
 
 class TestSolveState:
     def test_caps_deflection_at_travel(self, bare_geometry):
-        p = mechanics.touch_onset_pressure(bare_geometry) * 2.0
+        p = oracles.touch_onset_pressure(bare_geometry) * 2.0
         state = mechanics.solve_state(bare_geometry, p)
         assert state.center_deflection == bare_geometry.travel
         assert state.touched

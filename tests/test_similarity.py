@@ -13,14 +13,24 @@ wherever no value is subnormal (a subnormal loses bits when scaled down).
 A term with a wrong exponent (R^2 where R^4 belongs, h where h^2 belongs)
 breaks them, and no golden file rewritten on the same host would.
 Dimensional analysis: Buckingham, Phys. Rev. 4 (1914).
+
+Mode segmentation is equivariant: it normalizes pressures and
+capacitances before its knot search, so scaling them by powers of two
+lambda and mu scales the knots by exactly lambda, and a constant added to
+every capacitance leaves them unchanged.  Its SSE comes from a
+least-squares re-solve on the unnormalized data, so it scales by mu^2
+only to rounding.
 """
 
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from touchcap import capacitance as cap, mechanics, plate_fd
+import oracles
+from touchcap import calibration as cal, capacitance as cap, mechanics, plate_fd
+from touchcap.calibration import MeasuredSeries
 from touchcap.config import load_config
 from touchcap.materials import Laminate
 
@@ -39,7 +49,7 @@ def pressures(geom, extra: float) -> np.ndarray:
     since the model has no capacitance after contact there."""
     top = 60e3
     if geom.dielectric_thickness == 0.0:
-        top = min(top, 0.99 * mechanics.touch_onset_pressure(geom))
+        top = min(top, 0.99 * oracles.touch_onset_pressure(geom))
     return np.append(np.linspace(0.0, top, 241), extra * top)
 
 
@@ -92,3 +102,26 @@ def test_stiffness_scaling(profile, mu, extra):
     sol, stiff_sol = (plate_fd.solve_plate(g, float(q[-1]), GRID)
                       for g, q in ((geom, p), (stiff, mu * p)))
     assert np.array_equal(stiff_sol.deflection, sol.deflection)
+
+
+def noisy_sweep(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` pressures from 0 to 60 kPa on ``default`` and their
+    capacitances with Gaussian noise of 1e-3 of the capacitance span."""
+    p = np.linspace(0.0, 60e3, n)
+    c = cap.capacitances(CONFIG.geometry(), p)
+    return p, c + 1e-3 * np.ptp(c) * np.random.default_rng(seed).standard_normal(n)
+
+
+@settings(max_examples=40)
+@given(st.integers(40, 200), st.integers(0, 2**32 - 1), POWERS, POWERS)
+def test_segmentation_scaling(n, seed, lam, mu):
+    p, c = noisy_sweep(n, seed)
+    seg = cal.segment_modes(MeasuredSeries(p, c))
+    scaled = cal.segment_modes(MeasuredSeries(lam * p, mu * c))
+    shifted = cal.segment_modes(MeasuredSeries(p, c + 1e-12))
+    assert scaled.boundaries == tuple(lam * b for b in seg.boundaries)
+    assert shifted.boundaries == seg.boundaries
+    assert scaled.low_confidence == shifted.low_confidence == seg.low_confidence
+    # lstsq's rounding does not scale exactly: 1e-12 is about 80 times the
+    # largest deviation seen in 300 seeded series (1.2e-14).
+    assert scaled.sse == pytest.approx(mu * mu * seg.sse, rel=1e-12)
