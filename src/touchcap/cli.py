@@ -31,7 +31,6 @@ from .servo import servo_angle
 VALIDATE_NODES = (51, 101, 201)
 VALIDATE_MAX_REL_ERROR = 0.01
 VALIDATE_MIN_ORDER = 1.8
-VALIDATE_MIN_R2 = 1.0 - 1e-9
 # Most points a sweep may take.  A sweep with both exports peaks at about
 # 620 bytes per point (tracemalloc), so this cap keeps the largest near
 # 60 MB, checked before the pressures are listed.  A point every 0.6 Pa
@@ -201,10 +200,12 @@ def sweep(ctx: click.Context, p_start: float, p_end: float, steps: int,
 @click.pass_context
 def validate(ctx: click.Context, node_counts: tuple[int, ...], profile: str,
              pressure: float) -> None:
-    """Check the plate solver against the analytic center deflection.
+    """Check the plate discretization against P R^4 / (64 D).
 
-    Runs a grid convergence study plus a deflection-pressure linearity
-    check and exits nonzero if any threshold is missed.
+    Runs a grid convergence study of the linear plate solve and exits
+    nonzero if the finest-grid error or an observed order misses its
+    threshold.  The errors and orders depend on the node counts alone:
+    --profile and --pressure change only the printed deflection column.
     """
     cfg = ctx.obj["config"]
     counts = sorted(node_counts or VALIDATE_NODES)
@@ -219,13 +220,6 @@ def validate(ctx: click.Context, node_counts: tuple[int, ...], profile: str,
     for (a, b), order in zip(zip(counts, counts[1:]), orders):
         _echo(ctx, f"order {a}->{b}: {order:.3f}")
 
-    p_lo, p_hi = 2e3, 10e3
-    lin_pressures = [p_lo + (p_hi - p_lo) * i / 4 for i in range(5)]
-    lin = plate_fd.linearity_check(geom, lin_pressures,
-                                   plate_fd.RadialGrid(counts[-1]))
-    _echo(ctx, f"linearity R^2 over {p_lo:.0f}-{p_hi:.0f} Pa: "
-               f"{lin.r_squared:.12f}")
-
     # Each check is written so that NaN fails it.
     failures = []
     if not rows[-1].relative_error <= VALIDATE_MAX_REL_ERROR:
@@ -235,8 +229,6 @@ def validate(ctx: click.Context, node_counts: tuple[int, ...], profile: str,
     for order in orders:
         if not order >= VALIDATE_MIN_ORDER:
             failures.append(f"convergence order {order:.3f} < {VALIDATE_MIN_ORDER}")
-    if not lin.r_squared >= VALIDATE_MIN_R2:
-        failures.append(f"linearity R^2 {lin.r_squared} < {VALIDATE_MIN_R2}")
     if failures:
         raise CheckFailure("validation failed: " + "; ".join(failures))
     _echo(ctx, "PASS")

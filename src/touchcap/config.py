@@ -21,19 +21,20 @@ these values are a calibration to them, not a derivation.
 The ``thresholds`` block and its three keys are required: no fraction is
 generic, so a config that leaves one out is a ConfigError naming the key.
 
-Every numeric value must be a JSON number.  The module's one job is
-mapping JSON keys to dataclass fields.  One rule (``_keys``) derives each
-section's key table from its dataclass: every str and float field, in
-field order, under its name or a JSON key it is renamed to (``radius`` is
-``radius_m``), required unless the field has a default.  One reader
-(``_parse``) reads every section through its table, and the tables write
-a sweep sidecar's ``geometry`` and ``thresholds`` blocks
-(``geometry_doc``, ``thresholds_doc``), which load back as a profile and
-a ``thresholds`` section.  The dataclasses own the defaults (``ServoMap``
-holds the servo endpoints') and every check of a value,
-``DeviceGeometry``'s derived quantities included; a message that names a
-renamed field gets that field's JSON key appended, so a ConfigError
-always names the keys to change.
+Every numeric value must be a JSON number, and a layer's ``name`` a JSON
+string.  The module's one job is mapping JSON keys to dataclass fields.
+One rule (``_keys``) derives each section's key table from its
+dataclass: every str and float field, in field order, under its name or
+a JSON key it is renamed to (``radius`` is ``radius_m``), required
+unless the field has a default.  One reader (``_parse``) reads every
+section through its table, and the tables write a sweep sidecar's
+``geometry`` and ``thresholds`` blocks (``geometry_doc``,
+``thresholds_doc``), which load back as a profile and a ``thresholds``
+section.  The dataclasses own the defaults (``ServoMap`` holds the servo
+endpoints') and every check of a value, ``DeviceGeometry``'s derived
+quantities included; a message that names a renamed field gets that
+field's JSON key appended, so a ConfigError always names the keys to
+change.
 """
 
 from __future__ import annotations
@@ -114,13 +115,15 @@ def _float(value, where: str) -> float:
 def _read(doc: dict, keys) -> dict:
     """Dataclass keyword arguments read from ``doc`` through a key table;
     KeyError for a missing required key, ConfigError for a float field's
-    non-number.  A str field takes any value's text."""
+    non-number or a str field's non-string."""
     kwargs = {}
     for name, key, default, kind in keys:
         value = doc[key] if default is MISSING else doc.get(key, default)
         if kind == "float" and not _is_number(value):
             raise ConfigError(f"{key} must be a number, got {value!r}")
-        kwargs[name] = _float(value, key) if kind == "float" else str(value)
+        if kind == "str" and not isinstance(value, str):
+            raise ConfigError(f"{key} must be a string, got {value!r}")
+        kwargs[name] = _float(value, key) if kind == "float" else value
     return kwargs
 
 

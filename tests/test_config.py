@@ -224,10 +224,17 @@ class TestParseConfig:
          r"profiles.default.layers\[0\] must be an object, got 3"),
         (("profiles", "default", "layers", 0, "thickness_m"), "x",
          r"profiles.default.layers\[0\]: thickness_m must be a number, got 'x'"),
+        (("profiles", "default", "layers", 0, "name"), None,
+         r"profiles.default.layers\[0\]: name must be a string, got None"),
+        (("profiles", "default", "layers", 0, "name"), 5,
+         r"profiles.default.layers\[0\]: name must be a string, got 5"),
+        (("profiles", "default", "layers", 0, "name"), {"a": [1]},
+         r"profiles.default.layers\[0\]: name must be a string, got \{'a': \[1\]\}"),
     ], ids=["null_radius", "null_threshold", "one_bound", "null_bound", "solver_list",
             "layers_number", "profile_number", "bool_radius", "string_gap",
             "text_radius", "nan_bound", "inverted_bounds", "huge_radius", "huge_bound",
-            "layer_field", "layer_name", "layer_number", "layer_text"])
+            "layer_field", "layer_name", "layer_number", "layer_text",
+            "null_name", "number_name", "object_name"])
     def test_malformed_value_named(self, path, value, message):
         doc = self.minimal()
         doc["solver"] = {"fit_bounds": {}}

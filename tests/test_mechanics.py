@@ -304,6 +304,19 @@ class TestClassifyMode:
         assert 8e3 <= onset <= 10e3
         assert 38e3 <= sat <= 42e3
 
+    def test_bundled_thresholds_from_model(self, default_geometry, config):
+        # The rule config.py states: each bundled fraction is the default
+        # profile's model value at a paper boundary, rounded down to 4
+        # digits (0.962455, 0.241671, 0.600065), so editing the profile
+        # cannot silently detach the thresholds from 8, 10 and 40 kPa.
+        geom = default_geometry
+        derived = (mechanics.large_deflection_center(geom, 8e3) / geom.travel,
+                   mechanics.contact_radius(geom, 10e3) / geom.radius,
+                   mechanics.contact_radius(geom, 40e3) / geom.radius)
+        th = config.thresholds
+        assert [math.floor(f * 1e4) / 1e4 for f in derived] == [
+            th.transition_fraction, th.touch_onset_fraction, th.saturation_fraction]
+
     def test_staircase(self, default_geometry, config):
         modes = [mechanics.classify_mode(default_geometry, float(p), config.thresholds)
                  for p in np.linspace(0.0, 80e3, 161)]

@@ -3,9 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from touchcap import cli, mechanics, plate_fd
+from touchcap.config import load_config
 from touchcap.plate_fd import RadialGrid
+
+CONFIG = load_config()
 
 
 def dense_oracle(n: int, load: float) -> np.ndarray:
@@ -161,6 +165,22 @@ class TestConvergence:
     def test_order_401_to_801(self, scaled_geometry):
         rows = plate_fd.convergence_study(scaled_geometry, 10e3, [401, 801])
         assert plate_fd.observed_orders(rows)[0] >= cli.VALIDATE_MIN_ORDER
+
+    @settings(max_examples=40)
+    @given(st.sampled_from(sorted(CONFIG.profiles)),
+           st.floats(math.log(1e-3), math.log(1e6)).map(math.exp))
+    def test_verdict_depends_on_nodes_alone(self, profile, pressure):
+        # The solve is linear in P, and its error relative to P R^4 / (64 D)
+        # depends on the grid alone, so validate's errors and orders are the
+        # default run's (fem_scaled, 10 kPa) on every profile and pressure.
+        def study(geom, p):
+            rows = plate_fd.convergence_study(geom, p, list(cli.VALIDATE_NODES))
+            return [r.relative_error for r in rows], plate_fd.observed_orders(rows)
+
+        errors, orders = study(CONFIG.geometry(profile), pressure)
+        want_errors, want_orders = study(CONFIG.geometry("fem_scaled"), 10e3)
+        assert errors == pytest.approx(want_errors, rel=1e-6, abs=0)
+        assert orders == pytest.approx(want_orders, rel=0, abs=1e-6)
 
     @pytest.mark.parametrize("bad,message", [
         (math.nan, "pressure must be finite, got nan"),

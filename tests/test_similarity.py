@@ -14,6 +14,14 @@ A term with a wrong exponent (R^2 where R^4 belongs, h where h^2 belongs)
 breaks them, and no golden file rewritten on the same host would.
 Dimensional analysis: Buckingham, Phys. Rev. 4 (1914).
 
+The fit inherits both laws when its data and bounds scale with the
+device: the capacitances and the bounds of gap, dielectric_thickness and
+parasitic_offset by lambda, or the pressures and the bounds of
+builtin_stress by mu.  The parameters fit_model iterates on, scaled to
+[0, 1] by their bounds, are then the same numbers, so Levenberg-Marquardt
+takes the same steps: the fitted values and the RMS scale exactly, and
+the iteration count is unchanged.
+
 Mode segmentation is equivariant: it normalizes pressures and
 capacitances before its knot search, so scaling them by powers of two
 lambda and mu scales the knots by exactly lambda, and a constant added to
@@ -23,12 +31,14 @@ only to rounding.
 """
 
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from test_calibration import CLI_FREE_SETS
 from touchcap import calibration as cal, capacitance as cap, mechanics, plate_fd
 from touchcap.calibration import MeasuredSeries
 from touchcap.config import load_config
@@ -102,6 +112,45 @@ def test_stiffness_scaling(profile, mu, extra):
     sol, stiff_sol = (plate_fd.solve_plate(g, float(q[-1]), GRID)
                       for g, q in ((geom, p), (stiff, mu * p)))
     assert np.array_equal(stiff_sol.deflection, sol.deflection)
+
+
+FIT_SERIES = MeasuredSeries.from_csv(
+    resources.files("touchcap.data").joinpath("synthetic_fit.csv").read_text())
+# The fit parameters that are lengths, with the capacitance offset, which
+# scales as a capacitance does.
+LENGTH_PARAMS = ("gap", "dielectric_thickness", "parasitic_offset")
+
+
+def scaled_params(params: dict, names, factor: float) -> dict:
+    """``params`` (values or bound pairs) with those in ``names`` scaled."""
+    return {name: (np.multiply(factor, value).tolist() if name in names else value)
+            for name, value in params.items()}
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(CLI_FREE_SETS), POWERS)
+def test_fit_length_scaling(free, lam):
+    geom = CONFIG.geometry()
+    base = cal.fit_model(FIT_SERIES, geom, list(free), CONFIG.fit_bounds)
+    big = cal.fit_model(MeasuredSeries(FIT_SERIES.abscissa, lam * FIT_SERIES.capacitance),
+                        scaled_lengths(geom, lam), list(free),
+                        scaled_params(CONFIG.fit_bounds, LENGTH_PARAMS, lam))
+    assert big.params == scaled_params(base.params, LENGTH_PARAMS, lam)
+    assert big.residual_norm == lam * base.residual_norm
+    assert big.iterations == base.iterations
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(CLI_FREE_SETS), POWERS)
+def test_fit_stiffness_scaling(free, mu):
+    geom = CONFIG.geometry()
+    base = cal.fit_model(FIT_SERIES, geom, list(free), CONFIG.fit_bounds)
+    stiff = cal.fit_model(MeasuredSeries(mu * FIT_SERIES.abscissa, FIT_SERIES.capacitance),
+                          scaled_moduli(geom, mu), list(free),
+                          scaled_params(CONFIG.fit_bounds, ("builtin_stress",), mu))
+    assert stiff.params == scaled_params(base.params, ("builtin_stress",), mu)
+    assert stiff.residual_norm == base.residual_norm
+    assert stiff.iterations == base.iterations
 
 
 def noisy_sweep(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
