@@ -2,21 +2,12 @@
 
 Modules import in one direction only: materials -> mechanics -> servo ->
 config -> capacitance -> calibration -> cli, and plate_fd (materials,
-mechanics) is imported by cli alone.
+mechanics) is imported by cli alone.  The root exports ``load_config``;
+every other name is imported from the module that defines it.
 """
 
-from .materials import Laminate, MaterialLayer, flexural_rigidity, neutral_plane
-from .mechanics import (DeviceGeometry, DeflectionState, ModeThresholds,
-                        OperatingMode)
-from .capacitance import CPCurve, sweep_cp_curve
-from .servo import ServoMap, servo_angle
-from .config import DeviceConfig, load_config
+from .config import load_config
 
-__all__ = [
-    "Laminate", "MaterialLayer", "flexural_rigidity", "neutral_plane",
-    "DeviceGeometry", "DeflectionState", "ModeThresholds", "OperatingMode",
-    "CPCurve", "sweep_cp_curve",
-    "ServoMap", "servo_angle", "DeviceConfig", "load_config",
-]
+__all__ = ["load_config"]
 
 __version__ = "0.1.0"

@@ -215,9 +215,11 @@ def fit_model(data: MeasuredSeries, geom0: DeviceGeometry,
         raise ValueError(f"need at least 4 samples, got {len(data)}")
     if not free_params:
         raise ValueError("free_params must be nonempty")
-    for name in free_params:
+    for i, name in enumerate(free_params):
         if name not in FIT_PARAM_NAMES:
             raise ValueError(f"unknown fit parameter {name!r}")
+        if name in free_params[:i]:
+            raise ValueError(f"fit parameter {name!r} is given more than once")
         if name not in bounds:
             raise ValueError(f"missing bounds for {name!r}")
         lo, hi = bounds[name]

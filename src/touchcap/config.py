@@ -27,14 +27,14 @@ One rule (``_keys``) derives each section's key table from its
 dataclass: every str and float field, in field order, under its name or
 a JSON key it is renamed to (``radius`` is ``radius_m``), required
 unless the field has a default.  One reader (``_parse``) reads every
-section through its table, and the tables write a sweep sidecar's
-``geometry`` and ``thresholds`` blocks (``geometry_doc``,
-``thresholds_doc``), which load back as a profile and a ``thresholds``
-section.  The dataclasses own the defaults (``ServoMap`` holds the servo
-endpoints') and every check of a value, ``DeviceGeometry``'s derived
-quantities included; a message that names a renamed field gets that
-field's JSON key appended, so a ConfigError always names the keys to
-change.
+section through its table and rejects other keys but ``comment`` and
+``description``; the tables write a sweep sidecar's ``geometry`` and
+``thresholds`` blocks (``geometry_doc``, ``thresholds_doc``), which load
+back as a profile and a ``thresholds`` section.  The dataclasses own the
+defaults (``ServoMap`` holds the servo endpoints) and every check of a
+value, ``DeviceGeometry``'s derived quantities included; a message that
+names a renamed field gets that field's JSON key appended, so a
+ConfigError always names the keys to change.
 """
 
 from __future__ import annotations
@@ -112,10 +112,18 @@ def _float(value, where: str) -> float:
                           f"{len(str(abs(value)))} digits") from None
 
 
-def _read(doc: dict, keys) -> dict:
+def _check_keys(doc: dict, known, where: str = "") -> None:
+    """ConfigError naming the first key of ``doc`` neither in ``known`` nor
+    a note (``comment``, ``description``): nothing would read it."""
+    if unknown := [k for k in doc if k not in (*known, "comment", "description")]:
+        raise ConfigError(f"{where}unknown key {unknown[0]!r}")
+
+
+def _read(doc: dict, keys, also=()) -> dict:
     """Dataclass keyword arguments read from ``doc`` through a key table;
-    KeyError for a missing required key, ConfigError for a float field's
-    non-number or a str field's non-string."""
+    KeyError for a missing required key, ConfigError for an unknown key,
+    a float field's non-number or a str field's non-string."""
+    _check_keys(doc, [key for _, key, *_ in keys] + list(also))
     kwargs = {}
     for name, key, default, kind in keys:
         value = doc[key] if default is MISSING else doc.get(key, default)
@@ -152,15 +160,15 @@ def _hinted(exc: ValueError, keys) -> str:
     return f"{exc} ({', '.join(aliases)})" if aliases else str(exc)
 
 
-def _parse(doc, where: str, cls, keys, hints=None, **extra):
+def _parse(doc, where: str, cls, keys, hints=None, also=(), **extra):
     """The JSON object ``doc`` read into ``cls`` through a key table, with
-    ``extra`` passed on as given.  A missing key without a default is a
-    ConfigError naming ``where`` and the key, and a value ``cls`` rejects
-    one naming ``where`` and the JSON key of each field its message names,
-    from ``hints`` (the key table by default)."""
+    ``also`` the keys the caller reads and ``extra`` passed on as given.  A
+    missing key without a default is a ConfigError naming ``where`` and the
+    key; an unknown key or a value ``cls`` rejects, one naming ``where`` and
+    the JSON key of each field it names, from ``hints`` or the key table."""
     _object(doc, where)
     try:
-        return cls(**_read(doc, keys), **extra)
+        return cls(**_read(doc, keys, also), **extra)
     except KeyError as exc:
         raise ConfigError(f"{where}: missing field {exc}") from None
     except ValueError as exc:
@@ -174,16 +182,17 @@ def _parse_geometry(doc, where: str) -> DeviceGeometry:
         raise ConfigError(f"{where}: missing field 'layers'")
     if not isinstance(doc["layers"], list):
         raise ConfigError(f"{where}: layers must be a list, got {doc['layers']!r}")
-    laminate = _parse(doc, where, Laminate, (), layers=[
+    laminate = _parse({}, where, Laminate, (), layers=[
         _parse(layer, f"{where}.layers[{i}]", MaterialLayer, _LAYER_KEYS)
         for i, layer in enumerate(doc["layers"])])
     return _parse(doc, where, DeviceGeometry, _PROFILE_KEYS,
-                  _PROFILE_KEYS + _LAYER_KEYS, laminate=laminate)
+                  _PROFILE_KEYS + _LAYER_KEYS, ("layers",), laminate=laminate)
 
 
 def parse_config(doc: dict) -> DeviceConfig:
     if not isinstance(doc, dict) or not isinstance(doc.get("profiles"), dict):
         raise ConfigError("config must contain a 'profiles' object")
+    _check_keys(doc, ("profiles", "thresholds", "servo", "solver"), "top level: ")
     profiles = {name: _parse_geometry(g, f"profiles.{name}")
                 for name, g in doc["profiles"].items()}
     if "default" not in profiles:

@@ -125,11 +125,9 @@ def neutral_plane(laminate: Laminate) -> float:
     """Neutral-plane height e above the bottom face.
 
     Modulus-weighted centroid of the stack: e = sum(w_i t_i zbar_i) /
-    sum(w_i t_i) with w_i = E_i/(1 - nu_i).  A single layer always gives
-    h/2.
+    sum(w_i t_i) with w_i = E_i/(1 - nu_i).  A single layer gives h/2
+    to within 1 ulp.
     """
-    if len(laminate.layers) == 1:
-        return laminate.layers[0].thickness / 2.0
     z = laminate.interfaces()
     num = den = 0.0
     for i, layer in enumerate(laminate.layers):

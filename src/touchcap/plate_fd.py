@@ -227,7 +227,7 @@ def convergence_study(geom: DeviceGeometry, pressure: float,
         raise ValueError("pressure must be > 0: the relative error is "
                          "undefined at zero load")
     if any(b <= a for a, b in zip(node_counts, node_counts[1:])):
-        raise ValueError("node_counts must be increasing")
+        raise ValueError(f"node_counts must be increasing, got {list(node_counts)}")
     grids = [RadialGrid(n) for n in node_counts]  # every count checked first
     exact = linear_center_deflection(geom, pressure)
     if exact < sys.float_info.min:

@@ -220,6 +220,11 @@ class TestValidate:
         result = run(runner, "validate", "--nodes", 4)
         assert result.exit_code == 2
 
+    def test_repeated_grid_named(self, runner):
+        result = run(runner, "validate", "--nodes", 101, "--nodes", 101)
+        assert result.exit_code == 2
+        assert "node_counts must be increasing, got [101, 101]" in result.output
+
     @pytest.mark.parametrize("nodes", [plate_fd.MAX_NODE_COUNT + 1, 10**400],
                              ids=["max_plus_one", "400_digits"])
     def test_fine_grid_rejected(self, runner, monkeypatch, nodes):
@@ -315,6 +320,16 @@ class TestFit:
         result = run(runner, "fit", FIXTURE, "--free", "radius")
         assert result.exit_code == 2
         assert "radius" in result.output
+
+    def test_repeated_free_param(self, runner, tmp_path):
+        # The first copy got a zero Jacobian column, and the fit spent 13
+        # model evaluations instead of 9.
+        out = tmp_path / "fit.json"
+        result = run(runner, "fit", FIXTURE, "--free", "gap", "--free", "gap",
+                     "--output", out)
+        assert result.exit_code == 2
+        assert "fit parameter 'gap' is given more than once" in result.output
+        assert not out.exists()
 
     def test_missing_data_file(self, runner, tmp_path):
         result = run(runner, "fit", tmp_path / "nope.csv")
@@ -574,6 +589,22 @@ class TestConfigHandling:
         result = run(runner, "--config", bad, "sweep")
         assert result.exit_code == 3
         assert f"invalid config: {bad} is not UTF-8 text" in result.output
+
+    def test_misspelt_key_parse_error(self, runner, tmp_path):
+        # Read as an unknown key, builtin_stress swept a device without
+        # built-in stress at exit 0.
+        doc = json.loads(resources.files("touchcap.data")
+                         .joinpath("default_device.json").read_text())
+        profile = doc["profiles"]["default"]
+        profile["builtin_stress"] = profile.pop("builtin_stress_pa")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "sweep.csv"
+        result = run(runner, "--config", bad, "sweep", "--output", out)
+        assert result.exit_code == 3
+        assert ("invalid config: profiles.default: unknown key 'builtin_stress' "
+                "(builtin_stress is builtin_stress_pa)") in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("drop,key", [
         (None, "transition_fraction"),
@@ -1000,6 +1031,18 @@ def test_package_imports_have_no_cycle():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         pytest.fail("import cycle: " + " -> ".join(reversed(exc.args[1])))
+
+
+def test_root_exports_load_config_only():
+    # Every other name is imported from its module, so `import touchcap`
+    # loads only the config chain.
+    assert touchcap.__all__ == ["load_config"]
+    src = str(Path(touchcap.__file__).resolve().parents[1])
+    code = ("import sys, touchcap; print([m for m in ('capacitance', 'calibration', "
+            "'plate_fd', 'cli') if 'touchcap.' + m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("module", ["config", "plate_fd", "calibration",

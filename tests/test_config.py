@@ -120,6 +120,31 @@ class TestParseConfig:
         assert parse_config(doc) == replace(parse_config(self.minimal()),
                                             fit_bounds={"gap": (1e-4, 1e-3)})
 
+    @pytest.mark.parametrize("path,key,message", [
+        (("profiles", "default"), "builtin_stress",
+         r"profiles.default: unknown key 'builtin_stress' "
+         r"\(builtin_stress is builtin_stress_pa\)$"),
+        (("profiles", "default", "layers", 0), "thickness",
+         r"profiles.default.layers\[0\]: unknown key 'thickness' "
+         r"\(thickness is thickness_m\)$"),
+        (("thresholds",), "touch_fraction", "thresholds: unknown key 'touch_fraction'$"),
+        (("servo",), "pressure_max", "servo: unknown key 'pressure_max'$"),
+        ((), "servos", "top level: unknown key 'servos'$"),
+    ], ids=["profile", "layer", "thresholds", "servo", "top_level"])
+    def test_unknown_key_named(self, path, key, message):
+        # A misspelt key was dropped, leaving its field at the default;
+        # notes are the only keys no section reads.
+        doc = self.minimal()
+        doc["servo"] = {}
+        node = doc
+        for step in path:
+            node = node[step]
+        node["comment"] = node["description"] = "a note"
+        assert parse_config(doc) == parse_config(self.minimal())
+        node[key] = 30000.0
+        with pytest.raises(ConfigError, match=message):
+            parse_config(doc)
+
     @given(st.sampled_from([
                (("profiles", "default"), "radius_m", "radius"),
                (("profiles", "default"), "gap_m", "gap"),
