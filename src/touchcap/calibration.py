@@ -25,12 +25,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import capacitance as cap
+from .config import FIT_PARAM_NAMES
 from .materials import check_interval, check_samples, line_fit, r_squared
 from .mechanics import DeviceGeometry
 
-# Geometry fields adjustable by the fitter, plus a constant parasitic offset.
-FIT_PARAM_NAMES = ("gap", "builtin_stress", "dielectric_thickness",
-                   "dielectric_rel_permittivity", "parasitic_offset")
 # Fewest samples between two segmentation knots, and between a knot and
 # either end of the series.
 MIN_GAP = 2

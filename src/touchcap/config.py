@@ -50,6 +50,10 @@ from .mechanics import DeviceGeometry, ModeThresholds
 from .servo import ServoMap
 
 DEFAULT_CONFIG_RESOURCE = "default_device.json"
+# fit's free parameters, the names ``solver.fit_bounds`` may hold: geometry
+# fields adjustable by the fitter, plus a constant parasitic offset.
+FIT_PARAM_NAMES = ("gap", "builtin_stress", "dielectric_thickness",
+                   "dielectric_rel_permittivity", "parasitic_offset")
 
 
 class ConfigError(ValueError):
@@ -204,8 +208,10 @@ def parse_config(doc: dict) -> DeviceConfig:
     # ignored: validate's ladder is a CLI constant and every capacitance
     # is a closed form.
     so = _object(doc.get("solver", {}), "solver")
+    pairs = _object(so.get("fit_bounds", {}), "solver.fit_bounds")
+    _check_keys(pairs, FIT_PARAM_NAMES, "solver.fit_bounds: ")
     bounds = {}
-    for name, pair in _object(so.get("fit_bounds", {}), "solver.fit_bounds").items():
+    for name, pair in ((k, v) for k, v in pairs.items() if k in FIT_PARAM_NAMES):
         where = f"solver.fit_bounds.{name}"
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                 and all(map(_is_number, pair))):

@@ -2,17 +2,17 @@
 
 Solves D * biharmonic(w) = P on a uniform radial grid with a clamped edge
 (w = w' = 0 at r = R) and symmetry at the center, using second-order
-stencils with ghost-node reflection.  The five-band operator is solved
-in O(n) time and memory by banded elimination plus one refinement step;
-no n x n matrix is formed.  Surface stresses and von Mises fields are
-recovered from the solution, and a convergence study against mechanics'
-own linear center deflection P R^4 / (64 D) is provided.
-
-The operator's condition number grows as n^4.  Up to 1601 nodes the
-computed center deflection matches the stencil's exact-arithmetic
-solution to well under 1% of the discretization error; at 3201 nodes
-roundoff is about half the discretization error and at 6401 it
-dominates, so a convergence ladder is roundoff-limited past 1601 nodes.
+stencils with ghost-node reflection.  The solution is the exact profile
+P (R^2 - r^2)^2 / (64 D) (Timoshenko & Woinowsky-Krieger, Theory of
+Plates and Shells) plus a correction, for which the stencil's residual
+on that quartic is a closed form; one banded elimination in doubles
+solves for it in O(n) (defect correction, Stetter, Numer. Math. 29,
+1978).  The operator's n^4 condition number thus acts only on the
+correction, which is as small as the discretization error: up to 6401
+nodes each node is within 2e-12 of the center deflection of an exact
+solve of the stencil, on any host.  Stresses are recovered from the
+solution, and a convergence study against mechanics' own linear center
+deflection P R^4 / (64 D) is provided.
 
 A grid is a node count from ``MIN_NODE_COUNT`` to ``MAX_NODE_COUNT``
 (16 to 6401); its spacing comes from the geometry's radius.  A count
@@ -31,9 +31,7 @@ from .materials import LineFit, line_fit, neutral_plane
 from .mechanics import DeviceGeometry, checked_pressures, linear_center_deflection
 
 MIN_NODE_COUNT = 16
-# A finer grid gains nothing: at 6401 nodes roundoff already dominates the
-# discretization error (module docstring).  The cap also keeps a count from
-# the command line from sizing arrays without bound.
+# A size guard only: a --nodes count cannot size arrays without bound.
 MAX_NODE_COUNT = 6401
 
 
@@ -74,18 +72,19 @@ def _biharmonic_bands(n: int) -> np.ndarray:
         biharmonic(w) = w'''' + (2/r) w''' - (1/r^2) w'' + (1/r^3) w',
 
     by second-order central differences at r = i dr.  Since dr/r = 1/i,
-    the operator depends on n alone and the load enters only through the
-    right-hand side (P/D) dr^4.  The bands are built in np.longdouble: a
-    stencil whose rows sum to zero loses most of its digits when rounded
-    to doubles on a fine grid.
+    the operator depends on n alone.  The bands are doubles formed by +,
+    -, * and / alone, which IEEE arithmetic rounds the same on every
+    host.
     """
-    bands = np.zeros((n, 5), dtype=np.longdouble)
-    inv = 1 / np.arange(1, n - 1, dtype=np.longdouble)
+    bands = np.zeros((n, 5))
+    inv = 1 / np.arange(1.0, n - 1)
+    inv2 = inv * inv
+    inv3 = inv2 * inv
     rows = bands[1:-1]
     rows[:, 0] = 1.0 - inv
-    rows[:, 1] = -4.0 + 2.0 * inv - inv**2 - 0.5 * inv**3
-    rows[:, 2] = 6.0 + 2.0 * inv**2
-    rows[:, 3] = -4.0 - 2.0 * inv - inv**2 + 0.5 * inv**3
+    rows[:, 1] = -4.0 + 2.0 * inv - inv2 - 0.5 * inv3
+    rows[:, 2] = 6.0 + 2.0 * inv2
+    rows[:, 3] = -4.0 - 2.0 * inv - inv2 + 0.5 * inv3
     rows[:, 4] = 1.0 + inv
     # The symmetry ghost w_{-1} = w_1 enters row 1 with weight 1 - dr/r = 0;
     # the clamped-edge ghost w_n = w_{n-2} (w'(R) = 0) folds onto w_{n-2}.
@@ -93,7 +92,7 @@ def _biharmonic_bands(n: int) -> np.ndarray:
     bands[n - 2, 4] = 0.0
     # Center node: series expansion of an even, regular solution gives
     # dr^4 biharmonic(w)(0) ~ (16/3) (3 w0 - 4 w1 + w2).
-    bands[0, 2:] = np.array([48, -64, 16], dtype=np.longdouble) / 3
+    bands[0, 2:] = np.array([48.0, -64.0, 16.0]) / 3
     bands[n - 1, 2] = 1.0  # w(R) = 0
     return bands
 
@@ -126,24 +125,19 @@ def _eliminate(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.array(x[:n])
 
 
-def _solve_pentadiagonal(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Elimination plus one step of iterative refinement (Golub & Van Loan, 3.5.3).
-
-    The plate operator's condition number grows as n^4, so elimination
-    in doubles alone loses about cond * eps: 6e-7 relative at 1601 nodes.
-    The residual rhs - A x, formed from the np.longdouble bands in
-    np.longdouble (80-bit on x86-64), keeps the digits that cancellation
-    would drop, and one corrective solve in doubles recovers nearly all
-    of the loss.  Where np.longdouble is no wider than a double, the step
-    leaves the elimination's accuracy.
+def _quartic_residual(n: int) -> np.ndarray:
+    """1 - A f / 64 per row: A is ``_biharmonic_bands``, and f_i =
+    (N^2 - i^2)^2 with N = n - 1 the exact profile for a unit right-hand
+    side in grid units.  The differences for w'' and w' err on f by f^(4)/12
+    and f^(3)/6, which leaves -1/(32 i^2) on interior row i; the center and
+    edge rows are exact, and the clamped-edge ghost, folding f_{N-1} for
+    f_{N+1}, adds N^2 / (8 (N - 1)) on row N - 1.
     """
-    narrow = bands.astype(float)
-    x = _eliminate(narrow, rhs)
-    n = len(x)
-    wide = np.zeros(n + 4, dtype=np.longdouble)
-    wide[2:-2] = x
-    residual = rhs - sum(bands[:, k] * wide[k:k + n] for k in range(5))
-    return x + _eliminate(narrow, residual.astype(float))
+    i = np.arange(1, n - 1)
+    residual = np.zeros(n)
+    residual[1:-1] = -1.0 / (32 * i * i)
+    residual[-2] += (n - 1) ** 2 / (8 * (n - 2))
+    return residual
 
 
 def _derivatives(w: np.ndarray, dr: float) -> tuple[np.ndarray, np.ndarray]:
@@ -171,9 +165,11 @@ def solve_plate(geom: DeviceGeometry, pressure: float, grid: RadialGrid) -> Plat
     pressure = float(checked_pressures(pressure))
     n = grid.node_count
     dr = geom.radius / (n - 1)
-    rhs = np.full(n, pressure / geom.flexural_rigidity * dr**4)
-    rhs[-1] = 0.0  # w(R) = 0
-    w = _solve_pentadiagonal(_biharmonic_bands(n), rhs)
+    # w = (P / D) dr^4 (f / 64 + c) = q (f + 64 c) / N^4, f_i = d_i^2, for the
+    # load term q = P R^4 / (64 D) and A c the quartic's residual.
+    correction = _eliminate(_biharmonic_bands(n), _quartic_residual(n))
+    d = (n - 1) ** 2 - np.arange(n) ** 2
+    w = linear_center_deflection(geom, pressure) * ((d * d + 64.0 * correction) / (n - 1) ** 4)
 
     r = np.linspace(0.0, geom.radius, n)
     d1, d2 = _derivatives(w, dr)

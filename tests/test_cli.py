@@ -248,14 +248,13 @@ class TestValidate:
         assert message in result.output
         assert "PASS" not in result.output
 
-    def test_ladder_reaching_6401_nodes_fails(self, runner):
-        # Past 1601 nodes roundoff distorts the observed order (README); on
-        # x86-64 with numpy 2.4 the order 3201->6401 is -2.423.
+    def test_ladder_reaching_6401_nodes_passes(self, runner):
+        # Roundoff stays far below the discretization error up to the
+        # finest grid, so the order 3201->6401 is second order (2.272).
         result = run(runner, "validate", "--nodes", 3201, "--nodes", 6401)
-        assert result.exit_code == 1
-        assert re.search(r"validation failed: convergence order -?\d+\.\d{3} < 1\.8\n",
-                         result.output), result.output
-        assert "PASS" not in result.output
+        assert result.exit_code == 0, result.output
+        order = re.search(r"\norder 3201->6401: (\d+\.\d{3})\nPASS\n$", result.output)
+        assert order and float(order[1]) >= 1.8, result.output
 
     def test_ladder_ignores_config_grid_nodes(self, runner, tmp_path):
         # A grid_nodes key in an older config does not set the ladder.

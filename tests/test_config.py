@@ -130,12 +130,15 @@ class TestParseConfig:
         (("thresholds",), "touch_fraction", "thresholds: unknown key 'touch_fraction'$"),
         (("servo",), "pressure_max", "servo: unknown key 'pressure_max'$"),
         ((), "servos", "top level: unknown key 'servos'$"),
-    ], ids=["profile", "layer", "thresholds", "servo", "top_level"])
+        (("solver", "fit_bounds"), "builtin_stres",
+         "solver.fit_bounds: unknown key 'builtin_stres'$"),
+    ], ids=["profile", "layer", "thresholds", "servo", "top_level", "fit_bounds"])
     def test_unknown_key_named(self, path, key, message):
         # A misspelt key was dropped, leaving its field at the default;
         # notes are the only keys no section reads.
         doc = self.minimal()
         doc["servo"] = {}
+        doc["solver"] = {"fit_bounds": {}}
         node = doc
         for step in path:
             node = node[step]

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,6 +40,41 @@ def dense_oracle(n: int, load: float) -> np.ndarray:
     rhs[-1] = 0.0
     x = np.linalg.solve(dense.astype(float), rhs)
     return x + np.linalg.solve(dense.astype(float), (rhs - dense @ x).astype(float))
+
+
+def exact_stencil(n: int) -> list[dict[int, Fraction]]:
+    """The dr^4-scaled stencil in exact rationals, row i as {column: entry},
+    its ghost nodes folded by index as ``dense_oracle`` folds them."""
+    rows = [{0: Fraction(16), 1: Fraction(-64, 3), 2: Fraction(16, 3)}]
+    for i in range(1, n - 1):
+        v = Fraction(1, i)  # dr / r
+        row = {}
+        for k, entry in zip(range(-2, 3), (1 - v, -4 + 2 * v - v**2 - v**3 / 2,
+                                           6 + 2 * v**2, -4 - 2 * v - v**2 + v**3 / 2,
+                                           1 + v)):
+            j = {-1: 1, n: n - 2}.get(i + k, i + k)  # symmetry, clamped-edge ghosts
+            row[j] = row.get(j, 0) + entry
+        rows.append(row)
+    rows.append({n - 1: Fraction(1)})  # w(R) = 0
+    return rows
+
+
+def exact_unit_solution(n: int) -> list[Fraction]:
+    """The stencil's solution for a unit right-hand side (0 on the edge row),
+    by banded Gaussian elimination in exact rationals."""
+    rows = exact_stencil(n)
+    y = [Fraction(1)] * (n - 1) + [Fraction(0)]
+    for k in range(n):
+        for r in range(k + 1, min(k + 3, n)):
+            if m := rows[r].pop(k, 0) / rows[k][k]:
+                for j, entry in rows[k].items():
+                    if j > k:
+                        rows[r][j] = rows[r].get(j, 0) - m * entry
+                y[r] -= m * y[k]
+    x = [Fraction(0)] * n
+    for k in range(n - 1, -1, -1):
+        x[k] = (y[k] - sum(e * x[j] for j, e in rows[k].items() if j > k)) / rows[k][k]
+    return x
 
 
 class TestGrid:
@@ -122,6 +158,37 @@ class TestSolvePlate:
         assert sol.deflection[:-1] == pytest.approx(expected[:-1], rel=1e-9, abs=0)
         assert sol.deflection[-1] == expected[-1] == 0.0
 
+    @pytest.mark.parametrize("n", [16, 17, 40, 101])
+    def test_quartic_residual_closed_form(self, n):
+        # The closed form is 1 - A f / 64 for f_i = (N^2 - i^2)^2 on every
+        # row, the center, fold and edge rows included, and the bands are
+        # the stencil's entries rounded to doubles.
+        stencil = exact_stencil(n)
+        big_n = n - 1
+        f = [(big_n**2 - i**2) ** 2 for i in range(n)]
+        exact = [(i < big_n) - sum(e * f[j] for j, e in row.items()) / 64
+                 for i, row in enumerate(stencil)]
+        assert plate_fd._quartic_residual(n).tolist() == pytest.approx(
+            [float(r) for r in exact], rel=1e-15, abs=0)
+        dense = np.zeros((n, n))
+        for i, row in enumerate(stencil):
+            for j, e in row.items():
+                dense[i, j] = e
+        bands = plate_fd._biharmonic_bands(n)
+        for k in range(5):  # column k of row i holds the entry of w_{i+k-2}
+            i = np.arange(max(0, 2 - k), min(n, n + 2 - k))
+            assert bands[i, k] == pytest.approx(dense[i, i + k - 2], rel=1e-15, abs=1e-15)
+
+    def test_matches_exact_rational_solve(self, scaled_geometry):
+        # Each node within 1e-11 of the center deflection of the stencil's
+        # exact solution at 801 nodes (2.3e-13 measured), where the
+        # discretization error is 6.9e-7.
+        n = 801
+        sol = plate_fd.solve_plate(scaled_geometry, 10e3, RadialGrid(n))
+        load = mechanics.linear_center_deflection(scaled_geometry, 10e3) * 64 / (n - 1) ** 4
+        expected = np.array([float(u) for u in exact_unit_solution(n)]) * load
+        assert np.max(np.abs(sol.deflection - expected)) <= 1e-11 * expected[0]
+
     def test_memory_linear_in_nodes(self, scaled_geometry):
         grid = RadialGrid(3201)
         tracemalloc.start()
@@ -179,8 +246,8 @@ class TestConvergence:
 
         errors, orders = study(CONFIG.geometry(profile), pressure)
         want_errors, want_orders = study(CONFIG.geometry("fem_scaled"), 10e3)
-        assert errors == pytest.approx(want_errors, rel=1e-6, abs=0)
-        assert orders == pytest.approx(want_orders, rel=0, abs=1e-6)
+        assert errors == pytest.approx(want_errors, rel=1e-9, abs=0)
+        assert orders == pytest.approx(want_orders, rel=0, abs=1e-9)
 
     @pytest.mark.parametrize("bad,message", [
         (math.nan, "pressure must be finite, got nan"),
