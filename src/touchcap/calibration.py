@@ -571,7 +571,7 @@ def rise_time(data: MeasuredSeries) -> float:
     at or above that level after it, so neither noise nor a spike before
     the step can stand in for the step.  Both are linearly interpolated
     to the next sample.  Raises if the step amplitude is below 5x the
-    baseline noise.
+    baseline noise or the step enters the band inside the plateau window.
     """
     if data.kind != "time":
         raise ValueError(f"rise_time needs time-capacitance data, got "
@@ -592,8 +592,6 @@ def rise_time(data: MeasuredSeries) -> float:
 
     def crossing(idx: int, level: float) -> float:
         # The level is crossed between samples idx - 1 and idx.
-        if idx == 0:
-            return float(t[0])
         c0, c1 = c[idx - 1], c[idx]
         frac = (level - c0) / (c1 - c0)
         return float(t[idx - 1] + frac * (t[idx] - t[idx - 1]))
@@ -602,6 +600,9 @@ def rise_time(data: MeasuredSeries) -> float:
     low = baseline + RISE_LOW * amplitude
     above = c[:n - head] >= low
     entries = np.flatnonzero(above[1:] & ~above[:-1]) + 1
-    i_low = int(entries[-1]) if len(entries) else 0
+    if not len(entries):
+        raise ValueError(f"no entry into the 10-90% band before the plateau "
+                         f"window, the last {head} of {n} samples")
+    i_low = int(entries[-1])
     i_high = i_low + int(np.argmax(c[i_low:] >= high))
     return crossing(i_high, high) - crossing(i_low, low)

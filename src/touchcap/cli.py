@@ -247,9 +247,9 @@ def fit(ctx: click.Context, data: str, free_params: tuple[str, ...],
         profile: str, output: str) -> None:
     """Fit model parameters to a measured pressure-capacitance CSV.
 
-    Writes the fit result JSON plus a residual CSV sidecar and echoes a
-    mode-segmentation summary of the data.  A non-converged fit still
-    writes its best point but exits nonzero.
+    Writes the fit result JSON plus a residual CSV sidecar and echoes the
+    fitted parameters.  A non-converged fit still writes its best point
+    but exits nonzero.
     """
     cfg = ctx.obj["config"]
     geom = cfg.geometry(profile)
@@ -267,13 +267,6 @@ def fit(ctx: click.Context, data: str, free_params: tuple[str, ...],
         _echo(ctx, f"{name} = {value!r}")
     _echo(ctx, f"residual RMS = {result.residual_norm:.6e} F "
                f"after {result.iterations} iterations")
-    try:
-        seg = calibration.segment_modes(series)
-        flag = " (low confidence)" if seg.low_confidence else ""
-        bounds = ", ".join(f"{b / 1e3:.1f} kPa" for b in seg.boundaries)
-        _echo(ctx, f"mode boundaries: {bounds}{flag}")
-    except ValueError as exc:
-        _echo(ctx, f"segmentation skipped: {exc}")
     if not result.converged:
         raise CheckFailure(
             f"fit did not converge after {result.iterations} iterations; "

@@ -208,6 +208,7 @@ def parse_config(doc: dict) -> DeviceConfig:
     # ignored: validate's ladder is a CLI constant and every capacitance
     # is a closed form.
     so = _object(doc.get("solver", {}), "solver")
+    _check_keys(so, ("fit_bounds", "grid_nodes", "quadrature_rel_tol"), "solver: ")
     pairs = _object(so.get("fit_bounds", {}), "solver.fit_bounds")
     _check_keys(pairs, FIT_PARAM_NAMES, "solver.fit_bounds: ")
     bounds = {}

@@ -845,6 +845,20 @@ class TestRiseTime:
         spiked = MeasuredSeries(data.abscissa, c, kind="time")
         assert cal.rise_time(spiked) == pytest.approx(15.85e-3, abs=1e-3)
 
+    def test_step_inside_plateau_window_rejected(self):
+        # A step at sample 93 of 100 enters the band only inside the last
+        # 10 samples.  It was timed from t[0], a 92.9 ms rise; at sample 89
+        # the step is timed as it is.
+        t = np.arange(100) * 1e-3
+        def step_at(k):
+            c = np.full(100, 5e-12)
+            c[k:] += 0.36e-12
+            return MeasuredSeries(t, c, kind="time")
+        with pytest.raises(ValueError, match="no entry into the 10-90% band before "
+                                             "the plateau window, the last 10 of 100"):
+            cal.rise_time(step_at(93))
+        assert cal.rise_time(step_at(89)) == pytest.approx(0.8e-3, rel=1e-9)
+
     def test_flat_series_rejected(self):
         t = np.linspace(0.0, 1.0, 100)
         with pytest.raises(ValueError, match="step"):

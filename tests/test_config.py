@@ -74,6 +74,12 @@ class TestParseConfig:
         assert cfg.servo.p_max == 40e3
         assert cfg.fit_bounds == {}
 
+    def test_missing_layers_named(self):
+        doc = self.minimal()
+        del doc["profiles"]["default"]["layers"]
+        with pytest.raises(ConfigError, match="^profiles.default: missing field 'layers'$"):
+            parse_config(doc)
+
     def test_missing_profiles(self):
         with pytest.raises(ConfigError, match="profiles"):
             parse_config({})
@@ -132,7 +138,9 @@ class TestParseConfig:
         ((), "servos", "top level: unknown key 'servos'$"),
         (("solver", "fit_bounds"), "builtin_stres",
          "solver.fit_bounds: unknown key 'builtin_stres'$"),
-    ], ids=["profile", "layer", "thresholds", "servo", "top_level", "fit_bounds"])
+        (("solver",), "fitbounds", "solver: unknown key 'fitbounds'$"),
+    ], ids=["profile", "layer", "thresholds", "servo", "top_level", "fit_bounds",
+            "solver"])
     def test_unknown_key_named(self, path, key, message):
         # A misspelt key was dropped, leaving its field at the default;
         # notes are the only keys no section reads.

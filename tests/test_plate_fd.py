@@ -13,38 +13,10 @@ from touchcap.plate_fd import RadialGrid
 CONFIG = load_config()
 
 
-def dense_oracle(n: int, load: float) -> np.ndarray:
-    """The dr^4-scaled stencil assembled row by row into a dense matrix.
-
-    Ghost nodes fold by index as the dense solver before the banded one
-    did.  Entries are formed in np.longdouble and LAPACK's pivoted solve
-    takes one refinement step with a np.longdouble residual, so it
-    targets the same operator as the banded solve.
-    """
-    dense = np.zeros((n, n), dtype=np.longdouble)
-    dense[0, :3] = np.array([48, -64, 16], dtype=np.longdouble) / 3
-    for i in range(1, n - 1):
-        r = np.longdouble(i)  # r / dr
-        row = (np.array([1, -4, 6, -4, 1]) + (2 / r) * np.array([-1, 2, 0, -2, 1]) / 2
-               - np.array([0, 1, -2, 1, 0]) / r**2
-               + np.array([0, -1, 0, 1, 0]) / (2 * r**3))
-        for k in range(-2, 3):
-            j = i + k
-            if j == -1:
-                j = 1  # symmetry ghost: w(-dr) = w(dr)
-            elif j == n:
-                j = n - 2  # clamped-edge ghost: w'(R) = 0
-            dense[i, j] += row[k + 2]
-    dense[n - 1, n - 1] = 1
-    rhs = np.full(n, load)
-    rhs[-1] = 0.0
-    x = np.linalg.solve(dense.astype(float), rhs)
-    return x + np.linalg.solve(dense.astype(float), (rhs - dense @ x).astype(float))
-
-
 def exact_stencil(n: int) -> list[dict[int, Fraction]]:
     """The dr^4-scaled stencil in exact rationals, row i as {column: entry},
-    its ghost nodes folded by index as ``dense_oracle`` folds them."""
+    its ghost nodes folded by index: w(-dr) = w(dr) at the center and
+    w(R + dr) = w(R - dr) at the clamped edge."""
     rows = [{0: Fraction(16), 1: Fraction(-64, 3), 2: Fraction(16, 3)}]
     for i in range(1, n - 1):
         v = Fraction(1, i)  # dr / r
@@ -98,7 +70,7 @@ class TestGrid:
 
     def test_accepts_range_ends(self):
         assert RadialGrid(plate_fd.MIN_NODE_COUNT).node_count == 16
-        assert RadialGrid(plate_fd.MAX_NODE_COUNT).node_count == 6401
+        assert RadialGrid(plate_fd.MAX_NODE_COUNT).node_count == 4001
 
 
 class TestSolvePlate:
@@ -150,12 +122,14 @@ class TestSolvePlate:
 
     @pytest.mark.parametrize("n", [16, 17, 31, 51, 100, 201, 401])
     def test_banded_matches_dense_oracle(self, scaled_geometry, n):
+        # The oracle is the stencil's exact rational solve, so the check
+        # needs no extended precision (7e-14 measured at 401 nodes).
         grid = RadialGrid(n)
         sol = plate_fd.solve_plate(scaled_geometry, 10e3, grid)
         dr = scaled_geometry.radius / (n - 1)
         load = 10e3 / scaled_geometry.flexural_rigidity * dr**4
-        expected = dense_oracle(n, load)
-        assert sol.deflection[:-1] == pytest.approx(expected[:-1], rel=1e-9, abs=0)
+        expected = np.array([float(u) for u in exact_unit_solution(n)]) * load
+        assert sol.deflection[:-1] == pytest.approx(expected[:-1], rel=1e-12, abs=0)
         assert sol.deflection[-1] == expected[-1] == 0.0
 
     @pytest.mark.parametrize("n", [16, 17, 40, 101])
@@ -228,6 +202,19 @@ class TestConvergence:
     def test_rejects_unsorted_counts(self, scaled_geometry):
         with pytest.raises(ValueError):
             plate_fd.convergence_study(scaled_geometry, 10e3, [101, 51])
+
+    @pytest.mark.parametrize("n", [101, 401, 1601, 3201, 4001])
+    def test_center_error_law(self, scaled_geometry, n):
+        # The error is O(h^2 ln h): e N^2 = 2.1121 - ln(N) / 4 for N = n - 1
+        # (within 4.1e-4 at these counts), whose zero near n = 4675
+        # lies beyond MAX_NODE_COUNT, where e is still positive.
+        exact = mechanics.linear_center_deflection(scaled_geometry, 10e3)
+        def error(nodes):
+            sol = plate_fd.solve_plate(scaled_geometry, 10e3, RadialGrid(nodes))
+            return (sol.center_deflection - exact) / exact
+        assert error(n) * (n - 1) ** 2 == pytest.approx(
+            2.1121 - math.log(n - 1) / 4, rel=0, abs=2e-3)
+        assert error(plate_fd.MAX_NODE_COUNT) > 0
 
     def test_order_401_to_801(self, scaled_geometry):
         rows = plate_fd.convergence_study(scaled_geometry, 10e3, [401, 801])
